@@ -24,6 +24,7 @@ from .shading import (
 from .relight import (
     FaceImage,
     RelightResult,
+    RelightPlan,
     quotient_relight,
     estimate_light,
     random_relight,
@@ -37,7 +38,7 @@ from .embedder import (
     EmbedderDescriptor,
     cosine_similarity,
 )
-from .attack_aq import AttackConfig, AttackTrace, attack, relight_jacobian, loss_gradient_fd
+from .attack_aq import AttackConfig, AttackTrace, attack, loss_gradient_fd
 from .attack_ap import AdvLNetParams, TrainConfig, init_params, predict, train
 from .phy_sim import PLSPose, SceneModel, NavFeedback, pls_to_sh, map_feedback, recurrence_loop
 from .corpus import synthetic_corpus
@@ -56,12 +57,12 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "SHLight", "NormalMap", "LightingMap", "FaceImage", "RelightResult",
+    "SHLight", "NormalMap", "LightingMap", "FaceImage", "RelightResult", "RelightPlan",
     "sh_basis", "shade", "shade_clamped", "sphere_normals", "lighting_map",
     "quotient_relight", "estimate_light", "random_relight",
     "BuiltinEmbedder", "ExternalEmbedder", "EmbedderPool", "EmbedderDescriptor",
     "cosine_similarity",
-    "AttackConfig", "AttackTrace", "attack", "relight_jacobian", "loss_gradient_fd",
+    "AttackConfig", "AttackTrace", "attack", "loss_gradient_fd",
     "AdvLNetParams", "TrainConfig", "init_params", "predict", "train",
     "PLSPose", "SceneModel", "NavFeedback", "pls_to_sh", "map_feedback",
     "recurrence_loop",

@@ -9,8 +9,8 @@ Training minimizes
 
 by stochastic gradient descent with momentum. Backpropagation is spelled
 out by hand: the network is three dense layers with two ReLUs, and the
-gradient chains through the analytic relighting Jacobian and the
-embedder's input gradient.
+gradient chains the embedder's input gradient through the relighting
+plan's light VJP.
 
 The dynamic variant replaces the middle layer's weight matrix with one
 generated from the face embedding by an extra dense layer, letting the
@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack_aq import relight_jacobian
+from .attack_aq import loss_gradient_fd
 from .embedder import cosine_similarity
-from .relight import FaceImage, estimate_light, quotient_relight
+from .relight import FaceImage, RelightPlan, estimate_light, quotient_relight
 from .shading import NormalMap, SHLight
 from .errors import DivergenceError
 
@@ -196,8 +196,8 @@ def sample_gradient(params: AdvLNetParams, image: FaceImage, normals: NormalMap,
                     l1_weight: float = 1.0, fd_step: float | None = None):
     """Loss and parameter gradients for one (image, normals) sample.
 
-    With a differentiable embedder the light gradient chains the analytic
-    relighting Jacobian with the embedder's input gradient; otherwise pass
+    With a differentiable embedder the light gradient pulls the embedder's
+    input gradient back through the relighting plan's light VJP; otherwise pass
     ``fd_step`` to estimate it by central differences over the 9 light
     coefficients (18 relight+embed evaluations).
     """
@@ -205,8 +205,8 @@ def sample_gradient(params: AdvLNetParams, image: FaceImage, normals: NormalMap,
     if not np.all(np.isfinite(delta)):
         raise FloatingPointError("network produced a non-finite light residual")
     adversarial = light.coeffs + delta
-    result = quotient_relight(image, normals, light, adversarial)
-    relit = result.image
+    plan = RelightPlan(image, normals, light)
+    relit = plan.relight(adversarial).image
 
     sim = cosine_similarity(embedder.embed(relit), embedding)
     diff = relit.luminance - image.luminance
@@ -215,33 +215,10 @@ def sample_gradient(params: AdvLNetParams, image: FaceImage, normals: NormalMap,
     if fd_step is None:
         d_lum = embedder.input_gradient(relit, embedding)
         d_lum = d_lum + (l1_weight / diff.size) * np.sign(diff)
-        jac = relight_jacobian(image, normals, light, adversarial)
-        d_delta = np.tensordot(d_lum, jac, axes=2)
+        d_delta = plan.light_vjp(d_lum, adversarial)
     else:
-        d_delta = _light_gradient_fd(image, normals, light, adversarial,
-                                     embedder, embedding, l1_weight, fd_step)
+        d_delta = loss_gradient_fd(plan, adversarial, embedder, embedding, fd_step, l1_weight)
     return value, backward_net(params, cache, d_delta)
-
-
-def _light_gradient_fd(image, normals, light, adversarial, embedder, embedding,
-                       l1_weight, h):
-    """Central differences of the sample loss over the adversarial light."""
-
-    def loss_at(coeffs):
-        relit = quotient_relight(image, normals, light, coeffs).image
-        sim = cosine_similarity(embedder.embed(relit), embedding)
-        return sim + l1_weight * float(np.abs(relit.luminance
-                                              - image.luminance).mean())
-
-    grad = np.zeros(9)
-    for j in range(9):
-        probe = adversarial.copy()
-        probe[j] = adversarial[j] + h
-        plus = loss_at(probe)
-        probe[j] = adversarial[j] - h
-        minus = loss_at(probe)
-        grad[j] = (plus - minus) / (2.0 * h)
-    return grad
 
 
 def train(corpus, embedder, config: TrainConfig, variant: str = "static",

@@ -5,10 +5,12 @@ relit and the original image by sign-gradient descent on the new light,
 projected after every step onto the L-infinity ball of radius epsilon
 around the original light. The step size is epsilon / iterations.
 
-Gradients come in two flavors: an analytic chain (relighting Jacobian
-composed with the embedder's input gradient, available for differentiable
-embedders) and a 9-dimensional central finite difference on the loss,
-which works for any embedder at 18 embeddings per step.
+Gradients come in two flavors: an analytic chain (the embedder's input
+gradient pulled back through the relighting plan's light VJP, available
+for differentiable embedders) and a 9-dimensional central finite
+difference on the loss, which works for any embedder at 18 embeddings per
+step. One :class:`RelightPlan` serves every relight and gradient of an
+attack.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embedder import cosine_similarity
-from .relight import FaceImage, _relight_parts, estimate_light, quotient_relight
-from .shading import BAND_GAINS, NormalMap, SHLight, _light_coeffs, sh_basis, shade
+from .relight import FaceImage, RelightPlan, RelightResult, estimate_light
+from .shading import NormalMap, SHLight, _light_coeffs
 
 GRADIENT_MODES = ("analytic", "fd")
 
@@ -79,62 +81,46 @@ class AttackTrace:
         return float(self.similarities[-1])
 
 
-def relight_jacobian(image: FaceImage, normals: NormalMap, old_light, new_light) -> np.ndarray:
-    """Partial derivatives of the relit luminance w.r.t. the new light.
+def loss_gradient_fd(plan: RelightPlan, current_light, embedder, reference,
+                     h: float = 1e-3, l1_weight: float = 0.0) -> np.ndarray:
+    """Central-difference gradient of the relighting loss over the 9 coefficients.
 
-    Relighting is linear in the new light, so each masked pixel's row is
-    gains * basis(n) * luminance / floored-denominator, independent of the
-    new light itself. Rows are zero at unmasked pixels and at pixels
-    currently clamped by the [0, 1] output clip.
-    """
-    mask, denom, _ = _relight_parts(image, normals, old_light)
-    jac = np.zeros((*mask.shape, 9), dtype=np.float64)
-    design = sh_basis(normals.normals[mask]) * BAND_GAINS
-    jac[mask] = design * (image.luminance[mask] / denom[mask])[:, None]
-    f_new = shade(normals, new_light)
-    raw = np.zeros_like(denom)
-    raw[mask] = image.luminance[mask] * f_new[mask] / denom[mask]
-    clamped = mask & ((raw < 0.0) | (raw > 1.0))
-    jac[clamped] = 0.0
-    return jac
-
-
-def loss_gradient_fd(image: FaceImage, normals: NormalMap, old_light, current_light,
-                     embedder, h: float = 1e-3) -> np.ndarray:
-    """Central-difference similarity gradient over the 9 coefficients.
-
-    Every probe goes through the full relighting path (denominator floor
-    and output clamp included), so this matches what any embedder actually
-    sees. Costs 18 embeddings.
+    The loss is sim(embed(relit), reference), plus ``l1_weight`` times the
+    mean absolute luminance change when that weight is nonzero. Every probe
+    goes through the full relighting path (denominator floor and output
+    clamp included), so this matches what any embedder actually sees.
+    Costs 18 embeddings.
     """
     if h <= 0:
         raise ValueError("fd step must be positive")
-    reference = embedder.embed(image)
     current = _light_coeffs(current_light)
 
-    def sim_at(light: np.ndarray) -> float:
-        result = quotient_relight(image, normals, old_light, light)
-        return cosine_similarity(embedder.embed(result.image), reference)
+    def loss_at(light: np.ndarray) -> float:
+        relit = plan.relight(light).image
+        value = cosine_similarity(embedder.embed(relit), reference)
+        if l1_weight:
+            value += l1_weight * float(np.abs(relit.luminance - plan.image.luminance).mean())
+        return value
 
     grad = np.zeros(9)
     for j in range(9):
         probe = current.copy()
         probe[j] = current[j] + h
-        plus = sim_at(probe)
+        plus = loss_at(probe)
         probe[j] = current[j] - h
-        minus = sim_at(probe)
+        minus = loss_at(probe)
         grad[j] = (plus - minus) / (2.0 * h)
     return grad
 
 
-def similarity_gradient(image: FaceImage, normals: NormalMap, old_light, current_light,
-                        embedder) -> np.ndarray:
-    """Analytic d sim / d L' via the relighting Jacobian and embedder gradient."""
-    reference = embedder.embed(image)
-    result = quotient_relight(image, normals, old_light, current_light)
+def similarity_gradient(plan: RelightPlan, result: RelightResult, embedder,
+                        reference) -> np.ndarray:
+    """Analytic d sim / d L' at ``result``, a relight by ``plan``.
+
+    Chains the embedder's input gradient through the plan's light VJP.
+    """
     grad_lum = embedder.input_gradient(result.image, reference)
-    jac = relight_jacobian(image, normals, old_light, current_light)
-    return np.tensordot(grad_lum, jac, axes=2)
+    return plan.light_vjp(grad_lum, result.new_light)
 
 
 def attack(image: FaceImage, normals: NormalMap, light, embedder,
@@ -145,12 +131,13 @@ def attack(image: FaceImage, normals: NormalMap, light, embedder,
     from the image and normals first.
     """
     origin = _light_coeffs(light) if light is not None else estimate_light(image, normals).coeffs
+    plan = RelightPlan(image, normals, origin)
     reference = embedder.embed(image)
     lo = origin - config.epsilon
     hi = origin + config.epsilon
 
     def evaluate(coeffs: np.ndarray):
-        result = quotient_relight(image, normals, origin, coeffs)
+        result = plan.relight(coeffs)
         sim = cosine_similarity(embedder.embed(result.image), reference)
         return result, sim
 
@@ -162,9 +149,9 @@ def attack(image: FaceImage, normals: NormalMap, light, embedder,
 
     for _ in range(config.iterations):
         if config.gradient_mode == "analytic":
-            grad = similarity_gradient(image, normals, origin, current, embedder)
+            grad = similarity_gradient(plan, result, embedder, reference)
         else:
-            grad = loss_gradient_fd(image, normals, origin, current, embedder, config.fd_step)
+            grad = loss_gradient_fd(plan, current, embedder, reference, config.fd_step)
         current = np.clip(current - config.step * np.sign(grad), lo, hi)
         result, sim = evaluate(current)
         lights.append(current.copy())

@@ -16,7 +16,7 @@ import numpy as np
 from . import attack_ap, attack_aq, harness, phy_sim, svgplot
 from .corpus import synthetic_corpus
 from .embedder import BuiltinEmbedder, ExternalEmbedder, cosine_similarity
-from .errors import AdvRelightError
+from .errors import AdvRelightError, ScenarioError
 from .relight import estimate_light, load_face_image, quotient_relight, save_face_image
 from .shading import SHLight, load_light, load_normal_map, save_light, sphere_normals
 
@@ -206,31 +206,35 @@ def _cmd_ap_run(args) -> int:
 def _load_scenario(path):
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    scene_cfg = data["scene"]
-    if "normals" in scene_cfg:
-        normals = load_normal_map(Path(path).parent / scene_cfg["normals"])
-    else:
-        normals = sphere_normals(int(scene_cfg.get("sphere_resolution", 64)))
-    scene = phy_sim.SceneModel(normals=normals,
-                               albedo=scene_cfg.get("albedo", 0.8),
-                               ambient=float(scene_cfg.get("ambient", 0.25)))
-    start = phy_sim.PLSPose(**data["start_pose"])
-    target_cfg = data["target"]
-    if "light_file" in target_cfg:
-        target = load_light(Path(path).parent / target_cfg["light_file"])
-    elif "coeffs" in target_cfg:
-        target = SHLight(np.asarray(target_cfg["coeffs"], dtype=float))
-    else:
-        target = phy_sim.scene_light_estimate(scene, phy_sim.PLSPose(**target_cfg["pose"]))
-    options = dict(
-        gains=tuple(data.get("gains", phy_sim.DEFAULT_GAINS)),
-        max_iter=int(data.get("max_iterations", 100)),
-        tau=float(data.get("tau", 0.9)),
-        tolerances=tuple(data.get("tolerances", phy_sim.DEFAULT_TOLERANCES)),
-        map_resolution=int(data.get("map_resolution", phy_sim.DEFAULT_MAP_RESOLUTION)),
-        distance_bounds=tuple(data.get("distance_bounds", (0.05, 50.0))),
-    )
-    return target, start, scene, options
+    try:
+        scene_cfg = data["scene"]
+        if "normals" in scene_cfg:
+            normals = load_normal_map(Path(path).parent / scene_cfg["normals"])
+        else:
+            normals = sphere_normals(int(scene_cfg.get("sphere_resolution", 64)))
+        scene = phy_sim.SceneModel(normals=normals,
+                                   albedo=scene_cfg.get("albedo", 0.8),
+                                   ambient=float(scene_cfg.get("ambient", 0.25)))
+        start = phy_sim.PLSPose(**data["start_pose"])
+        target_cfg = data["target"]
+        if "light_file" in target_cfg:
+            target = load_light(Path(path).parent / target_cfg["light_file"])
+        elif "coeffs" in target_cfg:
+            target = SHLight(np.asarray(target_cfg["coeffs"], dtype=float))
+        else:
+            target = phy_sim.scene_light_estimate(scene, phy_sim.PLSPose(**target_cfg["pose"]))
+        options = dict(
+            gains=tuple(data.get("gains", phy_sim.DEFAULT_GAINS)),
+            max_iter=int(data.get("max_iterations", 100)),
+            tau=float(data.get("tau", 0.9)),
+            tolerances=tuple(data.get("tolerances", phy_sim.DEFAULT_TOLERANCES)),
+            map_resolution=int(data.get("map_resolution", phy_sim.DEFAULT_MAP_RESOLUTION)),
+            distance_bounds=tuple(data.get("distance_bounds", (0.05, 50.0))),
+        )
+        return target, start, scene, options
+    except (KeyError, TypeError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ScenarioError(f"malformed scenario {path}: {detail}") from exc
 
 
 def _write_phy_trace(path, trace) -> None:

@@ -91,8 +91,8 @@ class BuiltinEmbedder:
         dz = self._projection.T @ dv
         dz -= dz.mean()  # transpose of the mean subtraction
         idx, weights = self._plan(lum.shape)
-        grad = np.zeros(lum.size, dtype=np.float64)
-        np.add.at(grad, idx, dz[:, None] * weights)
+        grad = np.bincount(idx.ravel(), weights=(dz[:, None] * weights).ravel(),
+                           minlength=lum.size)
         return grad.reshape(lum.shape)
 
     def _project(self, lum: np.ndarray) -> tuple[np.ndarray, float]:
@@ -239,7 +239,7 @@ class ExternalEmbedder:
             line = self._lines.get(timeout=self._timeout)
         except queue.Empty:
             raise ProtocolTimeoutError(
-                f"no response within {self._timeout:.0f} s"
+                f"no response within {self._timeout:g} s"
             ) from None
         if line is None:
             raise ProtocolError("endpoint closed the connection")

@@ -74,5 +74,9 @@ class ManifestError(AdvRelightError, ValueError):
     """A dataset manifest violates its schema."""
 
 
+class ScenarioError(AdvRelightError, ValueError):
+    """A phy-sim scenario file violates its schema."""
+
+
 class DegenerateLabelsError(AdvRelightError, ValueError):
     """Ground truth contains only one class; ROC/AUC is undefined."""

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import pngio
 from .errors import DegenerateLightError, EmptyMaskError, SingularFitError
-from .shading import BAND_GAINS, NormalMap, SHLight, _light_coeffs, sh_basis, shade
+from .shading import BAND_GAINS, NormalMap, SHLight, _freeze, _light_coeffs, sh_basis
 
 #: Rec. 601 luma weights.
 LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114], dtype=np.float64)
@@ -24,11 +24,6 @@ LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114], dtype=np.float64)
 DENOM_FLOOR = 1e-4
 
 _CHROMA_EPS = 1e-12
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True)
@@ -102,42 +97,73 @@ class RelightResult:
             raise ValueError("clamp_fraction must lie in [0, 1]")
 
 
-def _relight_parts(image: FaceImage, normals: NormalMap, old_light):
-    """Shared denominator bookkeeping for the quotient and its Jacobian."""
-    if image.luminance.shape != normals.mask.shape:
-        raise ValueError("image and normal map dimensions differ")
-    mask = normals.mask
-    n_masked = int(mask.sum())
-    if n_masked == 0:
-        raise EmptyMaskError("relighting needs at least one masked pixel")
-    f_old = shade(normals, old_light)
-    floored = mask & (f_old < DENOM_FLOOR)
-    if floored.sum() > 0.5 * n_masked:
-        raise DegenerateLightError(
-            f"denominator floored on {floored.sum()}/{n_masked} masked pixels"
+class RelightPlan:
+    """Quotient relighting of one (image, normals, old light) for any new light.
+
+    Over the masked pixels the raw relit luminance is
+    ``lum * (basis @ (gains * L')) / denom``, linear in the new light L'. The
+    SH basis and the floored old-light shading are evaluated once, here.
+    """
+
+    def __init__(self, image: FaceImage, normals: NormalMap, old_light):
+        if image.luminance.shape != normals.mask.shape:
+            raise ValueError("image and normal map dimensions differ")
+        self.image, self.mask = image, normals.mask
+        n_masked = int(self.mask.sum())
+        if n_masked == 0:
+            raise EmptyMaskError("relighting needs at least one masked pixel")
+        self.old_light = SHLight(_light_coeffs(old_light))
+        self.basis = sh_basis(normals.normals[self.mask])
+        f_old = self.basis @ (BAND_GAINS * self.old_light.coeffs)
+        floored = int((f_old < DENOM_FLOOR).sum())
+        if floored > 0.5 * n_masked:
+            raise DegenerateLightError(f"denominator floored on {floored}/{n_masked} masked pixels")
+        self.lum = image.luminance[self.mask]
+        self.denom = np.maximum(f_old, DENOM_FLOOR)
+        self.ratio = self.lum / self.denom
+
+    def _raw(self, new_light) -> np.ndarray:
+        """Unclamped relit luminance over the masked pixels."""
+        return self.lum * (self.basis @ (BAND_GAINS * _light_coeffs(new_light))) / self.denom
+
+    def _unclamped(self, new_light) -> np.ndarray:
+        raw = self._raw(new_light)
+        return (raw >= 0.0) & (raw <= 1.0)
+
+    def relight(self, new_light) -> RelightResult:
+        """Relight via the shading quotient f(N, L') / f(N, L).
+
+        Masked luminance is multiplied by the quotient (denominator floored
+        at ``DENOM_FLOOR``) and clamped to [0, 1]; unmasked pixels pass
+        through.
+        """
+        raw = self.image.luminance.copy()
+        raw[self.mask] = self._raw(new_light)
+        clipped = np.clip(raw, 0.0, 1.0)
+        return RelightResult(
+            image=self.image.with_luminance(clipped),
+            new_light=SHLight(_light_coeffs(new_light)),
+            old_light=self.old_light,
+            clamp_fraction=float(((raw != clipped) & self.mask).sum() / self.lum.size),
         )
-    denom = np.maximum(f_old, DENOM_FLOOR)
-    return mask, denom, floored
+
+    def light_vjp(self, grad_lum, new_light) -> np.ndarray:
+        """<grad_lum, d relit luminance / d L'>; unmasked and clamped pixels add 0."""
+        g = np.asarray(grad_lum, dtype=np.float64)[self.mask]
+        return BAND_GAINS * (self.basis.T @ (g * self.ratio * self._unclamped(new_light)))
+
+    def jacobian(self, new_light) -> np.ndarray:
+        """Dense H x W x 9 form of :meth:`light_vjp`, kept as its test oracle."""
+        rows = (self.basis * BAND_GAINS) * self.ratio[:, None]
+        rows[~self._unclamped(new_light)] = 0.0
+        jac = np.zeros((*self.mask.shape, 9), dtype=np.float64)
+        jac[self.mask] = rows
+        return jac
 
 
 def quotient_relight(image: FaceImage, normals: NormalMap, old_light, new_light) -> RelightResult:
-    """Relight via the shading quotient f(N, L') / f(N, L).
-
-    Masked luminance is multiplied by the quotient (denominator floored at
-    ``DENOM_FLOOR``) and clamped to [0, 1]; unmasked pixels pass through.
-    """
-    mask, denom, _ = _relight_parts(image, normals, old_light)
-    f_new = shade(normals, new_light)
-    raw = image.luminance.copy()
-    raw[mask] = image.luminance[mask] * f_new[mask] / denom[mask]
-    clipped = np.clip(raw, 0.0, 1.0)
-    clamp_fraction = float(((raw != clipped) & mask).sum() / mask.sum())
-    return RelightResult(
-        image=image.with_luminance(clipped),
-        new_light=SHLight(_light_coeffs(new_light)),
-        old_light=SHLight(_light_coeffs(old_light)),
-        clamp_fraction=clamp_fraction,
-    )
+    """One-off :meth:`RelightPlan.relight`."""
+    return RelightPlan(image, normals, old_light).relight(new_light)
 
 
 def estimate_light(image: FaceImage, normals: NormalMap) -> SHLight:

@@ -13,13 +13,13 @@ import pytest
 
 from advrelight import harness
 from advrelight.attack_ap import TrainConfig, forward_net, init_params, sample_gradient, train
-from advrelight.attack_aq import AttackConfig, attack, relight_jacobian
+from advrelight.attack_aq import AttackConfig, attack
 from advrelight.cli import cli
 from advrelight.corpus import synthetic_corpus
 from advrelight.embedder import BuiltinEmbedder, cosine_similarity
 from advrelight.harness import AttackedSample, build_split, roc_auc, sensitivity_analysis
 from advrelight.phy_sim import PLSPose, SceneModel, pls_to_sh, recurrence_loop, scene_light_estimate
-from advrelight.relight import DENOM_FLOOR, FaceImage, estimate_light, quotient_relight
+from advrelight.relight import DENOM_FLOOR, FaceImage, RelightPlan, estimate_light, quotient_relight
 from advrelight.shading import SHLight, lighting_map, shade, sphere_normals
 
 EPSILONS_CHAIN = (0.2, 0.4, 0.8)
@@ -116,7 +116,7 @@ def test_criterion_2_linearity_and_jacobian():
         image = FaceImage.from_luminance(lum)
         base = quotient_relight(image, normals, old, new.coeffs)
         assert base.clamp_fraction == 0.0
-        jac = relight_jacobian(image, normals, old, new.coeffs)
+        jac = RelightPlan(image, normals, old).jacobian(new.coeffs)
         h = 1e-4
         j = int(rng.integers(0, 9))
         plus, minus = new.coeffs.copy(), new.coeffs.copy()

@@ -5,12 +5,11 @@ from advrelight.attack_aq import (
     AttackConfig,
     attack,
     loss_gradient_fd,
-    relight_jacobian,
     similarity_gradient,
     write_trace_csv,
 )
 from advrelight.embedder import cosine_similarity
-from advrelight.relight import quotient_relight, random_relight
+from advrelight.relight import RelightPlan, quotient_relight, random_relight
 from advrelight.shading import SHLight
 
 from conftest import make_safe_light, make_scene
@@ -36,7 +35,7 @@ def test_jacobian_matches_fd(sphere64):
     for _ in range(5):
         image, old = make_scene(rng, sphere64)
         new = make_safe_light(rng)
-        jac = relight_jacobian(image, sphere64, old, new)
+        jac = RelightPlan(image, sphere64, old).jacobian(new)
         h = 1e-4
         base = quotient_relight(image, sphere64, old, new.coeffs)
         assert base.clamp_fraction == 0.0
@@ -56,19 +55,21 @@ def test_jacobian_matches_fd(sphere64):
 def test_jacobian_independent_of_new_light(sphere64):
     rng = np.random.default_rng(1)
     image, old = make_scene(rng, sphere64)
-    a = relight_jacobian(image, sphere64, old, make_safe_light(rng))
-    b = relight_jacobian(image, sphere64, old, make_safe_light(rng))
+    plan = RelightPlan(image, sphere64, old)
+    a = plan.jacobian(make_safe_light(rng))
+    b = plan.jacobian(make_safe_light(rng))
     assert np.array_equal(a, b)
 
 
 def test_jacobian_zero_rows(sphere64):
     rng = np.random.default_rng(2)
     image, old = make_scene(rng, sphere64)
-    jac = relight_jacobian(image, sphere64, old, old)
+    plan = RelightPlan(image, sphere64, old)
+    jac = plan.jacobian(old)
     assert np.all(jac[~sphere64.mask] == 0.0)
     # force heavy clamping with a hugely amplified light
     blown = 10.0 * old.coeffs
-    jac = relight_jacobian(image, sphere64, old, blown)
+    jac = plan.jacobian(blown)
     raw = quotient_relight(image, sphere64, old, blown)
     assert raw.clamp_fraction > 0.0
     lum = image.luminance * 10.0  # exact pre-clamp value for a scaled light
@@ -80,8 +81,10 @@ def test_fd_gradient_agrees_with_analytic(builtin_embedder, sphere64):
     rng = np.random.default_rng(3)
     image, old = make_scene(rng, sphere64)
     current = old.coeffs + rng.uniform(-0.05, 0.05, 9)
-    analytic = similarity_gradient(image, sphere64, old, current, builtin_embedder)
-    fd = loss_gradient_fd(image, sphere64, old, current, builtin_embedder, h=1e-3)
+    plan = RelightPlan(image, sphere64, old)
+    reference = builtin_embedder.embed(image)
+    analytic = similarity_gradient(plan, plan.relight(current), builtin_embedder, reference)
+    fd = loss_gradient_fd(plan, current, builtin_embedder, reference, h=1e-3)
     rel = np.linalg.norm(fd - analytic) / np.linalg.norm(analytic)
     assert rel < 1e-2
 
@@ -96,7 +99,9 @@ def test_fd_gradient_constant_landscape(sphere64):
             return np.array([1.0, 0.0, 0.0, 0.0])
 
     image, old = make_scene(np.random.default_rng(4), sphere64)
-    grad = loss_gradient_fd(image, sphere64, old, old.coeffs, ConstantEmbedder(), h=1e-3)
+    embedder = ConstantEmbedder()
+    grad = loss_gradient_fd(RelightPlan(image, sphere64, old), old.coeffs, embedder,
+                            embedder.embed(image), h=1e-3)
     assert np.all(grad == 0.0)
 
 
@@ -105,12 +110,14 @@ def test_fd_gradient_richardson(builtin_embedder, sphere64):
     rng = np.random.default_rng(5)
     image, old = make_scene(rng, sphere64)
     current = old.coeffs + rng.uniform(-0.05, 0.05, 9)
-    exact = similarity_gradient(image, sphere64, old, current, builtin_embedder)
+    plan = RelightPlan(image, sphere64, old)
+    reference = builtin_embedder.embed(image)
+    exact = similarity_gradient(plan, plan.relight(current), builtin_embedder, reference)
     err_h = np.linalg.norm(
-        loss_gradient_fd(image, sphere64, old, current, builtin_embedder, h=4e-2) - exact
+        loss_gradient_fd(plan, current, builtin_embedder, reference, h=4e-2) - exact
     )
     err_half = np.linalg.norm(
-        loss_gradient_fd(image, sphere64, old, current, builtin_embedder, h=2e-2) - exact
+        loss_gradient_fd(plan, current, builtin_embedder, reference, h=2e-2) - exact
     )
     assert err_half < err_h
     assert 2.0 < err_h / err_half < 8.0

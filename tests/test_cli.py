@@ -180,6 +180,24 @@ def test_phy_sim_scenario(tmp_path, capsys):
     assert header == "iteration,azimuth,polar,distance,intensity,d_azimuth,d_polar,area_ratio"
 
 
+@pytest.mark.parametrize("start_pose", [
+    None,
+    {"azimuth": 0.2, "polar": 0.3, "distance": 3.0, "brightness": 1.5},
+    {"azimuth": 0.2, "polar": 0.3, "distance": 3.0},
+])
+def test_phy_sim_malformed_start_pose_exits_2(tmp_path, capsys, start_pose):
+    data = {"scene": {"sphere_resolution": 16},
+            "target": {"coeffs": [1.0] + [0.0] * 8}}
+    if start_pose is not None:
+        data["start_pose"] = start_pose
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(data))
+    assert cli(["phy-sim", "--scenario", str(scenario)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed scenario")
+    assert "Traceback" not in err
+
+
 def test_eval_aq_determinism(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):

@@ -177,7 +177,7 @@ def test_external_bad_handshake():
 def test_external_timeout():
     image = random_image(np.random.default_rng(10))
     with ExternalEmbedder(ENDPOINT + ["--hang"], timeout=0.5) as emb:
-        with pytest.raises(ProtocolTimeoutError):
+        with pytest.raises(ProtocolTimeoutError, match=r"within 0\.5 s"):
             emb.embed(image)
 
 

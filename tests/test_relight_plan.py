@@ -1,0 +1,104 @@
+"""RelightPlan against the per-call quotient formula and the dense Jacobian."""
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from advrelight import relight, shading
+from advrelight.attack_aq import loss_gradient_fd, similarity_gradient
+from advrelight.embedder import BuiltinEmbedder
+from advrelight.relight import DENOM_FLOOR, FaceImage, RelightPlan
+from advrelight.shading import BAND_GAINS, SH_C0, SH_C1, sh_basis, shade, sphere_normals
+
+from conftest import make_scene
+
+SPHERE = sphere_normals(32)
+EMBEDDER = BuiltinEmbedder()
+
+
+def tilted_scene(seed, tilt, gain):
+    """Random sphere image, old light and new light.
+
+    The old light is ambient 0.5 plus ``tilt`` times x, so its shading
+    drops below ``DENOM_FLOOR`` on the x < -0.5 / tilt side once tilt
+    exceeds 0.5. The new light is ``gain`` times the old one plus noise, so
+    gains above ~1 push bright pixels over the [0, 1] output clip.
+    """
+    rng = np.random.default_rng(seed)
+    lum = np.where(SPHERE.mask, rng.uniform(0.05, 0.95, SPHERE.mask.shape), 0.3)
+    old = np.zeros(9)
+    old[0] = 0.5 / (BAND_GAINS[0] * SH_C0)
+    old[3] = tilt / (BAND_GAINS[3] * SH_C1)
+    old[1:] += rng.uniform(-0.02, 0.02, 8)
+    new = gain * old + rng.uniform(-0.2, 0.2, 9)
+    grad_lum = rng.standard_normal(SPHERE.mask.shape)
+    return FaceImage.from_luminance(lum), old, new, grad_lum
+
+
+def quotient_formula(image, normals, old, new):
+    """The per-call quotient relight: shade both lights, floor, divide, clip."""
+    mask = normals.mask
+    denom = np.maximum(shade(normals, old), DENOM_FLOOR)
+    f_new = shade(normals, new)
+    raw = image.luminance.copy()
+    raw[mask] = image.luminance[mask] * f_new[mask] / denom[mask]
+    clipped = np.clip(raw, 0.0, 1.0)
+    return clipped, float(((raw != clipped) & mask).sum() / mask.sum())
+
+
+def test_scene_reaches_floor_and_clamp():
+    image, old, new, _ = tilted_scene(0, tilt=2.0, gain=4.0)
+    assert (shade(SPHERE, old)[SPHERE.mask] < DENOM_FLOOR).any()
+    assert RelightPlan(image, SPHERE, old).relight(new).clamp_fraction > 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), tilt=st.floats(0.0, 2.0), gain=st.floats(0.2, 4.0))
+@example(seed=0, tilt=2.0, gain=4.0)
+@example(seed=1, tilt=0.0, gain=1.0)
+def test_plan_matches_formula_and_jacobian(seed, tilt, gain):
+    image, old, new, grad_lum = tilted_scene(seed, tilt, gain)
+    plan = RelightPlan(image, SPHERE, old)
+    result = plan.relight(new)
+    expected, clamp_fraction = quotient_formula(image, SPHERE, old, new)
+    assert np.array_equal(result.image.luminance, expected)
+    assert result.clamp_fraction == clamp_fraction
+
+    vjp = plan.light_vjp(grad_lum, new)
+    dense = np.tensordot(grad_lum, plan.jacobian(new), 2)
+    np.testing.assert_allclose(vjp, dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_fd_gradient_agrees_with_analytic_random(seed):
+    """Same check as test_fd_gradient_agrees_with_analytic, over random scenes.
+
+    The scenes keep every probe off the floor and the clip: central
+    differences that straddle a clip kink do not estimate a derivative.
+    """
+    rng = np.random.default_rng(seed)
+    image, old = make_scene(rng, SPHERE)
+    current = old.coeffs + rng.uniform(-0.05, 0.05, 9)
+    plan = RelightPlan(image, SPHERE, old)
+    reference = EMBEDDER.embed(image)
+    analytic = similarity_gradient(plan, plan.relight(current), EMBEDDER, reference)
+    fd = loss_gradient_fd(plan, current, EMBEDDER, reference, h=1e-3)
+    assert np.linalg.norm(fd - analytic) / np.linalg.norm(analytic) < 1e-2
+
+
+def test_plan_evaluates_basis_once(monkeypatch):
+    """One basis per plan; relights and gradients reuse it (shade included)."""
+    calls = []
+
+    def counting_basis(normals):
+        calls.append(1)
+        return sh_basis(normals)
+
+    monkeypatch.setattr(relight, "sh_basis", counting_basis)
+    monkeypatch.setattr(shading, "sh_basis", counting_basis)
+    image, old, new, grad_lum = tilted_scene(2, tilt=0.3, gain=1.0)
+    plan = RelightPlan(image, SPHERE, old)
+    for scale in (0.9, 1.0, 1.1):
+        plan.relight(scale * new)
+        plan.light_vjp(grad_lum, scale * new)
+    assert len(calls) == 1
