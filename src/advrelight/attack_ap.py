@@ -20,7 +20,6 @@ static middle weights reproduces the static computation exactly.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ import numpy as np
 from .attack_aq import loss_gradient_fd
 from .embedder import cosine_similarity
 from .relight import FaceImage, RelightPlan, estimate_light, quotient_relight
-from .shading import NormalMap, SHLight
+from .shading import NormalMap, SHLight, write_csv
 from .errors import DivergenceError
 
 VARIANTS = ("static", "dynamic")
@@ -309,8 +308,4 @@ def load_params(path) -> AdvLNetParams:
 
 
 def write_loss_history_csv(path, history) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "mean_loss"])
-        for epoch, value in enumerate(history):
-            writer.writerow([epoch, f"{value:.6g}"])
+    write_csv(path, ["epoch", "mean_loss"], enumerate(history))

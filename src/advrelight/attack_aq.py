@@ -15,14 +15,13 @@ attack.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .embedder import cosine_similarity
 from .relight import FaceImage, RelightPlan, RelightResult, estimate_light
-from .shading import NormalMap, SHLight, _light_coeffs
+from .shading import NormalMap, SHLight, _light_coeffs, write_csv
 
 GRADIENT_MODES = ("analytic", "fd")
 
@@ -171,14 +170,6 @@ def attack(image: FaceImage, normals: NormalMap, light, embedder,
 
 def write_trace_csv(path, trace: AttackTrace) -> None:
     """Serialize a trace as (iteration, 9 coefficients, similarity, clamp_fraction)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["iteration"] + [f"L{j}" for j in range(9)] + ["similarity", "clamp_fraction"]
-        )
-        for i in range(trace.lights.shape[0]):
-            writer.writerow(
-                [i]
-                + [f"{c:.6g}" for c in trace.lights[i]]
-                + [f"{trace.similarities[i]:.6g}", f"{trace.clamp_fractions[i]:.6g}"]
-            )
+    write_csv(path, ["iteration"] + [f"L{j}" for j in range(9)] + ["similarity", "clamp_fraction"],
+              ([i, *light, sim, clamp] for i, (light, sim, clamp) in
+               enumerate(zip(trace.lights, trace.similarities, trace.clamp_fractions))))

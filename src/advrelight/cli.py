@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from .corpus import synthetic_corpus
 from .embedder import BuiltinEmbedder, ExternalEmbedder, cosine_similarity
 from .errors import AdvRelightError, ScenarioError
 from .relight import estimate_light, load_face_image, quotient_relight, save_face_image
-from .shading import SHLight, load_light, load_normal_map, save_light, sphere_normals
+from .shading import SHLight, load_light, load_normal_map, save_light, sphere_normals, write_csv
 
 
 class UsageError(Exception):
@@ -49,7 +50,9 @@ def _managed(embedder):
             close()
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process (argparse parses statelessly)."""
     parser = _Parser(prog="advrelight", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -238,15 +241,11 @@ def _load_scenario(path):
 
 
 def _write_phy_trace(path, trace) -> None:
-    import csv
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "azimuth", "polar", "distance", "intensity",
-                         "d_azimuth", "d_polar", "area_ratio"])
-        for i, (pose, fb) in enumerate(trace):
-            writer.writerow([i] + [f"{v:.6g}" for v in
-                                   (pose.azimuth, pose.polar, pose.distance, pose.intensity,
-                                    fb.d_azimuth, fb.d_polar, fb.area_ratio)])
+    write_csv(path, ["iteration", "azimuth", "polar", "distance", "intensity",
+                     "d_azimuth", "d_polar", "area_ratio"],
+              ([i, *map(float, (pose.azimuth, pose.polar, pose.distance, pose.intensity,
+                                fb.d_azimuth, fb.d_polar, fb.area_ratio))]
+               for i, (pose, fb) in enumerate(trace)))
 
 
 def _cmd_phy_sim(args) -> int:

@@ -70,6 +70,7 @@ class BuiltinEmbedder:
         self._projection = q.T.copy()  # rows orthonormal, (dim, PATCH^2)
         self.descriptor = EmbedderDescriptor("builtin", dimension, differentiable=True)
         self._resize_plans: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._last = None  # (luminance, _project result) of the last projection
 
     def embed(self, image: FaceImage) -> np.ndarray:
         v, norm = self._project(image.luminance)
@@ -96,11 +97,16 @@ class BuiltinEmbedder:
         return grad.reshape(lum.shape)
 
     def _project(self, lum: np.ndarray) -> tuple[np.ndarray, float]:
+        # One-entry memo (an attack embeds, then differentiates); FaceImage luminance is read-only.
+        last = self._last
+        if last is not None and last[0] is lum:
+            return last[1]
         idx, weights = self._plan(lum.shape)
         patch = (lum.reshape(-1)[idx] * weights).sum(axis=1)
         z = patch - patch.mean()
         v = self._projection @ z
-        return v, float(np.linalg.norm(v))
+        self._last = lum, (v, float(np.linalg.norm(v)))
+        return self._last[1]
 
     def _fallback_axis(self) -> np.ndarray:
         e = np.zeros(self.descriptor.dimension)
@@ -160,6 +166,7 @@ class ExternalEmbedder:
         argv = shlex.split(command) if isinstance(command, str) else list(command)
         self._timeout = timeout
         self._lock = threading.Lock()
+        self.closed = False
         self._proc = subprocess.Popen(
             argv,
             stdin=subprocess.PIPE,
@@ -187,11 +194,18 @@ class ExternalEmbedder:
     def embed(self, image: FaceImage) -> np.ndarray:
         payload = base64.b64encode(luminance_bytes(image)).decode("ascii")
         with self._lock:
-            self._send(f"EMBED {image.width} {image.height}\n{payload}\n")
-            header = self._read_line()
-            if header.strip() != "VEC":
-                raise ProtocolError(f"expected VEC, got {header!r}")
-            tokens = self._read_line().split()
+            if self.closed:
+                raise ProtocolError("endpoint connection is closed")
+            try:
+                self._send(f"EMBED {image.width} {image.height}\n{payload}\n")
+                header = self._read_line()
+                if header.strip() != "VEC":
+                    raise ProtocolError(f"expected VEC, got {header!r}")
+                tokens = self._read_line().split()
+            except ProtocolError:
+                # A reply may still be in flight; it must never answer a later request.
+                self.close()
+                raise
         if len(tokens) != self.descriptor.dimension:
             raise ProtocolError(
                 f"endpoint advertised dimension {self.descriptor.dimension} "
@@ -209,6 +223,7 @@ class ExternalEmbedder:
         raise CapabilityError("external embedders do not provide input gradients")
 
     def close(self) -> None:
+        self.closed = True
         if self._proc.poll() is None:
             self._proc.terminate()
             try:
@@ -252,7 +267,8 @@ class EmbedderPool:
     def __init__(self, command, size: int = 2, timeout: float = 30.0):
         if size < 1:
             raise ValueError("pool size must be >= 1")
-        self._workers = [ExternalEmbedder(command, timeout) for _ in range(size)]
+        self._connect = lambda: ExternalEmbedder(command, timeout)
+        self._workers = [self._connect() for _ in range(size)]
         self._free: queue.Queue = queue.Queue()
         for worker in self._workers:
             self._free.put(worker)
@@ -262,6 +278,11 @@ class EmbedderPool:
         worker = self._free.get()
         try:
             return worker.embed(image)
+        except ProtocolError:
+            if worker.closed:  # broken mid-request: replace the connection
+                index = self._workers.index(worker)
+                worker = self._workers[index] = self._connect()
+            raise
         finally:
             self._free.put(worker)
 

@@ -22,7 +22,7 @@ from . import attack_ap, attack_aq
 from .corpus import IdentityGroup, Sample
 from .errors import AdvRelightError, DegenerateLabelsError, EvaluationError, ManifestError
 from .relight import estimate_light, load_face_image, random_relight
-from .shading import SHLight, lighting_map, load_normal_map
+from .shading import SHLight, lighting_map, load_normal_map, write_csv
 
 ATTACK_METHODS = ("none", "random", "aq", "ap")
 
@@ -385,30 +385,18 @@ def evaluate(groups, method: str, embedder, *, epsilon: float = 0.0, k: int = 8,
 # ---------------------------------------------------------------------------
 
 def write_roc_csv(path, roc: ROCResult) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fpr", "tpr", "threshold"])
-        for fpr, tpr, threshold in roc.points:
-            writer.writerow([f"{fpr:.6g}", f"{tpr:.6g}", f"{threshold:.6g}"])
+    write_csv(path, ["fpr", "tpr", "threshold"], roc.points)
 
 
 def write_summary_csv(path, reports) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "epsilon", "auc", "mean_abs_change"])
-        for report in reports:
-            writer.writerow([report.method, f"{report.epsilon:.6g}",
-                             f"{report.auc:.6g}", f"{report.mean_abs_change:.6g}"])
+    write_csv(path, ["method", "epsilon", "auc", "mean_abs_change"],
+              ([r.method, float(r.epsilon), r.auc, r.mean_abs_change] for r in reports))
 
 
 def write_lights_csv(path, report: EvalReport) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index"] + [f"L{j}" for j in range(9)]
-                        + [f"Lhat{j}" for j in range(9)])
-        for idx, (old, new) in enumerate(report.light_pairs):
-            writer.writerow([idx] + [f"{c:.6g}" for c in old.coeffs]
-                            + [f"{c:.6g}" for c in new.coeffs])
+    write_csv(path, ["index"] + [f"L{j}" for j in range(9)] + [f"Lhat{j}" for j in range(9)],
+              ([idx, *old.coeffs, *new.coeffs]
+               for idx, (old, new) in enumerate(report.light_pairs)))
 
 
 def read_lights_csv(path) -> list[tuple[SHLight, SHLight]]:
@@ -425,8 +413,5 @@ def read_lights_csv(path) -> list[tuple[SHLight, SHLight]]:
 
 
 def write_hexhist_csv(path, hist: SensitivityHistogram) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["center_x", "center_y", "count"])
-        for (x, y), count in zip(hist.centers, hist.counts):
-            writer.writerow([f"{x:.6g}", f"{y:.6g}", str(int(count))])
+    write_csv(path, ["center_x", "center_y", "count"],
+              ([x, y, int(count)] for (x, y), count in zip(hist.centers, hist.counts)))

@@ -119,20 +119,6 @@ def _wrap_angle(value: float) -> float:
     return (value + math.pi) % TWO_PI - math.pi
 
 
-def _brightest_direction(lmap: LightingMap) -> tuple[float, float]:
-    values = np.where(lmap.mask, lmap.values, -np.inf)
-    flat = int(np.argmax(values))
-    row, col = divmod(flat, lmap.resolution)
-    return pixel_to_direction(row, col, lmap.resolution)
-
-
-def _iso_area(lmap: LightingMap, tau: float) -> int:
-    peak = lmap.values[lmap.mask].max()
-    if peak <= 0.0:
-        raise NoLightError("lighting map has no positive signal")
-    return int((lmap.mask & (lmap.values >= tau * peak)).sum())
-
-
 def map_feedback(current: LightingMap, target: LightingMap, tau: float = 0.9,
                  tolerances=DEFAULT_TOLERANCES) -> NavFeedback:
     """Navigation feedback from two lighting maps.
@@ -144,10 +130,12 @@ def map_feedback(current: LightingMap, target: LightingMap, tau: float = 0.9,
     """
     if current.resolution != target.resolution:
         raise ValueError("lighting maps must share a resolution")
-    az_now, po_now = _brightest_direction(current)
-    az_tgt, po_tgt = _brightest_direction(target)
-    area_now = _iso_area(current, tau)
-    area_tgt = _iso_area(target, tau)
+    az_now, po_now = pixel_to_direction(*current.brightest, current.resolution)
+    az_tgt, po_tgt = pixel_to_direction(*target.brightest, target.resolution)
+    if min(current.peak, target.peak) <= 0.0:
+        raise NoLightError("lighting map has no positive signal")
+    area_now = int(np.count_nonzero(current.masked >= tau * current.peak))
+    area_tgt = int(np.count_nonzero(target.masked >= tau * target.peak))
     d_azimuth = _wrap_angle(az_tgt - az_now)
     d_polar = po_tgt - po_now
     ratio = area_now / area_tgt
@@ -180,7 +168,7 @@ def recurrence_loop(target, start: PLSPose, scene: SceneModel,
     the trace) after ``max_iter`` adjustments without convergence.
     """
     target_map = lighting_map(_light_coeffs(target), map_resolution)
-    if target_map.values[target_map.mask].max() <= 0.0:
+    if target_map.peak <= 0.0:
         raise NoLightError("target light renders an empty lighting map")
     gain_az, gain_po, gain_di = gains
     lo, hi = distance_bounds

@@ -13,6 +13,7 @@ presentation concern and only happens at image boundaries.
 
 from __future__ import annotations
 
+import csv
 import functools
 from dataclasses import dataclass
 
@@ -108,38 +109,51 @@ class NormalMap:
 class LightingMap:
     """Shading of the front hemisphere of a unit sphere, orthographic.
 
-    ``values`` keeps the raw (unclamped) shading; ``normalized()`` returns a
-    [0, 1] copy for display. The mask is the inscribed disk.
+    ``masked`` keeps the raw (unclamped) shading of the disk pixels in
+    row-major order; ``values`` is the dense square form, zero off the disk,
+    built on first use. ``normalized()`` returns a [0, 1] copy for display.
+    The mask is the inscribed disk of :func:`sphere_normals`.
     """
 
-    values: np.ndarray
-    mask: np.ndarray
+    masked: np.ndarray
+    resolution: int
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64)
-        m = np.array(self.mask, dtype=bool)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError(f"lighting map must be square, got {v.shape}")
-        if m.shape != v.shape:
-            raise ValueError("mask shape must match values")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("lighting map values must be finite")
-        object.__setattr__(self, "values", _freeze(v))
-        object.__setattr__(self, "mask", _freeze(m))
+        v = np.array(self.masked, dtype=np.float64)
+        if v.shape != self._flat.shape or not np.all(np.isfinite(v)):
+            raise ValueError(f"a {self.resolution} px lighting map needs "
+                             f"{self._flat.size} finite values")
+        object.__setattr__(self, "masked", _freeze(v))
 
     @property
-    def resolution(self) -> int:
-        return self.values.shape[0]
+    def _flat(self) -> np.ndarray:
+        return _sphere_design(self.resolution)[1]  # row-major index of each disk pixel
+
+    @property
+    def mask(self) -> np.ndarray:
+        return sphere_normals(self.resolution).mask
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        return _freeze(self._dense(self.masked))
+
+    @functools.cached_property
+    def brightest(self) -> tuple[int, int]:
+        """(row, col) of the brightest disk pixel; ties go to the first in row-major order."""
+        return divmod(int(self._flat[np.argmax(self.masked)]), self.resolution)
+
+    @functools.cached_property
+    def peak(self) -> float:
+        return float(self.masked.max())
 
     def normalized(self) -> np.ndarray:
         """Min-max normalized copy over the disk; constant maps become 0.5."""
-        out = np.zeros_like(self.values)
-        vals = self.values[self.mask]
-        lo, hi = vals.min(), vals.max()
-        if hi - lo < 1e-15:
-            out[self.mask] = 0.5
-        else:
-            out[self.mask] = (vals - lo) / (hi - lo)
+        lo, hi = self.masked.min(), self.masked.max()
+        return self._dense(0.5 if hi - lo < 1e-15 else (self.masked - lo) / (hi - lo))
+
+    def _dense(self, masked) -> np.ndarray:
+        out = np.zeros((self.resolution, self.resolution), dtype=np.float64)
+        out[self.mask] = masked
         return out
 
 
@@ -220,10 +234,8 @@ def sphere_normals(resolution: int) -> NormalMap:
 
 def lighting_map(light, resolution: int) -> LightingMap:
     """Render the shading a light produces on the reference sphere."""
-    normals, design = _sphere_design(resolution)
-    values = np.zeros((resolution, resolution), dtype=np.float64)
-    values[normals.mask] = design @ _light_coeffs(light)
-    return LightingMap(values, normals.mask)
+    design = _sphere_design(resolution)[0]
+    return LightingMap(design @ _light_coeffs(light), resolution)
 
 
 def _pixel_grid(resolution: int):
@@ -239,7 +251,7 @@ def _pixel_grid(resolution: int):
 def _sphere_design(resolution: int):
     normals = sphere_normals(resolution)
     design = sh_basis(normals.normals[normals.mask]) * BAND_GAINS
-    return normals, _freeze(design)
+    return _freeze(design), _freeze(np.flatnonzero(normals.mask))
 
 
 def pixel_to_direction(row: int, col: int, resolution: int) -> tuple[float, float]:
@@ -256,6 +268,15 @@ def pixel_to_direction(row: int, col: int, resolution: int) -> tuple[float, floa
 # ---------------------------------------------------------------------------
 # File formats
 # ---------------------------------------------------------------------------
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` then ``rows``; float cells get 6 significant digits."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([f"{v:.6g}" if isinstance(v, (float, np.floating)) else v
+                          for v in row] for row in rows)
+
 
 def save_light(path, light) -> None:
     """Write a light as one whitespace-separated array of 9 decimals."""

@@ -7,6 +7,7 @@ payload. Flags exercise the adapter's failure paths:
   --norm-scale X  scale of the returned vector's norm (default 1.0)
   --bad-dim       drop one value from every response
   --hang          never answer the first request
+  --slow-first S  answer the first request only after S seconds
   --bad-hello     send a malformed handshake
 """
 
@@ -26,6 +27,7 @@ def main() -> None:
 
     dim = flag_value("--dim", 16)
     norm_scale = flag_value("--norm-scale", 1.0)
+    delay = flag_value("--slow-first", 0.0)
 
     if "--bad-hello" in argv:
         sys.stdout.write("HOWDY\n")
@@ -45,6 +47,8 @@ def main() -> None:
         data = base64.b64decode(payload)
         if "--hang" in argv:
             time.sleep(3600)
+        time.sleep(delay)
+        delay = 0.0
         seed = int(hashlib.sha256(data).hexdigest()[:8], 16)
         vec = np.random.default_rng(seed).standard_normal(dim)
         vec = vec / np.linalg.norm(vec) * norm_scale

@@ -35,6 +35,26 @@ def test_unknown_command_exits_1():
     assert cli(["frobnicate"]) == 1
 
 
+def test_parser_reuse_parses_each_call_independently(monkeypatch, tmp_path, capsys):
+    """The parser is built once per process; no call sees another call's arguments."""
+    from advrelight import cli as cli_module
+
+    seen = []
+    for name in ("estimate-light", "phy-sim"):
+        monkeypatch.setitem(cli_module._COMMANDS, name, lambda args: seen.append(args) or 0)
+    assert cli(["estimate-light", "--image", "a.png", "--normals", "n.png",
+                "--out", str(tmp_path / "l.txt")]) == 0
+    assert cli(["phy-sim", "--scenario", "s.json"]) == 0
+    assert cli_module.build_parser() is cli_module.build_parser()
+    first, second = seen
+    assert (first.command, first.image, first.out) == ("estimate-light", "a.png",
+                                                       str(tmp_path / "l.txt"))
+    assert (second.command, second.scenario, second.trace) == ("phy-sim", "s.json", None)
+    assert not hasattr(second, "image") and not hasattr(first, "scenario")
+    assert cli(["phy-sim"]) == 1
+    assert "usage" in capsys.readouterr().err.lower()
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert cli(["estimate-light", "--image", str(tmp_path / "nope.png"),
                 "--normals", str(tmp_path / "nope2.png"),

@@ -1,10 +1,12 @@
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from advrelight.embedder import (
+    DEFAULT_DIM,
     BuiltinEmbedder,
     EmbedderDescriptor,
     EmbedderPool,
@@ -94,6 +96,21 @@ def test_input_gradient_zero_upstream(builtin_embedder):
     assert np.all(grad == 0.0)
 
 
+def test_input_gradient_reuses_last_projection_exactly():
+    """Embedding first (one-entry projection memo) leaves embed and gradient bit-identical."""
+    rng = np.random.default_rng(15)
+    a, b = random_image(rng), random_image(rng)
+    upstream = rng.standard_normal(DEFAULT_DIM)
+    warm = BuiltinEmbedder()
+    embedded = warm.embed(a)
+    assert np.array_equal(warm.input_gradient(a, upstream),
+                          BuiltinEmbedder().input_gradient(a, upstream))
+    assert np.array_equal(warm.embed(a), embedded)
+    assert np.array_equal(warm.embed(b), BuiltinEmbedder().embed(b))
+    assert np.array_equal(warm.input_gradient(a, upstream),
+                          BuiltinEmbedder().input_gradient(a, upstream))
+
+
 def test_input_gradient_unused_pixels(builtin_embedder):
     """Downsampling leaves source pixels between taps with zero gradient."""
     rng = np.random.default_rng(5)
@@ -179,6 +196,39 @@ def test_external_timeout():
     with ExternalEmbedder(ENDPOINT + ["--hang"], timeout=0.5) as emb:
         with pytest.raises(ProtocolTimeoutError, match=r"within 0\.5 s"):
             emb.embed(image)
+
+
+def test_external_timeout_never_answers_a_later_request():
+    """A reply that arrives after its request timed out must not answer the next one."""
+    rng = np.random.default_rng(13)
+    a, b = random_image(rng), random_image(rng)
+    with ExternalEmbedder(ENDPOINT + ["--slow-first", "1.5"], timeout=1.0) as emb:
+        with pytest.raises(ProtocolTimeoutError):
+            emb.embed(a)
+        time.sleep(1.0)  # a's late reply has arrived by now
+        with pytest.raises(ProtocolError, match="closed"):
+            emb.embed(b)
+        assert emb.closed
+
+
+def test_pool_replaces_a_timed_out_worker(tmp_path):
+    """The first endpoint answers its first request late; its replacement answers at once."""
+    marker = str(tmp_path / "started")
+    script = (
+        "import os, runpy, sys\n"
+        f"sys.argv[1:] = [] if os.path.exists({marker!r}) else ['--slow-first', '1.5']\n"
+        f"open({marker!r}, 'w').close()\n"
+        f"runpy.run_path({ENDPOINT[1]!r}, run_name='__main__')\n"
+    )
+    rng = np.random.default_rng(14)
+    a, b = random_image(rng), random_image(rng)
+    with EmbedderPool([sys.executable, "-c", script], size=1, timeout=1.0) as pool:
+        broken = pool._workers[0]
+        with pytest.raises(ProtocolTimeoutError):
+            pool.embed(a)
+        time.sleep(1.0)  # a's late reply reached the broken connection, if it was kept
+        assert np.array_equal(pool.embed(b), expected_echo_vector(b))
+        assert broken.closed and pool._workers[0] is not broken
 
 
 def test_external_no_gradient():

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from advrelight import shading
 from advrelight.errors import NoLightError, NonConvergenceError
 from advrelight.phy_sim import (
+    DEFAULT_TOLERANCES,
+    NavFeedback,
     PLSPose,
     SceneModel,
     map_feedback,
@@ -13,7 +17,7 @@ from advrelight.phy_sim import (
     scene_light_estimate,
     scene_photo,
 )
-from advrelight.shading import SHLight, lighting_map, sh_basis, sphere_normals
+from advrelight.shading import SHLight, lighting_map, pixel_to_direction, sh_basis, sphere_normals
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +123,78 @@ def test_feedback_no_light_error():
     lit = lighting_map(pls_to_sh(PLSPose(1.0, 0.6, 2.0, 1.5)), 64)
     with pytest.raises(NoLightError):
         map_feedback(dark, lit)
+
+
+# Oracle: the dense lighting map and dense feature extraction that masked maps replaced.
+
+def _dense_values(coeffs, resolution):
+    values = np.zeros((resolution, resolution), dtype=np.float64)
+    values[sphere_normals(resolution).mask] = shading._sphere_design(resolution)[0] @ coeffs
+    return values
+
+
+def _dense_brightest_direction(values, mask):
+    row, col = divmod(int(np.argmax(np.where(mask, values, -np.inf))), mask.shape[0])
+    return pixel_to_direction(row, col, mask.shape[0])
+
+
+def _dense_iso_area(values, mask, tau):
+    peak = values[mask].max()
+    if peak <= 0.0:
+        raise NoLightError("lighting map has no positive signal")
+    return int((mask & (values >= tau * peak)).sum())
+
+
+def _dense_feedback(current, target, mask, tau, tolerances=DEFAULT_TOLERANCES):
+    az_now, po_now = _dense_brightest_direction(current, mask)
+    az_tgt, po_tgt = _dense_brightest_direction(target, mask)
+    ratio = _dense_iso_area(current, mask, tau) / _dense_iso_area(target, mask, tau)
+    d_azimuth = (az_tgt - az_now + math.pi) % (2 * math.pi) - math.pi
+    d_polar = po_tgt - po_now
+    tol_az, tol_po, tol_area = tolerances
+    converged = (abs(d_azimuth) < tol_az and abs(d_polar) < tol_po
+                 and abs(ratio - 1.0) < tol_area)
+    return NavFeedback(d_azimuth, d_polar, ratio, converged)
+
+
+lights = st.one_of(
+    st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9).map(np.array),
+    st.floats(-1.0, 1.0).map(lambda level: SHLight.ambient(level).coeffs),  # constant map: ties
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(current=lights, target=lights, resolution=st.integers(8, 72), tau=st.floats(-0.5, 1.0))
+@example(current=SHLight.ambient(0.5).coeffs, target=pls_to_sh(PLSPose(1.0, 0.6, 2.0, 1.5)).coeffs,
+         resolution=33, tau=0.9)
+@example(current=-SHLight.ambient(0.5).coeffs, target=SHLight.ambient(0.5).coeffs,
+         resolution=32, tau=0.9)
+@example(current=SHLight.ambient(0.5).coeffs, target=pls_to_sh(PLSPose(2.0, 0.3, 1.0, 1.0)).coeffs,
+         resolution=17, tau=1.0)
+@example(current=pls_to_sh(PLSPose(1.0, 0.6, 2.0, 1.5)).coeffs, target=np.zeros(9),
+         resolution=64, tau=0.0)
+def test_masked_maps_match_dense_oracle(current, target, resolution, tau):
+    """Masked maps give the dense values and the dense feedback, bit for bit."""
+    now, tgt = lighting_map(current, resolution), lighting_map(target, resolution)
+    mask = sphere_normals(resolution).mask
+    dense_now, dense_tgt = _dense_values(current, resolution), _dense_values(target, resolution)
+    assert np.array_equal(now.values, dense_now) and np.array_equal(tgt.values, dense_tgt)
+    assert np.array_equal(now.mask, mask) and now.resolution == resolution
+    try:
+        expected = _dense_feedback(dense_now, dense_tgt, mask, tau)
+    except NoLightError:
+        with pytest.raises(NoLightError):
+            map_feedback(now, tgt, tau)
+        return
+    assert map_feedback(now, tgt, tau) == expected
+
+
+def test_lighting_map_rejects_wrong_size_and_non_finite_values():
+    size = int(sphere_normals(16).mask.sum())
+    shading.LightingMap(np.zeros(size), 16)
+    for bad in (np.zeros(size - 1), np.full(size, np.nan)):
+        with pytest.raises(ValueError, match="finite values"):
+            shading.LightingMap(bad, 16)
 
 
 def test_feedback_resolution_mismatch():
