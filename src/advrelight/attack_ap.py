@@ -8,9 +8,8 @@ Training minimizes
     sim(embed(relit), embed(original)) + mean |relit_lum - original_lum|
 
 by stochastic gradient descent with momentum. Backpropagation is spelled
-out by hand: the network is three dense layers with two ReLUs, and the
-gradient chains the embedder's input gradient through the relighting
-plan's light VJP.
+out by hand: the network is three dense layers with two ReLUs, below the
+light gradient of :func:`attack_aq.relight_loss` that the AQ attack uses.
 
 The dynamic variant replaces the middle layer's weight matrix with one
 generated from the face embedding by an extra dense layer, letting the
@@ -24,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack_aq import loss_gradient_fd
-from .embedder import cosine_similarity
+from .attack_aq import light_gradient, relight_loss
 from .relight import FaceImage, RelightPlan, estimate_light, quotient_relight
 from .shading import NormalMap, SHLight, write_csv
 from .errors import DivergenceError
@@ -90,13 +88,10 @@ class TrainConfig:
     epochs: int = 10
     seed: int = 0
     l1_weight: float = 1.0
-    fd_step: float = 1e-3  # light-gradient probe for non-differentiable embedders
 
     def __post_init__(self):
         if min(self.learning_rate, self.momentum, self.batch_size, self.epochs) <= 0:
             raise ValueError("learning rate, momentum, batch size and epochs must be positive")
-        if self.fd_step <= 0:
-            raise ValueError("fd_step must be positive")
 
 
 def init_params(variant: str, hidden: int = 32, embed_dim: int = 128, seed: int = 0,
@@ -181,42 +176,16 @@ def predict(image: FaceImage, normals: NormalMap, params: AdvLNetParams, embedde
     return result.image, adversarial
 
 
-def loss(original: FaceImage, relit: FaceImage, embedder, l1_weight: float = 1.0) -> float:
-    """Similarity plus mean absolute luminance change; lies in [-1, 2]."""
-    if original.luminance.shape != relit.luminance.shape:
-        raise ValueError("image dimensions differ")
-    sim = cosine_similarity(embedder.embed(relit), embedder.embed(original))
-    l1 = float(np.abs(relit.luminance - original.luminance).mean())
-    return sim + l1_weight * l1
-
-
 def sample_gradient(params: AdvLNetParams, image: FaceImage, normals: NormalMap,
                     embedder, light: SHLight, embedding: np.ndarray,
-                    l1_weight: float = 1.0, fd_step: float | None = None):
-    """Loss and parameter gradients for one (image, normals) sample.
-
-    With a differentiable embedder the light gradient pulls the embedder's
-    input gradient back through the relighting plan's light VJP; otherwise pass
-    ``fd_step`` to estimate it by central differences over the 9 light
-    coefficients (18 relight+embed evaluations).
-    """
+                    l1_weight: float = 1.0):
+    """Loss and parameter gradients for one (image, normals) sample."""
     delta, cache = forward_net(params, light.coeffs, embedding)
     if not np.all(np.isfinite(delta)):
         raise FloatingPointError("network produced a non-finite light residual")
-    adversarial = light.coeffs + delta
     plan = RelightPlan(image, normals, light)
-    relit = plan.relight(adversarial).image
-
-    sim = cosine_similarity(embedder.embed(relit), embedding)
-    diff = relit.luminance - image.luminance
-    value = sim + l1_weight * float(np.abs(diff).mean())
-
-    if fd_step is None:
-        d_lum = embedder.input_gradient(relit, embedding)
-        d_lum = d_lum + (l1_weight / diff.size) * np.sign(diff)
-        d_delta = plan.light_vjp(d_lum, adversarial)
-    else:
-        d_delta = loss_gradient_fd(plan, adversarial, embedder, embedding, fd_step, l1_weight)
+    result, value = relight_loss(plan, light.coeffs + delta, embedder, embedding, l1_weight)
+    d_delta = light_gradient(plan, result, embedder, embedding, l1_weight)
     return value, backward_net(params, cache, d_delta)
 
 
@@ -226,8 +195,6 @@ def train(corpus, embedder, config: TrainConfig, variant: str = "static",
 
     ``corpus`` is a sequence of (FaceImage, NormalMap) pairs. The original
     light and embedding of every sample are fixed inputs, computed once.
-    Non-differentiable embedders train through the finite-difference light
-    gradient (``config.fd_step``) instead of the analytic chain.
     """
     if len(corpus) == 0:
         raise ValueError("training corpus is empty")
@@ -241,7 +208,6 @@ def train(corpus, embedder, config: TrainConfig, variant: str = "static",
     rng = np.random.default_rng(config.seed)
     velocity = {name: np.zeros_like(getattr(params, name)) for name in params.trainable()}
     history: list[float] = []
-    fd_step = None if embedder.descriptor.differentiable else config.fd_step
 
     for epoch in range(config.epochs):
         order = rng.permutation(len(prepared))
@@ -253,8 +219,7 @@ def train(corpus, embedder, config: TrainConfig, variant: str = "static",
                 image, normals, light, embedding = prepared[i]
                 try:
                     value, grads = sample_gradient(
-                        params, image, normals, embedder, light, embedding,
-                        config.l1_weight, fd_step,
+                        params, image, normals, embedder, light, embedding, config.l1_weight,
                     )
                 except FloatingPointError as exc:
                     raise DivergenceError(epoch=epoch, batch=batch_index) from exc

@@ -5,12 +5,13 @@ relit and the original image by sign-gradient descent on the new light,
 projected after every step onto the L-infinity ball of radius epsilon
 around the original light. The step size is epsilon / iterations.
 
-Gradients come in two flavors: an analytic chain (the embedder's input
-gradient pulled back through the relighting plan's light VJP, available
-for differentiable embedders) and a 9-dimensional central finite
-difference on the loss, which works for any embedder at 18 embeddings per
-step. One :class:`RelightPlan` serves every relight and gradient of an
-attack.
+:func:`relight_loss` and :func:`light_gradient` are the relighting loss
+and its light gradient for both attacks (AP training adds the L1 term).
+The embedder's descriptor picks the gradient: a differentiable embedder's
+input gradient is pulled back through the relighting plan's light VJP;
+any other embedder gets a 9-dimensional central finite difference on the
+loss, at 18 embeddings per step. One :class:`RelightPlan` serves every
+relight and gradient of an attack.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from .embedder import cosine_similarity
 from .relight import FaceImage, RelightPlan, RelightResult, estimate_light
 from .shading import NormalMap, SHLight, _light_coeffs, write_csv
 
-GRADIENT_MODES = ("analytic", "fd")
-
 _BALL_SLACK = 1e-9
 
 
@@ -34,8 +33,6 @@ class AttackConfig:
 
     epsilon: float
     iterations: int = 10
-    gradient_mode: str = "analytic"
-    fd_step: float = 1e-3
     step: float = field(init=False)
 
     def __post_init__(self):
@@ -43,10 +40,6 @@ class AttackConfig:
             raise ValueError("epsilon must be non-negative")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.gradient_mode not in GRADIENT_MODES:
-            raise ValueError(f"gradient_mode must be one of {GRADIENT_MODES}")
-        if self.fd_step <= 0:
-            raise ValueError("fd_step must be positive")
         object.__setattr__(self, "step", self.epsilon / self.iterations)
 
 
@@ -80,45 +73,56 @@ class AttackTrace:
         return float(self.similarities[-1])
 
 
-def loss_gradient_fd(plan: RelightPlan, current_light, embedder, reference,
-                     h: float = 1e-3, l1_weight: float = 0.0) -> np.ndarray:
-    """Central-difference gradient of the relighting loss over the 9 coefficients.
+def relight_loss(plan: RelightPlan, light, embedder, reference,
+                 l1_weight: float = 0.0) -> tuple[RelightResult, float]:
+    """Relight by ``plan`` under ``light`` and score the result.
 
     The loss is sim(embed(relit), reference), plus ``l1_weight`` times the
-    mean absolute luminance change when that weight is nonzero. Every probe
-    goes through the full relighting path (denominator floor and output
-    clamp included), so this matches what any embedder actually sees.
+    mean absolute luminance change when that weight is nonzero.
+    """
+    result = plan.relight(light)
+    value = cosine_similarity(embedder.embed(result.image), reference)
+    if l1_weight:
+        value += l1_weight * float(np.abs(result.image.luminance - plan.image.luminance).mean())
+    return result, value
+
+
+def loss_gradient_fd(plan: RelightPlan, current_light, embedder, reference,
+                     h: float = 1e-3, l1_weight: float = 0.0) -> np.ndarray:
+    """Central-difference gradient of :func:`relight_loss` over the 9 coefficients.
+
+    Every probe goes through the full relighting path (denominator floor and
+    output clamp included), so this matches what any embedder actually sees.
     Costs 18 embeddings.
     """
     if h <= 0:
         raise ValueError("fd step must be positive")
     current = _light_coeffs(current_light)
-
-    def loss_at(light: np.ndarray) -> float:
-        relit = plan.relight(light).image
-        value = cosine_similarity(embedder.embed(relit), reference)
-        if l1_weight:
-            value += l1_weight * float(np.abs(relit.luminance - plan.image.luminance).mean())
-        return value
-
     grad = np.zeros(9)
     for j in range(9):
         probe = current.copy()
         probe[j] = current[j] + h
-        plus = loss_at(probe)
+        _, plus = relight_loss(plan, probe, embedder, reference, l1_weight)
         probe[j] = current[j] - h
-        minus = loss_at(probe)
+        _, minus = relight_loss(plan, probe, embedder, reference, l1_weight)
         grad[j] = (plus - minus) / (2.0 * h)
     return grad
 
 
-def similarity_gradient(plan: RelightPlan, result: RelightResult, embedder,
-                        reference) -> np.ndarray:
-    """Analytic d sim / d L' at ``result``, a relight by ``plan``.
+def light_gradient(plan: RelightPlan, result: RelightResult, embedder, reference,
+                   l1_weight: float = 0.0) -> np.ndarray:
+    """d relight_loss / d L' at ``result``, a relight by ``plan``.
 
-    Chains the embedder's input gradient through the plan's light VJP.
+    Chains a differentiable embedder's input gradient (plus the L1 term's
+    subgradient) through the plan's light VJP; for any other embedder it is
+    :func:`loss_gradient_fd`.
     """
+    if not embedder.descriptor.differentiable:
+        return loss_gradient_fd(plan, result.new_light, embedder, reference, l1_weight=l1_weight)
     grad_lum = embedder.input_gradient(result.image, reference)
+    if l1_weight:
+        diff = result.image.luminance - plan.image.luminance
+        grad_lum = grad_lum + (l1_weight / diff.size) * np.sign(diff)
     return plan.light_vjp(grad_lum, result.new_light)
 
 
@@ -135,24 +139,16 @@ def attack(image: FaceImage, normals: NormalMap, light, embedder,
     lo = origin - config.epsilon
     hi = origin + config.epsilon
 
-    def evaluate(coeffs: np.ndarray):
-        result = plan.relight(coeffs)
-        sim = cosine_similarity(embedder.embed(result.image), reference)
-        return result, sim
-
     current = origin.copy()
-    result, sim = evaluate(current)
+    result, sim = relight_loss(plan, current, embedder, reference)
     lights = [current.copy()]
     sims = [sim]
     clamps = [result.clamp_fraction]
 
     for _ in range(config.iterations):
-        if config.gradient_mode == "analytic":
-            grad = similarity_gradient(plan, result, embedder, reference)
-        else:
-            grad = loss_gradient_fd(plan, current, embedder, reference, config.fd_step)
+        grad = light_gradient(plan, result, embedder, reference)
         current = np.clip(current - config.step * np.sign(grad), lo, hi)
-        result, sim = evaluate(current)
+        result, sim = relight_loss(plan, current, embedder, reference)
         lights.append(current.copy())
         sims.append(sim)
         clamps.append(result.clamp_fraction)

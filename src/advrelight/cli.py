@@ -159,9 +159,7 @@ def _cmd_attack_aq(args) -> int:
     normals = load_normal_map(args.normals)
     light = load_light(args.light) if args.light else None
     with _managed(make_embedder(args.embedder)) as embedder:
-        mode = "analytic" if embedder.descriptor.differentiable else "fd"
-        cfg = attack_aq.AttackConfig(epsilon=args.epsilon, iterations=args.iters,
-                                     gradient_mode=mode)
+        cfg = attack_aq.AttackConfig(epsilon=args.epsilon, iterations=args.iters)
         trace = attack_aq.attack(image, normals, light, embedder, cfg)
     if args.out_image:
         save_face_image(args.out_image, trace.relit)

@@ -37,6 +37,10 @@ NORM_SLACK = 0.01
 
 _DEGENERATE_NORM = 1e-12
 
+#: Shortest wait for an endpoint's HELLO, whatever the per-reply timeout:
+#: an endpoint may import its model before it can answer.
+HANDSHAKE_TIMEOUT = 30.0
+
 
 @dataclass(frozen=True)
 class EmbedderDescriptor:
@@ -178,7 +182,7 @@ class ExternalEmbedder:
         self._reader = threading.Thread(target=self._pump, daemon=True)
         self._reader.start()
         try:
-            hello = self._read_line().split()
+            hello = self._read_line(max(timeout, HANDSHAKE_TIMEOUT)).split()
             if len(hello) != 3 or hello[0] != "HELLO":
                 raise ProtocolError(f"bad handshake: {' '.join(hello)!r}")
             try:
@@ -249,13 +253,12 @@ class ExternalEmbedder:
         except (BrokenPipeError, ValueError) as exc:
             raise ProtocolError("endpoint process is gone") from exc
 
-    def _read_line(self) -> str:
+    def _read_line(self, timeout: float | None = None) -> str:
+        timeout = self._timeout if timeout is None else timeout
         try:
-            line = self._lines.get(timeout=self._timeout)
+            line = self._lines.get(timeout=timeout)
         except queue.Empty:
-            raise ProtocolTimeoutError(
-                f"no response within {self._timeout:g} s"
-            ) from None
+            raise ProtocolTimeoutError(f"no response within {timeout:g} s") from None
         if line is None:
             raise ProtocolError("endpoint closed the connection")
         return line.rstrip("\n")
@@ -285,9 +288,6 @@ class EmbedderPool:
             raise
         finally:
             self._free.put(worker)
-
-    def input_gradient(self, image: FaceImage, upstream):
-        raise CapabilityError("external embedders do not provide input gradients")
 
     def close(self) -> None:
         for worker in self._workers:

@@ -151,7 +151,6 @@ def run_attack_suite(targets, method: str, embedder, *, epsilon: float = 0.0,
         raise ValueError("method 'ap' needs trained predictor parameters")
     attacked: list[AttackedSample] = []
     failures: list[tuple[int, str]] = []
-    gradient_mode = "analytic" if embedder.descriptor.differentiable else "fd"
     for idx, tagged in enumerate(targets):
         image, normals = tagged.sample.image, tagged.sample.normals
         try:
@@ -163,8 +162,7 @@ def run_attack_suite(targets, method: str, embedder, *, epsilon: float = 0.0,
                                         seed=_per_image_seed(seed, idx))
                 new_image, adv = result.image, result.new_light
             elif method == "aq":
-                cfg = attack_aq.AttackConfig(epsilon=epsilon, iterations=iterations,
-                                             gradient_mode=gradient_mode)
+                cfg = attack_aq.AttackConfig(epsilon=epsilon, iterations=iterations)
                 trace = attack_aq.attack(image, normals, light, embedder, cfg)
                 new_image, adv = trace.relit, trace.adversarial_light
             else:  # ap

@@ -9,6 +9,7 @@ interlaced files are rejected.
 from __future__ import annotations
 
 import struct
+import sys
 import zlib
 
 import numpy as np
@@ -55,25 +56,37 @@ def write_png(path, array: np.ndarray) -> None:
 
 
 def read_png(path) -> np.ndarray:
-    """Read a PNG into an HxW or HxWxC array of uint8 or uint16."""
+    """Read a PNG into an HxW or HxWxC array of uint8 or uint16.
+
+    Chunk CRCs are verified and IDAT is inflated to at most the size IHDR
+    implies; a malformed file raises ``ValueError``.
+    """
     with open(path, "rb") as fh:
         if fh.read(8) != _SIGNATURE:
             raise ValueError(f"{path}: not a PNG file")
-        header = None
-        idat = bytearray()
-        while True:
-            chunk = fh.read(8)
-            if len(chunk) < 8:
-                raise ValueError(f"{path}: truncated PNG")
-            length, ctype = struct.unpack(">I4s", chunk)
-            data = fh.read(length)
-            fh.read(4)  # CRC, not verified
-            if ctype == b"IHDR":
-                header = struct.unpack(">IIBBBBB", data)
-            elif ctype == b"IDAT":
-                idat += data
-            elif ctype == b"IEND":
-                break
+        blob = fh.read()
+    header = None
+    idat = bytearray()
+    pos = 0
+    while True:
+        if pos + 8 > len(blob):
+            raise ValueError(f"{path}: truncated PNG")
+        length, ctype = struct.unpack_from(">I4s", blob, pos)
+        start, end = pos + 8, pos + 8 + length
+        if end + 4 > len(blob):
+            raise ValueError(f"{path}: truncated {ctype.decode('latin-1')} chunk")
+        data = blob[start:end]
+        if struct.unpack_from(">I", blob, end)[0] != zlib.crc32(blob[pos + 4:end]):
+            raise ValueError(f"{path}: CRC mismatch in {ctype.decode('latin-1')} chunk")
+        pos = end + 4
+        if ctype == b"IHDR":
+            if length != 13:
+                raise ValueError(f"{path}: IHDR has {length} bytes, expected 13")
+            header = struct.unpack(">IIBBBBB", data)
+        elif ctype == b"IDAT":
+            idat += data
+        elif ctype == b"IEND":
+            break
     if header is None:
         raise ValueError(f"{path}: missing IHDR")
     width, height, depth, color_type, compression, filt, interlace = header
@@ -87,8 +100,16 @@ def read_png(path) -> np.ndarray:
     sample_bytes = depth // 8
     stride = width * channels * sample_bytes
 
-    decompressed = zlib.decompress(bytes(idat))
-    if len(decompressed) != height * (stride + 1):
+    expected = height * (stride + 1)
+    if width == 0 or height == 0 or expected > sys.maxsize:
+        raise ValueError(f"{path}: unsupported image size {width}x{height}")
+    inflater = zlib.decompressobj()
+    try:
+        decompressed = inflater.decompress(bytes(idat), expected)
+        leftover = inflater.decompress(inflater.unconsumed_tail, 1)
+    except zlib.error as exc:
+        raise ValueError(f"{path}: corrupt IDAT ({exc})") from None
+    if len(decompressed) != expected or leftover or not inflater.eof:
         raise ValueError(f"{path}: IDAT size mismatch")
 
     bpp = channels * sample_bytes

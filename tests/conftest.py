@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from advrelight.corpus import synthetic_corpus
-from advrelight.embedder import BuiltinEmbedder
+from advrelight.embedder import BuiltinEmbedder, EmbedderDescriptor
 from advrelight.relight import FaceImage
 from advrelight.shading import SHLight, shade, sphere_normals
 
@@ -20,6 +20,18 @@ def corpus():
 @pytest.fixture(scope="session")
 def sphere64():
     return sphere_normals(64)
+
+
+class BlackBox:
+    """An embedder re-exposed as non-differentiable, with no ``input_gradient``."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.descriptor = EmbedderDescriptor("blackbox", inner.descriptor.dimension,
+                                             differentiable=False)
+
+    def embed(self, image):
+        return self._inner.embed(image)
 
 
 def make_safe_light(rng, band_scale=0.08):

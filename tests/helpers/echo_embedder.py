@@ -8,6 +8,7 @@ payload. Flags exercise the adapter's failure paths:
   --bad-dim       drop one value from every response
   --hang          never answer the first request
   --slow-first S  answer the first request only after S seconds
+  --slow-hello S  send the handshake only after S seconds
   --bad-hello     send a malformed handshake
 """
 
@@ -28,6 +29,7 @@ def main() -> None:
     dim = flag_value("--dim", 16)
     norm_scale = flag_value("--norm-scale", 1.0)
     delay = flag_value("--slow-first", 0.0)
+    time.sleep(flag_value("--slow-hello", 0.0))
 
     if "--bad-hello" in argv:
         sys.stdout.write("HOWDY\n")

@@ -8,19 +8,19 @@ from advrelight.attack_ap import (
     forward_net,
     init_params,
     load_params,
-    loss,
     predict,
     sample_gradient,
     save_params,
     train,
     write_loss_history_csv,
 )
+from advrelight.attack_aq import relight_loss
 from advrelight.embedder import EmbedderDescriptor, cosine_similarity
 from advrelight.errors import DivergenceError
-from advrelight.relight import estimate_light
+from advrelight.relight import RelightPlan, estimate_light
 from advrelight.shading import sphere_normals
 
-from conftest import make_scene
+from conftest import BlackBox, make_safe_light, make_scene
 
 
 def small_scene(seed=0, size=24):
@@ -78,20 +78,26 @@ def test_params_shape_validation():
 
 
 def test_loss_identity(builtin_embedder):
-    image, _ = small_scene(3)
-    assert loss(image, image, builtin_embedder) == pytest.approx(1.0)
+    image, normals = small_scene(3)
+    light = estimate_light(image, normals)
+    _, value = relight_loss(RelightPlan(image, normals, light), light, builtin_embedder,
+                            builtin_embedder.embed(image), l1_weight=1.0)
+    assert value == pytest.approx(1.0)
 
 
 def test_loss_matches_two_pass_oracle(builtin_embedder):
     image, normals = small_scene(4)
-    other, _ = make_scene(np.random.default_rng(99), normals)
-    value = loss(image, other, builtin_embedder)
+    plan = RelightPlan(image, normals, estimate_light(image, normals))
+    result, value = relight_loss(plan, make_safe_light(np.random.default_rng(99)),
+                                 builtin_embedder, builtin_embedder.embed(image), l1_weight=1.0)
+    other = result.image
     sim = cosine_similarity(builtin_embedder.embed(other), builtin_embedder.embed(image))
     l1 = 0.0
     for i in range(image.luminance.shape[0]):
         for j in range(image.luminance.shape[1]):
             l1 += abs(other.luminance[i, j] - image.luminance[i, j])
     l1 /= image.luminance.size
+    assert l1 > 0.0
     assert value == pytest.approx(sim + l1, abs=1e-12)
     assert -1.0 <= value <= 2.0
 
@@ -221,23 +227,6 @@ def test_loss_history_csv(tmp_path):
     assert lines == ["epoch,mean_loss", "0,1", "1,0.5"]
 
 
-class _BlackBox:
-    """Builtin embedder re-exposed without gradients."""
-
-    def __init__(self, inner):
-        from advrelight.embedder import EmbedderDescriptor
-        self._inner = inner
-        self.descriptor = EmbedderDescriptor("blackbox", inner.descriptor.dimension,
-                                             differentiable=False)
-
-    def embed(self, image):
-        return self._inner.embed(image)
-
-    def input_gradient(self, image, upstream):
-        from advrelight.errors import CapabilityError
-        raise CapabilityError("no gradients here")
-
-
 def test_fd_light_gradient_matches_analytic(builtin_embedder):
     image, normals = small_scene(1)
     params = init_params("static", hidden=8, seed=7)
@@ -245,8 +234,8 @@ def test_fd_light_gradient_matches_analytic(builtin_embedder):
     embedding = builtin_embedder.embed(image)
     _, analytic = sample_gradient(params, image, normals, builtin_embedder,
                                   light, embedding)
-    _, fd = sample_gradient(params, image, normals, _BlackBox(builtin_embedder),
-                            light, embedding, fd_step=1e-4)
+    _, fd = sample_gradient(params, image, normals, BlackBox(builtin_embedder),
+                            light, embedding)
     for name in analytic:
         a, f = analytic[name].ravel(), fd[name].ravel()
         denom = max(np.linalg.norm(a), 1e-12)
@@ -255,7 +244,7 @@ def test_fd_light_gradient_matches_analytic(builtin_embedder):
 
 def test_training_with_black_box_embedder(builtin_embedder, corpus):
     samples = [(s.image, s.normals) for s in corpus[0].samples[:4]]
-    blackbox = _BlackBox(builtin_embedder)
+    blackbox = BlackBox(builtin_embedder)
     params, history = train(samples, blackbox, TrainConfig(epochs=2, seed=3),
                             variant="static", hidden=8)
     assert len(history) == 2

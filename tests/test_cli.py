@@ -239,3 +239,15 @@ def test_eval_with_external_embedder(tmp_path):
     summary = (out / "summary.csv").read_text().strip().splitlines()[1]
     auc = float(summary.split(",")[2])
     assert 0.0 <= auc <= 1.0
+
+
+def test_relight_corrupt_png_exits_2(assets, tmp_path, capsys):
+    blob = bytearray((assets / "face.png").read_bytes())
+    blob[29] ^= 0x01  # IHDR CRC
+    corrupt = tmp_path / "corrupt.png"
+    corrupt.write_bytes(bytes(blob))
+    assert cli(["relight", "--image", str(corrupt),
+                "--normals", str(assets / "normals.png"),
+                "--new-light", str(assets / "light.txt"),
+                "--out", str(tmp_path / "out.png")]) == 2
+    assert "CRC mismatch" in capsys.readouterr().err

@@ -198,6 +198,13 @@ def test_external_timeout():
             emb.embed(image)
 
 
+def test_short_reply_timeout_waits_for_a_slow_handshake():
+    """The per-reply timeout does not bound HELLO: an endpoint may load its model first."""
+    image = random_image(np.random.default_rng(15))
+    with ExternalEmbedder(ENDPOINT + ["--slow-hello", "0.5"], timeout=0.2) as emb:
+        assert np.array_equal(emb.embed(image), expected_echo_vector(image))
+
+
 def test_external_timeout_never_answers_a_later_request():
     """A reply that arrives after its request timed out must not answer the next one."""
     rng = np.random.default_rng(13)

@@ -22,6 +22,8 @@ from advrelight.harness import (
 from advrelight.phy_sim import PLSPose, pls_to_sh
 from advrelight.shading import SHLight, lighting_map
 
+from conftest import BlackBox
+
 
 def auc_pair_oracle(scores: np.ndarray, labels: np.ndarray) -> float:
     """Brute force: count correctly ordered (positive, negative) pairs."""
@@ -320,18 +322,8 @@ def test_similarity_matrix_collects_failures(small_groups, builtin_embedder):
 
 def test_suite_black_box_uses_fd(small_groups, builtin_embedder):
     """Non-differentiable embedders drive the attack through finite differences."""
-    from advrelight.embedder import EmbedderDescriptor
-
-    class BlackBox:
-        descriptor = EmbedderDescriptor("blackbox",
-                                        builtin_embedder.descriptor.dimension,
-                                        differentiable=False)
-
-        def embed(self, image):
-            return builtin_embedder.embed(image)
-
     split = build_split(small_groups, k=2, seed=0)
-    suite = run_attack_suite(split.target[:3], "aq", BlackBox(), epsilon=0.2,
+    suite = run_attack_suite(split.target[:3], "aq", BlackBox(builtin_embedder), epsilon=0.2,
                              iterations=2, seed=0)
     assert suite.failures == ()
     for sample in suite.attacked:
