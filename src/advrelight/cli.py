@@ -31,9 +31,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
-def make_embedder(selector: str, seed: int = 0):
+def make_embedder(selector: str):
     if selector == "builtin":
-        return BuiltinEmbedder(seed=seed)
+        return BuiltinEmbedder()
     if selector.startswith("external:"):
         return ExternalEmbedder(selector[len("external:"):])
     raise UsageError(f"unknown embedder {selector!r}; use builtin or external:<command>")
@@ -57,7 +57,6 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--embedder", default="builtin",
                        help="builtin or external:<command>")
 
@@ -86,6 +85,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ap-train", help="train the one-step light predictor")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--manifest", help="dataset manifest; synthetic corpus when omitted")
     p.add_argument("--variant", choices=attack_ap.VARIANTS, default="static")
     p.add_argument("--hidden", type=int, default=32)
@@ -110,11 +110,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="split, attack, score and report AUC")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--manifest", help="dataset manifest; synthetic corpus when omitted")
     p.add_argument("--method", choices=harness.ATTACK_METHODS, default="none")
     p.add_argument("--epsilon", type=float, default=0.0)
     p.add_argument("--iters", type=int, default=10)
-    p.add_argument("--k", type=int, help="images per subset; defaults to the manifest's k")
     p.add_argument("--params", help="predictor parameters (method ap)")
     p.add_argument("--eval-embedder", help="score with a different embedder (transfer)")
     p.add_argument("--out-dir", default=".")
@@ -209,6 +209,8 @@ def _load_scenario(path):
         data = json.load(fh)
     try:
         scene_cfg = data["scene"]
+        if not isinstance(scene_cfg, dict):
+            raise TypeError("scene must be an object")
         if "normals" in scene_cfg:
             normals = load_normal_map(Path(path).parent / scene_cfg["normals"])
         else:
@@ -265,8 +267,6 @@ def _cmd_phy_sim(args) -> int:
 
 def _cmd_eval(args) -> int:
     groups, k = _load_groups(args)
-    if args.k is not None:
-        k = args.k
     params = attack_ap.load_params(args.params) if args.params else None
     with contextlib.ExitStack() as stack:
         embedder = stack.enter_context(_managed(make_embedder(args.embedder)))

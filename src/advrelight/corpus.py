@@ -16,7 +16,7 @@ import numpy as np
 
 from .phy_sim import PLSPose, pls_to_sh
 from .relight import FaceImage
-from .shading import NormalMap, SHLight, shade
+from .shading import NormalMap, SHLight, _pixel_grid, shade
 
 DEFAULT_IDENTITIES = 8
 DEFAULT_PER_IDENTITY = 16
@@ -39,10 +39,7 @@ class IdentityGroup:
 
 def ellipsoid_normals(size: int, ax: float, ay: float, az: float) -> NormalMap:
     """Front half of the ellipsoid (x/ax)^2 + (y/ay)^2 + (z/az)^2 = 1."""
-    step = 2.0 / size
-    coords = -1.0 + step * (np.arange(size) + 0.5)
-    x = np.broadcast_to(coords, (size, size))
-    y = np.broadcast_to(-coords[:, None], (size, size))
+    x, y = _pixel_grid(size)
     r2 = (x / ax) ** 2 + (y / ay) ** 2
     mask = r2 <= 1.0
     z = az * np.sqrt(np.clip(1.0 - r2, 0.0, None))

@@ -48,6 +48,8 @@ def load_manifest(path) -> DatasetManifest:
     """Read a JSON manifest mapping identities to image/normal paths."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ManifestError(f"malformed manifest {path}: top level must be an object")
     try:
         k = int(data.get("k", 8))
         entries = tuple(
@@ -239,16 +241,10 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> ROCResult:
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelsError("ground truth must contain both classes")
 
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank
-        i = j + 1
+    # Tied scores share the mean of their 1-based ranks, which is the last
+    # rank of the tie group minus (count - 1) / 2.
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
     pos_rank_sum = float(ranks[labels].sum())
     auc = (pos_rank_sum - 0.5 * n_pos * (n_pos + 1)) / (n_pos * n_neg)
 
@@ -401,7 +397,7 @@ def read_lights_csv(path) -> list[tuple[SHLight, SHLight]]:
     pairs = []
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if len(header) != 19:
             raise ValueError(f"{path}: expected 19 columns, got {len(header)}")
         for row in reader:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NoLightError, NonConvergenceError
 from .relight import FaceImage, estimate_light
-from .shading import LightingMap, NormalMap, SHLight, _light_coeffs, lighting_map, pixel_to_direction, sh_basis, shade
+from .shading import LightingMap, NormalMap, SHLight, _freeze, _light_coeffs, lighting_map, pixel_to_direction, sh_basis, shade
 
 TWO_PI = 2.0 * math.pi
 
@@ -79,8 +79,7 @@ class SceneModel:
             raise ValueError("albedo must lie in [0, 1]")
         if self.ambient < 0.0:
             raise ValueError("ambient must be non-negative")
-        albedo.flags.writeable = False
-        object.__setattr__(self, "albedo", albedo)
+        object.__setattr__(self, "albedo", _freeze(albedo))
 
 
 @dataclass(frozen=True)

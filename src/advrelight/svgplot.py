@@ -21,7 +21,7 @@ def _header(width: float, height: float) -> str:
     )
 
 
-def write_roc_svg(path, curves, title: str = "ROC") -> None:
+def write_roc_svg(path, curves) -> None:
     """Plot (label, points[:, :2]) ROC curves on the unit square."""
     size = _PLOT + 2 * _MARGIN
     parts = [_header(size, size)]
@@ -67,7 +67,7 @@ def write_roc_svg(path, curves, title: str = "ROC") -> None:
         )
     parts.append(
         f'<text x="{size / 2:.1f}" y="{_MARGIN - 14:.1f}" font-size="14" '
-        f'text-anchor="middle">{title}</text>\n'
+        'text-anchor="middle">ROC</text>\n'
     )
     parts.append(
         f'<text x="{size / 2:.1f}" y="{size - 8:.1f}" font-size="12" '
@@ -78,7 +78,7 @@ def write_roc_svg(path, curves, title: str = "ROC") -> None:
         fh.write("".join(parts))
 
 
-def write_hexhist_svg(path, hist, title: str = "sensitive lighting positions") -> None:
+def write_hexhist_svg(path, hist) -> None:
     """Draw hexagon cells shaded by count over the lighting-map square."""
     scale = _PLOT / hist.resolution
     size = _PLOT + 2 * _MARGIN
@@ -110,7 +110,7 @@ def write_hexhist_svg(path, hist, title: str = "sensitive lighting positions") -
         )
     parts.append(
         f'<text x="{size / 2:.1f}" y="{_MARGIN - 14:.1f}" font-size="14" '
-        f'text-anchor="middle">{title}</text>\n'
+        'text-anchor="middle">sensitive lighting positions</text>\n'
     )
     parts.append("</svg>\n")
     with open(path, "w", encoding="utf-8") as fh:

@@ -168,6 +168,20 @@ def test_analyze_light(tmp_path):
     assert total > 0
 
 
+@pytest.mark.parametrize("command, content, message", [
+    (["analyze-light", "--lights"], "", "expected 19 columns, got 0"),
+    (["eval", "--manifest"], "[]", "malformed manifest"),
+    (["ap-train", "--out", "params.npz", "--manifest"], "[]", "malformed manifest"),
+], ids=["empty_lights", "eval_manifest_list", "ap_train_manifest_list"])
+def test_malformed_input_file_exits_2(tmp_path, capsys, command, content, message):
+    path = tmp_path / "input"
+    path.write_text(content)
+    assert cli(command + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_ap_train_and_run(assets, tmp_path, capsys):
     params = tmp_path / "params.npz"
     code = cli(["ap-train", "--epochs", "1", "--out", str(params),
@@ -200,14 +214,19 @@ def test_phy_sim_scenario(tmp_path, capsys):
     assert header == "iteration,azimuth,polar,distance,intensity,d_azimuth,d_polar,area_ratio"
 
 
-@pytest.mark.parametrize("start_pose", [
-    None,
-    {"azimuth": 0.2, "polar": 0.3, "distance": 3.0, "brightness": 1.5},
-    {"azimuth": 0.2, "polar": 0.3, "distance": 3.0},
+_SCENE = {"sphere_resolution": 16}
+
+
+@pytest.mark.parametrize("start_pose, scene", [
+    pytest.param(None, _SCENE, id="None"),
+    pytest.param({"azimuth": 0.2, "polar": 0.3, "distance": 3.0, "brightness": 1.5},
+                 _SCENE, id="start_pose1"),
+    pytest.param({"azimuth": 0.2, "polar": 0.3, "distance": 3.0}, _SCENE, id="start_pose2"),
+    pytest.param({"azimuth": 0.2, "polar": 0.3, "distance": 3.0, "intensity": 1.5},
+                 [], id="scene_list"),
 ])
-def test_phy_sim_malformed_start_pose_exits_2(tmp_path, capsys, start_pose):
-    data = {"scene": {"sphere_resolution": 16},
-            "target": {"coeffs": [1.0] + [0.0] * 8}}
+def test_phy_sim_malformed_start_pose_exits_2(tmp_path, capsys, start_pose, scene):
+    data = {"scene": scene, "target": {"coeffs": [1.0] + [0.0] * 8}}
     if start_pose is not None:
         data["start_pose"] = start_pose
     scenario = tmp_path / "scenario.json"
