@@ -162,8 +162,7 @@ class ExternalEmbedder:
     """Adapter speaking the subprocess line protocol.
 
     ``command`` is the endpoint command line (string or argv list). One
-    adapter serializes its requests; use :class:`EmbedderPool` for
-    concurrent embedding over several endpoint processes.
+    adapter serializes its requests.
     """
 
     def __init__(self, command, timeout: float = 30.0):
@@ -262,39 +261,3 @@ class ExternalEmbedder:
         if line is None:
             raise ProtocolError("endpoint closed the connection")
         return line.rstrip("\n")
-
-
-class EmbedderPool:
-    """Round-robin pool of independent endpoint connections."""
-
-    def __init__(self, command, size: int = 2, timeout: float = 30.0):
-        if size < 1:
-            raise ValueError("pool size must be >= 1")
-        self._connect = lambda: ExternalEmbedder(command, timeout)
-        self._workers = [self._connect() for _ in range(size)]
-        self._free: queue.Queue = queue.Queue()
-        for worker in self._workers:
-            self._free.put(worker)
-        self.descriptor = self._workers[0].descriptor
-
-    def embed(self, image: FaceImage) -> np.ndarray:
-        worker = self._free.get()
-        try:
-            return worker.embed(image)
-        except ProtocolError:
-            if worker.closed:  # broken mid-request: replace the connection
-                index = self._workers.index(worker)
-                worker = self._workers[index] = self._connect()
-            raise
-        finally:
-            self._free.put(worker)
-
-    def close(self) -> None:
-        for worker in self._workers:
-            worker.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()

@@ -10,6 +10,7 @@ assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,44 +27,34 @@ DENOM_FLOOR = 1e-4
 _CHROMA_EPS = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FaceImage:
-    """An RGB face crop with an explicit luminance channel.
+    """A face crop held as its luminance channel plus its colors.
 
     ``luminance`` is what shading operations act on; ``chroma`` is the
-    per-channel ratio rgb / luminance, kept so that a relit luminance can be
-    reattached to the original colors. Build instances with
-    :meth:`from_rgb` or :meth:`from_luminance`.
+    per-channel ratio rgb / luminance, so that a relit luminance can be
+    reattached to the original colors. An image holds the one of ``rgb`` and
+    ``chroma`` it was built from and derives the other on first read, so a
+    relit image builds rgb only when saved. All three arrays are read-only.
+    Build instances with :meth:`from_rgb` or :meth:`from_luminance`.
     """
 
-    rgb: np.ndarray
     luminance: np.ndarray
-    chroma: np.ndarray
 
-    def __post_init__(self):
-        rgb = np.array(self.rgb, dtype=np.float64)
-        lum = np.array(self.luminance, dtype=np.float64)
-        chroma = np.array(self.chroma, dtype=np.float64)
-        if rgb.ndim != 3 or rgb.shape[2] != 3:
-            raise ValueError(f"rgb must be HxWx3, got {rgb.shape}")
-        if lum.shape != rgb.shape[:2] or chroma.shape != rgb.shape:
-            raise ValueError("luminance/chroma shapes must match rgb")
-        for name, arr, hi in (("rgb", rgb, 1.0), ("luminance", lum, 1.0)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
-            if arr.min() < -1e-9 or arr.max() > hi + 1e-9:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        object.__setattr__(self, "rgb", _freeze(rgb))
-        object.__setattr__(self, "luminance", _freeze(lum))
-        object.__setattr__(self, "chroma", _freeze(chroma))
+    def __init__(self, luminance: np.ndarray, rgb: np.ndarray | None = None,
+                 chroma: np.ndarray | None = None):
+        """Take ``luminance`` and exactly one of ``rgb`` and ``chroma``, checked and frozen."""
+        held = {"rgb": rgb} if chroma is None else {"chroma": chroma}
+        vars(self).update(luminance=luminance, **held)
 
     @classmethod
     def from_rgb(cls, rgb) -> "FaceImage":
         rgb = np.clip(np.asarray(rgb, dtype=np.float64), 0.0, 1.0)
-        lum = rgb @ LUMA_WEIGHTS
-        safe = np.maximum(lum, _CHROMA_EPS)[:, :, None]
-        chroma = np.where(lum[:, :, None] > _CHROMA_EPS, rgb / safe, 0.0)
-        return cls(rgb, lum, chroma)
+        if rgb.ndim != 3 or rgb.shape[2] != 3:
+            raise ValueError(f"rgb must be HxWx3, got {rgb.shape}")
+        if not np.all(np.isfinite(rgb)):
+            raise ValueError("rgb must be finite")
+        return cls(_freeze(rgb @ LUMA_WEIGHTS), rgb=_freeze(rgb))
 
     @classmethod
     def from_luminance(cls, luminance) -> "FaceImage":
@@ -72,17 +63,29 @@ class FaceImage:
 
     def with_luminance(self, luminance) -> "FaceImage":
         """Reattach chroma to a new (already clamped) luminance channel."""
-        lum = np.asarray(luminance, dtype=np.float64)
-        rgb = np.clip(self.chroma * lum[:, :, None], 0.0, 1.0)
-        return FaceImage(rgb, lum, self.chroma)
+        lum = np.array(luminance, dtype=np.float64)
+        if lum.shape != self.luminance.shape:
+            raise ValueError(f"luminance must be {self.luminance.shape}, got {lum.shape}")
+        if not np.all((lum >= -1e-9) & (lum <= 1.0 + 1e-9)):
+            raise ValueError("luminance must be finite and lie in [0, 1]")
+        return FaceImage(_freeze(lum), chroma=self.chroma)
+
+    @cached_property
+    def rgb(self) -> np.ndarray:
+        return _freeze(np.clip(self.chroma * self.luminance[:, :, None], 0.0, 1.0))
+
+    @cached_property
+    def chroma(self) -> np.ndarray:
+        lum = self.luminance[:, :, None]
+        return _freeze(np.where(lum > _CHROMA_EPS, self.rgb / np.maximum(lum, _CHROMA_EPS), 0.0))
 
     @property
     def height(self) -> int:
-        return self.rgb.shape[0]
+        return self.luminance.shape[0]
 
     @property
     def width(self) -> int:
-        return self.rgb.shape[1]
+        return self.luminance.shape[1]
 
 
 @dataclass(frozen=True)

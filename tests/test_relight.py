@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from advrelight import pngio
 from advrelight.errors import DegenerateLightError, EmptyMaskError, SingularFitError
 from advrelight.relight import (
+    LUMA_WEIGHTS,
     FaceImage,
+    RelightPlan,
     estimate_light,
     load_face_image,
     quotient_relight,
@@ -28,6 +32,97 @@ def test_face_image_zero_pixels():
     image = FaceImage.from_rgb(rgb)
     assert np.all(image.luminance == 0.0)
     assert np.all(image.chroma == 0.0)
+
+
+def eager_from_rgb(rgb):
+    """Eager oracle for ``FaceImage.from_rgb(rgb)``: (rgb, luminance, chroma)."""
+    rgb = np.clip(np.asarray(rgb, dtype=np.float64), 0.0, 1.0)
+    lum = rgb @ LUMA_WEIGHTS
+    safe = np.maximum(lum, 1e-12)[:, :, None]
+    return rgb, lum, np.where(lum[:, :, None] > 1e-12, rgb / safe, 0.0)
+
+
+def eager_with_luminance(chroma, lum):
+    """Eager oracle for ``image.with_luminance(lum)``: (rgb, luminance, chroma)."""
+    return np.clip(chroma * lum[:, :, None], 0.0, 1.0), lum, chroma
+
+
+def assert_arrays(image, expected):
+    for name, want in zip(("rgb", "luminance", "chroma"), expected):
+        assert np.array_equal(getattr(image, name), want), name
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_lazy_arrays_match_eager_formulas(seed):
+    rng = np.random.default_rng(seed)
+    rgb = rng.uniform(-0.2, 1.2, size=(6, 7, 3))
+    rgb[rng.random((6, 7)) < 0.25] = 0.0  # zero luminance: chroma 0
+    rgb[1] = rng.uniform(0.0, 2e-12, size=(7, 3))  # luminance on both sides of the chroma floor
+    relit = [rng.uniform(0.0, 1.0, size=(6, 7)) for _ in range(2)]
+    relit[0][:, 0] = 1.0  # colored pixels at full luminance clip a channel
+    gray = rng.uniform(-0.2, 1.2, size=(6, 7))
+
+    image = FaceImage.from_rgb(rgb)
+    expected = eager_from_rgb(rgb)
+    assert_arrays(image, expected)
+    chroma = expected[2]
+    assert (chroma * relit[0][:, :, None] > 1.0).any() and (expected[1] == 0.0).any()
+    for lum in relit:
+        image = image.with_luminance(lum)
+        assert_arrays(image, eager_with_luminance(chroma, lum))
+
+    image = FaceImage.from_luminance(gray)
+    repeated = np.repeat(np.clip(gray, 0.0, 1.0)[..., None], 3, 2)
+    assert np.array_equal(image.luminance, repeated @ LUMA_WEIGHTS)
+    expected = eager_from_rgb(repeated)
+    assert_arrays(image, expected)
+    assert_arrays(image.with_luminance(relit[1]), eager_with_luminance(expected[2], relit[1]))
+
+
+def test_face_image_arrays_are_read_only_and_relights_share_chroma(tmp_path, sphere64):
+    rng = np.random.default_rng(10)
+    image, light = make_scene(rng, sphere64)
+    colored = FaceImage.from_rgb(image.rgb * rng.uniform(0.5, 1.0, size=(64, 64, 3)))
+    relit = RelightPlan(colored, sphere64, light).relight(make_safe_light(rng)).image
+    assert relit.chroma is colored.chroma
+    for face in (FaceImage.from_rgb(image.rgb), image, colored, relit):
+        for _ in range(2):  # the first write reads a lazy array for the first time
+            for name in ("rgb", "chroma", "luminance"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(face, name)[0, 0] = 0.5
+        with pytest.raises(AttributeError):
+            face.rgb = np.zeros((64, 64, 3))
+
+    save_face_image(tmp_path / "relit.png", relit)
+    eager = np.clip(colored.chroma * relit.luminance[:, :, None], 0.0, 1.0)
+    pngio.write_png(tmp_path / "eager.png", np.round(eager * 255.0).astype(np.uint8))
+    assert (tmp_path / "relit.png").read_bytes() == (tmp_path / "eager.png").read_bytes()
+
+
+@pytest.mark.parametrize("luminance", [
+    np.full((8, 7), 0.5), np.full((8, 8), np.nan), np.full((8, 8), np.inf),
+    np.full((8, 8), 1.01), np.full((8, 8), -0.01),
+], ids=["shape", "nan", "inf", "above_one", "below_zero"])
+def test_with_luminance_rejects_bad_luminance(luminance):
+    image = FaceImage.from_rgb(np.full((8, 8, 3), 0.5))
+    with pytest.raises(ValueError):
+        image.with_luminance(luminance)
+
+
+_NAN_DIAGONAL = np.where(np.eye(8, dtype=bool), np.nan, 0.5)
+
+
+@pytest.mark.parametrize("build, array", [
+    (FaceImage.from_rgb, np.full((8, 8), 0.5)),
+    (FaceImage.from_rgb, np.full((8, 8, 4), 0.5)),
+    (FaceImage.from_rgb, np.full((8, 3), 0.5)),
+    (FaceImage.from_rgb, np.repeat(_NAN_DIAGONAL[:, :, None], 3, axis=2)),
+    (FaceImage.from_luminance, _NAN_DIAGONAL),
+], ids=["gray", "rgba", "rows", "nan", "nan_luminance"])
+def test_builders_reject_bad_input(build, array):
+    with pytest.raises(ValueError):
+        build(array)
 
 
 def test_quotient_identity(sphere64):
