@@ -81,10 +81,15 @@ def relight_loss(plan: RelightPlan, light, embedder, reference,
     mean absolute luminance change when that weight is nonzero.
     """
     result = plan.relight(light)
-    value = cosine_similarity(embedder.embed(result.image), reference)
+    return result, _score(plan, result, embedder.embed(result.image), reference, l1_weight)
+
+
+def _score(plan: RelightPlan, result: RelightResult, embedding, reference,
+           l1_weight: float) -> float:
+    value = cosine_similarity(embedding, reference)
     if l1_weight:
         value += l1_weight * float(np.abs(result.image.luminance - plan.image.luminance).mean())
-    return result, value
+    return value
 
 
 def loss_gradient_fd(plan: RelightPlan, current_light, embedder, reference,
@@ -93,20 +98,25 @@ def loss_gradient_fd(plan: RelightPlan, current_light, embedder, reference,
 
     Every probe goes through the full relighting path (denominator floor and
     output clamp included), so this matches what any embedder actually sees.
-    Costs 18 embeddings.
+    Costs 18 embeddings, made by one ``embed_many`` call when the embedder
+    has one.
     """
     if h <= 0:
         raise ValueError("fd step must be positive")
     current = _light_coeffs(current_light)
-    grad = np.zeros(9)
+    probes = []
     for j in range(9):
-        probe = current.copy()
-        probe[j] = current[j] + h
-        _, plus = relight_loss(plan, probe, embedder, reference, l1_weight)
-        probe[j] = current[j] - h
-        _, minus = relight_loss(plan, probe, embedder, reference, l1_weight)
-        grad[j] = (plus - minus) / (2.0 * h)
-    return grad
+        for step in (h, -h):
+            probe = current.copy()
+            probe[j] = current[j] + step
+            probes.append(plan.relight(probe))
+    images = [result.image for result in probes]
+    embed_many = getattr(embedder, "embed_many", None)
+    embeddings = embed_many(images) if embed_many else [embedder.embed(i) for i in images]
+    losses = [_score(plan, result, embedding, reference, l1_weight)
+              for result, embedding in zip(probes, embeddings)]
+    plus, minus = np.array(losses).reshape(9, 2).T
+    return (plus - minus) / (2.0 * h)
 
 
 def light_gradient(plan: RelightPlan, result: RelightResult, embedder, reference,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .phy_sim import PLSPose, pls_to_sh
 from .relight import FaceImage
-from .shading import NormalMap, SHLight, _pixel_grid, shade
+from .shading import NormalMap, SHLight, _pixel_grid, _shading, sh_basis
 
 DEFAULT_IDENTITIES = 8
 DEFAULT_PER_IDENTITY = 16
@@ -87,6 +87,7 @@ def synthetic_corpus(identities: int = DEFAULT_IDENTITIES,
         ax, ay = id_rng.uniform(0.72, 0.95, size=2)
         az = id_rng.uniform(0.55, 1.0)
         normals = ellipsoid_normals(size, ax, ay, az)
+        basis = sh_basis(normals.normals[normals.mask])
         texture = _texture(size, id_rng)
         tint = id_rng.uniform(0.72, 1.0, size=3)
         tint /= tint.max()
@@ -94,7 +95,7 @@ def synthetic_corpus(identities: int = DEFAULT_IDENTITIES,
         for j in range(per_identity):
             img_rng = np.random.default_rng([seed, i, j])
             light = _render_light(img_rng)
-            lum = np.clip(texture * shade(normals, light), 0.0, 1.0)
+            lum = np.clip(texture * _shading(basis, normals.mask, light), 0.0, 1.0)
             lum[~normals.mask] = _BACKGROUND
             rgb = np.clip(lum[:, :, None] * tint, 0.0, 1.0)
             samples.append(Sample(image=FaceImage.from_rgb(rgb), normals=normals))

@@ -13,15 +13,21 @@ External models plug in over a newline-delimited subprocess protocol:
     client   -> <base64 of row-major 8-bit luminance>
     endpoint -> VEC
     endpoint -> <dimension space-separated decimals>
+
+The client may send several requests before it reads a reply, so an
+endpoint must answer in request order and keep reading stdin while it
+works.
 """
 
 from __future__ import annotations
 
 import base64
-import queue
+import os
+import selectors
 import shlex
 import subprocess
 import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +46,11 @@ _DEGENERATE_NORM = 1e-12
 #: Shortest wait for an endpoint's HELLO, whatever the per-reply timeout:
 #: an endpoint may import its model before it can answer.
 HANDSHAKE_TIMEOUT = 30.0
+
+#: Most request bytes :meth:`ExternalEmbedder.embed_many` leaves unanswered
+#: (at least one request), well below a 64 KiB pipe, so a hung endpoint
+#: meets the reply timeout rather than blocking a write.
+MAX_UNANSWERED_BYTES = 32 * 1024
 
 
 @dataclass(frozen=True)
@@ -81,6 +92,9 @@ class BuiltinEmbedder:
         if norm < _DEGENERATE_NORM:
             return self._fallback_axis()
         return v / norm
+
+    def embed_many(self, images) -> list[np.ndarray]:
+        return [self.embed(image) for image in images]
 
     def input_gradient(self, image: FaceImage, upstream) -> np.ndarray:
         """Exact gradient of <embed(image), upstream> w.r.t. each luminance pixel."""
@@ -162,7 +176,7 @@ class ExternalEmbedder:
     """Adapter speaking the subprocess line protocol.
 
     ``command`` is the endpoint command line (string or argv list). One
-    adapter serializes its requests.
+    adapter serializes its batches; :meth:`embed` is a batch of one.
     """
 
     def __init__(self, command, timeout: float = 30.0):
@@ -174,12 +188,10 @@ class ExternalEmbedder:
             argv,
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
-            text=True,
-            bufsize=1,
         )
-        self._lines: queue.Queue = queue.Queue()
-        self._reader = threading.Thread(target=self._pump, daemon=True)
-        self._reader.start()
+        self._replies = selectors.DefaultSelector()
+        self._replies.register(self._proc.stdout.fileno(), selectors.EVENT_READ)
+        self._unread = b""  # bytes read past the last complete line
         try:
             hello = self._read_line(max(timeout, HANDSHAKE_TIMEOUT)).split()
             if len(hello) != 3 or hello[0] != "HELLO":
@@ -195,20 +207,76 @@ class ExternalEmbedder:
             raise
 
     def embed(self, image: FaceImage) -> np.ndarray:
-        payload = base64.b64encode(luminance_bytes(image)).decode("ascii")
+        return self.embed_many([image])[0]
+
+    def embed_many(self, images) -> list[np.ndarray]:
+        """Embeddings of ``images`` in order, with requests pipelined to the endpoint.
+
+        Up to :data:`MAX_UNANSWERED_BYTES` of requests are in flight at once.
+        A timeout, a lost connection or a bad reply header closes the adapter;
+        a bad vector raises once every reply of the batch has been read.
+        """
+        requests = [f"EMBED {image.width} {image.height}\n"
+                    f"{base64.b64encode(luminance_bytes(image)).decode('ascii')}\n"
+                    for image in images]
         with self._lock:
             if self.closed:
                 raise ProtocolError("endpoint connection is closed")
             try:
-                self._send(f"EMBED {image.width} {image.height}\n{payload}\n")
-                header = self._read_line()
-                if header.strip() != "VEC":
-                    raise ProtocolError(f"expected VEC, got {header!r}")
-                tokens = self._read_line().split()
+                replies = self._exchange(requests)
             except ProtocolError:
                 # A reply may still be in flight; it must never answer a later request.
                 self.close()
                 raise
+        return [self._vector(tokens) for tokens in replies]
+
+    def input_gradient(self, image: FaceImage, upstream):
+        raise CapabilityError("external embedders do not provide input gradients")
+
+    def close(self) -> None:
+        self.closed = True
+        self._replies.close()
+        if self._proc.poll() is None:
+            self._proc.terminate()
+            try:
+                self._proc.wait(timeout=5.0)
+            except subprocess.TimeoutExpired:
+                self._proc.kill()
+        self._proc.stdout.close()
+        try:
+            self._proc.stdin.close()
+        except BrokenPipeError:  # request bytes a failed write left buffered
+            pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def _exchange(self, requests: list[str]) -> list[list[str]]:
+        """Send ``requests`` and read their replies' value tokens in order.
+
+        Each burst of requests is one write, so the endpoint wakes once for
+        all of them; the next burst waits until the last one is answered.
+        """
+        replies: list[list[str]] = []
+        while len(replies) < len(requests):
+            burst, size = [], 0
+            for request in requests[len(replies):]:
+                if burst and size + len(request) > MAX_UNANSWERED_BYTES:
+                    break
+                burst.append(request)
+                size += len(request)
+            self._send("".join(burst))
+            for _ in burst:
+                header = self._read_line()
+                if header.strip() != "VEC":
+                    raise ProtocolError(f"expected VEC, got {header!r}")
+                replies.append(self._read_line().split())
+        return replies
+
+    def _vector(self, tokens: list[str]) -> np.ndarray:
         if len(tokens) != self.descriptor.dimension:
             raise ProtocolError(
                 f"endpoint advertised dimension {self.descriptor.dimension} "
@@ -222,42 +290,23 @@ class ExternalEmbedder:
             raise ProtocolError(f"embedding norm {norm:.4g} outside unit tolerance")
         return vec / norm
 
-    def input_gradient(self, image: FaceImage, upstream):
-        raise CapabilityError("external embedders do not provide input gradients")
-
-    def close(self) -> None:
-        self.closed = True
-        if self._proc.poll() is None:
-            self._proc.terminate()
-            try:
-                self._proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-    def _pump(self) -> None:
-        for line in self._proc.stdout:
-            self._lines.put(line)
-        self._lines.put(None)
-
     def _send(self, text: str) -> None:
         try:
-            self._proc.stdin.write(text)
+            self._proc.stdin.write(text.encode("ascii"))
             self._proc.stdin.flush()
         except (BrokenPipeError, ValueError) as exc:
             raise ProtocolError("endpoint process is gone") from exc
 
     def _read_line(self, timeout: float | None = None) -> str:
         timeout = self._timeout if timeout is None else timeout
-        try:
-            line = self._lines.get(timeout=timeout)
-        except queue.Empty:
-            raise ProtocolTimeoutError(f"no response within {timeout:g} s") from None
-        if line is None:
-            raise ProtocolError("endpoint closed the connection")
-        return line.rstrip("\n")
+        deadline = time.monotonic() + timeout
+        fd = self._proc.stdout.fileno()
+        while b"\n" not in self._unread:
+            if not self._replies.select(max(deadline - time.monotonic(), 0.0)):
+                raise ProtocolTimeoutError(f"no response within {timeout:g} s")
+            chunk = os.read(fd, 1 << 16)
+            if not chunk:
+                raise ProtocolError("endpoint closed the connection")
+            self._unread += chunk
+        line, _, self._unread = self._unread.partition(b"\n")
+        return line.decode("utf-8", "replace")

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NoLightError, NonConvergenceError
-from .relight import FaceImage, estimate_light
-from .shading import LightingMap, NormalMap, SHLight, _freeze, _light_coeffs, lighting_map, pixel_to_direction, sh_basis, shade
+from .relight import FaceImage, _fit_light, estimate_light
+from .shading import LightingMap, NormalMap, SHLight, _freeze, _light_coeffs, _shading, lighting_map, pixel_to_direction, sh_basis
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,7 +64,10 @@ class PLSPose:
 
 @dataclass(frozen=True)
 class SceneModel:
-    """Normals, per-pixel albedo and a constant ambient term."""
+    """Normals, per-pixel albedo and a constant ambient term.
+
+    The SH basis of the masked normals is evaluated once per scene.
+    """
 
     normals: NormalMap
     albedo: np.ndarray
@@ -80,6 +84,14 @@ class SceneModel:
         if self.ambient < 0.0:
             raise ValueError("ambient must be non-negative")
         object.__setattr__(self, "albedo", _freeze(albedo))
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        return _freeze(sh_basis(self.normals.normals[self.normals.mask]))
+
+    def estimate(self, photo: FaceImage) -> SHLight:
+        """``estimate_light(photo, self.normals)``, from the scene's basis."""
+        return _fit_light(self.basis, photo.luminance[self.normals.mask])
 
 
 @dataclass(frozen=True)
@@ -100,7 +112,7 @@ def pls_to_sh(pose: PLSPose) -> SHLight:
 
 def scene_photo(scene: SceneModel, light) -> FaceImage:
     """Forward render: albedo * shading + ambient, clipped into [0, 1]."""
-    lum = scene.albedo * shade(scene.normals, light) + scene.ambient
+    lum = scene.albedo * _shading(scene.basis, scene.normals.mask, light) + scene.ambient
     lum[~scene.normals.mask] = 0.0
     return FaceImage.from_luminance(np.clip(lum, 0.0, 1.0))
 
@@ -175,7 +187,7 @@ def recurrence_loop(target, start: PLSPose, scene: SceneModel,
     pose = start
     trace: list[tuple[PLSPose, NavFeedback]] = []
     for _ in range(max_iter + 1):
-        estimated = estimate_light(scene_photo(scene, pls_to_sh(pose)), scene.normals)
+        estimated = scene.estimate(scene_photo(scene, pls_to_sh(pose)))
         feedback = map_feedback(
             lighting_map(estimated, map_resolution), target_map, tau, tolerances
         )

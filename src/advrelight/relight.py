@@ -179,11 +179,14 @@ def estimate_light(image: FaceImage, normals: NormalMap) -> SHLight:
     if image.luminance.shape != normals.mask.shape:
         raise ValueError("image and normal map dimensions differ")
     mask = normals.mask
-    if not mask.any():
+    return _fit_light(sh_basis(normals.normals[mask]), image.luminance[mask])
+
+
+def _fit_light(basis: np.ndarray, luminance: np.ndarray) -> SHLight:
+    """:func:`estimate_light` from the masked pixels' SH ``basis`` and ``luminance``."""
+    if not len(basis):
         raise EmptyMaskError("light estimation needs at least one masked pixel")
-    design = sh_basis(normals.normals[mask]) * BAND_GAINS
-    target = image.luminance[mask]
-    solution, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+    solution, _, rank, _ = np.linalg.lstsq(basis * BAND_GAINS, luminance, rcond=None)
     if rank < 9:
         raise SingularFitError(rank=int(rank))
     return SHLight(solution)

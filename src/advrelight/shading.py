@@ -200,12 +200,14 @@ def sh_basis(normals) -> np.ndarray:
 
 def shade(normal_map: NormalMap, light) -> np.ndarray:
     """Lambertian shading f(N, L): raw values, zero outside the mask."""
-    coeffs = _light_coeffs(light)
-    out = np.zeros(normal_map.mask.shape, dtype=np.float64)
     mask = normal_map.mask
-    if mask.any():
-        basis = sh_basis(normal_map.normals[mask])
-        out[mask] = basis @ (BAND_GAINS * coeffs)
+    return _shading(sh_basis(normal_map.normals[mask]), mask, light)
+
+
+def _shading(basis: np.ndarray, mask: np.ndarray, light) -> np.ndarray:
+    """:func:`shade` from the SH ``basis`` of the ``mask``'s pixels, in row-major order."""
+    out = np.zeros(mask.shape, dtype=np.float64)
+    out[mask] = basis @ (BAND_GAINS * _light_coeffs(light))
     return out
 
 

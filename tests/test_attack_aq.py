@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,9 +9,10 @@ from advrelight.attack_aq import (
     attack,
     light_gradient,
     loss_gradient_fd,
+    relight_loss,
     write_trace_csv,
 )
-from advrelight.embedder import cosine_similarity
+from advrelight.embedder import ExternalEmbedder, cosine_similarity
 from advrelight.relight import RelightPlan, quotient_relight, random_relight
 from advrelight.shading import SHLight
 
@@ -102,6 +106,29 @@ def test_fd_gradient_constant_landscape(sphere64):
     grad = loss_gradient_fd(RelightPlan(image, sphere64, old), old.coeffs, embedder,
                             embedder.embed(image), h=1e-3)
     assert np.all(grad == 0.0)
+
+
+@pytest.mark.parametrize("l1_weight", [0.0, 0.7])
+def test_fd_gradient_pipelined_matches_sequential_probes(sphere64, l1_weight):
+    """One ``embed_many`` batch gives the gradient of 18 one-at-a-time relight losses."""
+    rng = np.random.default_rng(6)
+    image, old = make_scene(rng, sphere64)
+    current = old.coeffs + rng.uniform(-0.05, 0.05, 9)
+    plan = RelightPlan(image, sphere64, old)
+    endpoint = [sys.executable, str(Path(__file__).parent / "helpers" / "echo_embedder.py")]
+    h = 1e-2
+    with ExternalEmbedder(endpoint) as embedder:
+        reference = embedder.embed(image)
+        grad = loss_gradient_fd(plan, current, embedder, reference, h=h, l1_weight=l1_weight)
+        expected = np.zeros(9)
+        for j in range(9):
+            plus, minus = current.copy(), current.copy()
+            plus[j] += h
+            minus[j] -= h
+            expected[j] = (relight_loss(plan, plus, embedder, reference, l1_weight)[1]
+                           - relight_loss(plan, minus, embedder, reference, l1_weight)[1]) / (2 * h)
+    assert np.array_equal(grad, expected)
+    assert np.any(grad != 0.0)
 
 
 def test_fd_gradient_richardson(builtin_embedder, sphere64):

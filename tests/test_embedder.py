@@ -1,4 +1,5 @@
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -17,6 +18,8 @@ from advrelight.errors import CapabilityError, ProtocolError, ProtocolTimeoutErr
 from advrelight.relight import FaceImage
 
 ENDPOINT = [sys.executable, str(Path(__file__).parent / "helpers" / "echo_embedder.py")]
+BENCHMARK_ENDPOINT = [sys.executable,
+                      str(Path(__file__).resolve().parents[1] / "perfbench" / "endpoint.py")]
 
 
 def random_image(rng, size=40):
@@ -215,6 +218,62 @@ def test_external_timeout_never_answers_a_later_request():
         with pytest.raises(ProtocolError, match="closed"):
             emb.embed(b)
         assert emb.closed
+
+
+def test_embed_many_matches_single_embeds():
+    """A pipelined batch answers every image, in order, exactly as one request each."""
+    rng = np.random.default_rng(16)
+    images = [random_image(rng, size=64) for _ in range(20)]  # several bursts of requests
+    with ExternalEmbedder(ENDPOINT) as emb:
+        singles = [emb.embed(image) for image in images]
+        batch = emb.embed_many(images)
+        assert emb.embed_many([]) == []
+    assert len(batch) == len(images)
+    for got, single, image in zip(batch, singles, images):
+        assert np.array_equal(got, single)
+        assert np.array_equal(got, expected_echo_vector(image))
+
+
+def test_embed_many_times_out_on_a_hung_endpoint():
+    """18 large requests overfill a pipe, yet a hung endpoint meets the reply timeout."""
+    rng = np.random.default_rng(17)
+    images = [random_image(rng, size=128) for _ in range(18)]
+    outcome = {}
+    emb = ExternalEmbedder(ENDPOINT + ["--hang"], timeout=0.5)
+
+    def run():
+        for key, call in (("batch", lambda: emb.embed_many(images)),
+                          ("later", lambda: emb.embed(images[0]))):
+            try:
+                call()
+            except Exception as exc:
+                outcome[key] = exc
+
+    worker = threading.Thread(target=run, daemon=True)
+    start = time.monotonic()
+    worker.start()
+    worker.join(timeout=20.0)
+    elapsed = time.monotonic() - start
+    hung = worker.is_alive()
+    emb.close()  # ends the endpoint, which frees a write blocked on a full pipe
+    assert not hung, "embed_many blocked instead of timing out"
+    assert elapsed < 5.0
+    assert isinstance(outcome.get("batch"), ProtocolTimeoutError)
+    assert isinstance(outcome.get("later"), ProtocolError)
+    assert "closed" in str(outcome["later"])
+
+
+def test_benchmark_endpoint_serves_pipelined_batches():
+    """``perfbench/endpoint.py`` answers a pipelined batch with the built-in embedding."""
+    rng = np.random.default_rng(18)
+    images = [random_image(rng, size=64) for _ in range(18)]
+    with ExternalEmbedder(BENCHMARK_ENDPOINT) as emb:
+        batch = emb.embed_many(images)
+    builtin = BuiltinEmbedder()
+    for got, image in zip(batch, images):
+        served = builtin.embed(FaceImage.from_luminance(np.round(image.luminance * 255) / 255))
+        # The adapter renormalizes what it reads, which can move the last bit.
+        assert np.array_equal(got, served / np.linalg.norm(served))
 
 
 def test_external_no_gradient():

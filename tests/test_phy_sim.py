@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from advrelight import shading
-from advrelight.errors import NoLightError, NonConvergenceError
+from advrelight import phy_sim, shading
+from advrelight.corpus import ellipsoid_normals
+from advrelight.errors import EmptyMaskError, NoLightError, NonConvergenceError
 from advrelight.phy_sim import (
     DEFAULT_TOLERANCES,
     NavFeedback,
@@ -17,7 +18,16 @@ from advrelight.phy_sim import (
     scene_light_estimate,
     scene_photo,
 )
-from advrelight.shading import SHLight, lighting_map, pixel_to_direction, sh_basis, sphere_normals
+from advrelight.relight import FaceImage, estimate_light
+from advrelight.shading import (
+    NormalMap,
+    SHLight,
+    lighting_map,
+    pixel_to_direction,
+    sh_basis,
+    shade,
+    sphere_normals,
+)
 
 
 @pytest.fixture(scope="module")
@@ -208,6 +218,54 @@ def test_scene_photo_range(scene):
     photo = scene_photo(scene, pls_to_sh(PLSPose(1.0, 0.6, 2.0, 1.5)))
     assert photo.luminance.min() >= 0.0 and photo.luminance.max() <= 1.0
     assert np.all(photo.luminance[~scene.normals.mask] == 0.0)
+
+
+@pytest.mark.parametrize("normals", [sphere_normals(64), ellipsoid_normals(48, 0.8, 0.9, 0.7)],
+                         ids=["sphere", "ellipsoid"])
+def test_scene_basis_matches_shade_and_estimate_light(normals):
+    """Photos and fits from the scene's cached basis equal ``shade`` and ``estimate_light``."""
+    rng = np.random.default_rng(8)
+    scene = SceneModel(normals=normals, albedo=rng.uniform(0.3, 1.0, normals.mask.shape),
+                       ambient=0.2)
+    for _ in range(4):
+        pose = PLSPose(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.1, 1.4),
+                       rng.uniform(1.0, 3.0), 1.5)
+        light = pls_to_sh(pose)
+        photo = scene_photo(scene, light)
+        lum = scene.albedo * shade(normals, light) + scene.ambient
+        lum[~normals.mask] = 0.0
+        assert np.array_equal(photo.luminance,
+                              FaceImage.from_luminance(np.clip(lum, 0.0, 1.0)).luminance)
+        assert np.array_equal(scene.estimate(photo).coeffs,
+                              estimate_light(photo, normals).coeffs)
+
+
+def test_scene_basis_is_evaluated_once_per_scene(monkeypatch, scene):
+    target = pls_to_sh(PLSPose(1.0, 0.6, 2.0, 1.5))
+    rows = []
+
+    def counting(normals):
+        rows.append(np.shape(normals)[:-1])
+        return sh_basis(normals)
+
+    monkeypatch.setattr(phy_sim, "sh_basis", counting)
+    fresh = SceneModel(normals=scene.normals, albedo=scene.albedo, ambient=scene.ambient)
+    try:
+        trace = recurrence_loop(target, PLSPose(3.0, 0.3, 2.0, 1.5), fresh, max_iter=3).trace
+    except NonConvergenceError as exc:
+        trace = exc.trace
+    assert rows.count((int(scene.normals.mask.sum()),)) == 1
+    assert rows.count(()) == len(trace)  # pls_to_sh's direction, once per photo
+    assert len(rows) == len(trace) + 1
+
+
+def test_empty_scene_raises_empty_mask():
+    normals = sphere_normals(16)
+    empty = SceneModel(normals=NormalMap(normals.normals, np.zeros_like(normals.mask)),
+                       albedo=0.8)
+    with pytest.raises(EmptyMaskError):
+        recurrence_loop(pls_to_sh(PLSPose(1.0, 0.6, 2.0, 1.5)), PLSPose(1.0, 0.6, 2.0, 1.5),
+                        empty, map_resolution=16)
 
 
 def test_self_recurrence(scene):
