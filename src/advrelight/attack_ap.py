@@ -19,13 +19,14 @@ static middle weights reproduces the static computation exactly.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from .attack_aq import light_gradient, relight_loss
-from .relight import FaceImage, RelightPlan, estimate_light, quotient_relight
-from .shading import NormalMap, SHLight, write_csv
+from .relight import RelightPlan, estimate_light
+from .shading import SHLight, write_csv
 from .errors import DivergenceError
 
 VARIANTS = ("static", "dynamic")
@@ -75,9 +76,6 @@ class AdvLNetParams:
         if self.variant == "dynamic":
             names.insert(3, "bg")
         return names
-
-    def parameter_count(self) -> int:
-        return sum(getattr(self, name).size for name in self.trainable())
 
 
 @dataclass(frozen=True)
@@ -163,28 +161,25 @@ def backward_net(params: AdvLNetParams, cache, d_delta: np.ndarray) -> dict[str,
     return grads
 
 
-def predict(image: FaceImage, normals: NormalMap, params: AdvLNetParams, embedder):
-    """One-step attack: estimate the light, predict a residual, relight.
+def predict(plan: RelightPlan, params: AdvLNetParams, embedder):
+    """One-step attack: predict a residual to the plan's old light, relight.
 
     Returns (relit image, adversarial light).
     """
-    light = estimate_light(image, normals)
-    embedding = embedder.embed(image)
-    delta, _ = forward_net(params, light.coeffs, embedding)
-    adversarial = SHLight(light.coeffs + delta)
-    result = quotient_relight(image, normals, light, adversarial)
-    return result.image, adversarial
+    light = plan.old_light.coeffs
+    delta, _ = forward_net(params, light, embedder.embed(plan.image))
+    adversarial = SHLight(light + delta)
+    return plan.relight(adversarial).image, adversarial
 
 
-def sample_gradient(params: AdvLNetParams, image: FaceImage, normals: NormalMap,
-                    embedder, light: SHLight, embedding: np.ndarray,
-                    l1_weight: float = 1.0):
-    """Loss and parameter gradients for one (image, normals) sample."""
-    delta, cache = forward_net(params, light.coeffs, embedding)
+def sample_gradient(params: AdvLNetParams, plan: RelightPlan, embedder,
+                    embedding: np.ndarray, l1_weight: float = 1.0):
+    """Loss and parameter gradients for one sample, relit by its ``plan``."""
+    light = plan.old_light.coeffs
+    delta, cache = forward_net(params, light, embedding)
     if not np.all(np.isfinite(delta)):
         raise FloatingPointError("network produced a non-finite light residual")
-    plan = RelightPlan(image, normals, light)
-    result, value = relight_loss(plan, light.coeffs + delta, embedder, embedding, l1_weight)
+    result, value = relight_loss(plan, light + delta, embedder, embedding, l1_weight)
     d_delta = light_gradient(plan, result, embedder, embedding, l1_weight)
     return value, backward_net(params, cache, d_delta)
 
@@ -194,7 +189,8 @@ def train(corpus, embedder, config: TrainConfig, variant: str = "static",
     """SGD with momentum over the corpus; returns (params, epoch loss history).
 
     ``corpus`` is a sequence of (FaceImage, NormalMap) pairs. The original
-    light and embedding of every sample are fixed inputs, computed once.
+    light and embedding of every sample are fixed inputs, computed once; each
+    sample's plan is rebuilt for its step, so only one basis is held at a time.
     """
     if len(corpus) == 0:
         raise ValueError("training corpus is empty")
@@ -218,9 +214,8 @@ def train(corpus, embedder, config: TrainConfig, variant: str = "static",
             for i in batch:
                 image, normals, light, embedding = prepared[i]
                 try:
-                    value, grads = sample_gradient(
-                        params, image, normals, embedder, light, embedding, config.l1_weight,
-                    )
+                    value, grads = sample_gradient(params, RelightPlan(image, normals, light),
+                                                   embedder, embedding, config.l1_weight)
                 except FloatingPointError as exc:
                     raise DivergenceError(epoch=epoch, batch=batch_index) from exc
                 if not np.isfinite(value):
@@ -249,27 +244,32 @@ def save_params(path, params: AdvLNetParams) -> None:
 
 
 def load_params(path) -> AdvLNetParams:
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["format_version"])
-        if version != PARAMS_FORMAT_VERSION:
-            raise ValueError(f"unsupported parameter file version {version}")
-        variant = str(data["variant"])
-        fields = dict(
-            variant=variant,
-            hidden=int(data["hidden"]),
-            embed_dim=int(data["embed_dim"]),
-            w1=data["w1"],
-            b1=data["b1"],
-            b2=data["b2"],
-            w3=data["w3"],
-            b3=data["b3"],
-        )
-        if variant == "static":
-            fields["w2"] = data["w2"]
-        else:
-            fields["wg"] = data["wg"]
-            fields["bg"] = data["bg"]
-    return AdvLNetParams(**fields)
+    """Read a :func:`save_params` file; a malformed one raises ValueError naming ``path``."""
+    try:
+        # np.load leaves its own handle open when a zip header is malformed.
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
+            version = int(data["format_version"])
+            if version != PARAMS_FORMAT_VERSION:
+                raise ValueError(f"unsupported parameter file version {version}")
+            variant = str(data["variant"])
+            fields = dict(
+                variant=variant,
+                hidden=int(data["hidden"]),
+                embed_dim=int(data["embed_dim"]),
+                w1=data["w1"],
+                b1=data["b1"],
+                b2=data["b2"],
+                w3=data["w3"],
+                b3=data["b3"],
+            )
+            if variant == "static":
+                fields["w2"] = data["w2"]
+            else:
+                fields["wg"] = data["wg"]
+                fields["bg"] = data["bg"]
+        return AdvLNetParams(**fields)
+    except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: malformed parameter file: {exc}") from exc
 
 
 def write_loss_history_csv(path, history) -> None:

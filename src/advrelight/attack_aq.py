@@ -10,8 +10,8 @@ and its light gradient for both attacks (AP training adds the L1 term).
 The embedder's descriptor picks the gradient: a differentiable embedder's
 input gradient is pulled back through the relighting plan's light VJP;
 any other embedder gets a 9-dimensional central finite difference on the
-loss, at 18 embeddings per step. One :class:`RelightPlan` serves every
-relight and gradient of an attack.
+loss, at 18 embeddings per step. Both attacks take the target's
+:class:`RelightPlan`, which serves every relight and gradient.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embedder import cosine_similarity
-from .relight import FaceImage, RelightPlan, RelightResult, estimate_light
-from .shading import NormalMap, SHLight, _light_coeffs, write_csv
+from .relight import FaceImage, RelightPlan, RelightResult
+from .shading import SHLight, _light_coeffs, write_csv
 
 _BALL_SLACK = 1e-9
 
@@ -136,16 +136,10 @@ def light_gradient(plan: RelightPlan, result: RelightResult, embedder, reference
     return plan.light_vjp(grad_lum, result.new_light)
 
 
-def attack(image: FaceImage, normals: NormalMap, light, embedder,
-           config: AttackConfig) -> AttackTrace:
-    """Run the sign-gradient attack and return the full trace.
-
-    ``light`` may be None, in which case the original light is estimated
-    from the image and normals first.
-    """
-    origin = _light_coeffs(light) if light is not None else estimate_light(image, normals).coeffs
-    plan = RelightPlan(image, normals, origin)
-    reference = embedder.embed(image)
+def attack(plan: RelightPlan, embedder, config: AttackConfig) -> AttackTrace:
+    """Run the sign-gradient attack from the plan's old light; return the full trace."""
+    origin = plan.old_light.coeffs
+    reference = embedder.embed(plan.image)
     lo = origin - config.epsilon
     hi = origin + config.epsilon
 
@@ -169,7 +163,7 @@ def attack(image: FaceImage, normals: NormalMap, light, embedder,
         clamp_fractions=np.array(clamps),
         adversarial_light=SHLight(current),
         relit=result.image,
-        origin_light=SHLight(origin),
+        origin_light=plan.old_light,
         epsilon=config.epsilon,
     )
 

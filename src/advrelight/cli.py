@@ -18,7 +18,7 @@ from . import attack_ap, attack_aq, harness, phy_sim, svgplot
 from .corpus import synthetic_corpus
 from .embedder import BuiltinEmbedder, ExternalEmbedder, cosine_similarity
 from .errors import AdvRelightError, ScenarioError
-from .relight import estimate_light, load_face_image, quotient_relight, save_face_image
+from .relight import RelightPlan, estimate_light, load_face_image, save_face_image
 from .shading import SHLight, load_light, load_normal_map, save_light, sphere_normals, write_csv
 
 
@@ -138,9 +138,8 @@ def _load_groups(args):
 def _cmd_relight(args) -> int:
     image = load_face_image(args.image)
     normals = load_normal_map(args.normals)
-    old = load_light(args.light) if args.light else estimate_light(image, normals)
-    new = load_light(args.new_light)
-    result = quotient_relight(image, normals, old, new)
+    plan = RelightPlan(image, normals, load_light(args.light) if args.light else None)
+    result = plan.relight(load_light(args.new_light))
     save_face_image(args.out, result.image)
     print(f"relit {args.image} -> {args.out} "
           f"(clamp fraction {result.clamp_fraction:.6g})")
@@ -157,10 +156,10 @@ def _cmd_estimate_light(args) -> int:
 def _cmd_attack_aq(args) -> int:
     image = load_face_image(args.image)
     normals = load_normal_map(args.normals)
-    light = load_light(args.light) if args.light else None
+    plan = RelightPlan(image, normals, load_light(args.light) if args.light else None)
     with _managed(make_embedder(args.embedder)) as embedder:
         cfg = attack_aq.AttackConfig(epsilon=args.epsilon, iterations=args.iters)
-        trace = attack_aq.attack(image, normals, light, embedder, cfg)
+        trace = attack_aq.attack(plan, embedder, cfg)
     if args.out_image:
         save_face_image(args.out_image, trace.relit)
     if args.out_light:
@@ -191,10 +190,10 @@ def _cmd_ap_train(args) -> int:
 
 def _cmd_ap_run(args) -> int:
     image = load_face_image(args.image)
-    normals = load_normal_map(args.normals)
+    plan = RelightPlan(image, load_normal_map(args.normals))
     params = attack_ap.load_params(args.params)
     with _managed(make_embedder(args.embedder)) as embedder:
-        relit, light = attack_ap.predict(image, normals, params, embedder)
+        relit, light = attack_ap.predict(plan, params, embedder)
         similarity = cosine_similarity(embedder.embed(relit), embedder.embed(image))
     if args.out_image:
         save_face_image(args.out_image, relit)

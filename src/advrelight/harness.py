@@ -21,7 +21,7 @@ import numpy as np
 from . import attack_ap, attack_aq
 from .corpus import IdentityGroup, Sample
 from .errors import AdvRelightError, DegenerateLabelsError, EvaluationError, ManifestError
-from .relight import estimate_light, load_face_image, random_relight
+from .relight import RelightPlan, estimate_light, load_face_image, random_relight
 from .shading import SHLight, lighting_map, load_normal_map, write_csv
 
 ATTACK_METHODS = ("none", "random", "aq", "ap")
@@ -156,19 +156,20 @@ def run_attack_suite(targets, method: str, embedder, *, epsilon: float = 0.0,
     for idx, tagged in enumerate(targets):
         image, normals = tagged.sample.image, tagged.sample.normals
         try:
-            light = estimate_light(image, normals)
+            # Method none relights nothing, so it skips the plan and its floor check.
+            plan = None if method == "none" else RelightPlan(image, normals)
+            light = estimate_light(image, normals) if plan is None else plan.old_light
             if method == "none":
                 new_image, adv = image, light
             elif method == "random":
-                result = random_relight(image, normals, light, epsilon,
-                                        seed=_per_image_seed(seed, idx))
+                result = random_relight(plan, epsilon, seed=_per_image_seed(seed, idx))
                 new_image, adv = result.image, result.new_light
             elif method == "aq":
                 cfg = attack_aq.AttackConfig(epsilon=epsilon, iterations=iterations)
-                trace = attack_aq.attack(image, normals, light, embedder, cfg)
+                trace = attack_aq.attack(plan, embedder, cfg)
                 new_image, adv = trace.relit, trace.adversarial_light
             else:  # ap
-                new_image, adv = attack_ap.predict(image, normals, params, embedder)
+                new_image, adv = attack_ap.predict(plan, params, embedder)
             change = float(np.abs(new_image.luminance - image.luminance).mean())
             attacked.append(AttackedSample(tagged.identity, tagged.index, new_image,
                                            light, adv, change))

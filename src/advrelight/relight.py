@@ -106,22 +106,25 @@ class RelightPlan:
     Over the masked pixels the raw relit luminance is
     ``lum * (basis @ (gains * L')) / denom``, linear in the new light L'. The
     SH basis and the floored old-light shading are evaluated once, here.
+    Without ``old_light`` the plan fits it from that basis, exactly as
+    :func:`estimate_light` does.
     """
 
-    def __init__(self, image: FaceImage, normals: NormalMap, old_light):
+    def __init__(self, image: FaceImage, normals: NormalMap, old_light=None):
         if image.luminance.shape != normals.mask.shape:
             raise ValueError("image and normal map dimensions differ")
         self.image, self.mask = image, normals.mask
         n_masked = int(self.mask.sum())
         if n_masked == 0:
             raise EmptyMaskError("relighting needs at least one masked pixel")
-        self.old_light = SHLight(_light_coeffs(old_light))
         self.basis = sh_basis(normals.normals[self.mask])
+        self.lum = image.luminance[self.mask]
+        self.old_light = (_fit_light(self.basis, self.lum) if old_light is None
+                          else SHLight(_light_coeffs(old_light)))
         f_old = self.basis @ (BAND_GAINS * self.old_light.coeffs)
         floored = int((f_old < DENOM_FLOOR).sum())
         if floored > 0.5 * n_masked:
             raise DegenerateLightError(f"denominator floored on {floored}/{n_masked} masked pixels")
-        self.lum = image.luminance[self.mask]
         self.denom = np.maximum(f_old, DENOM_FLOOR)
         self.ratio = self.lum / self.denom
 
@@ -192,14 +195,12 @@ def _fit_light(basis: np.ndarray, luminance: np.ndarray) -> SHLight:
     return SHLight(solution)
 
 
-def random_relight(image: FaceImage, normals: NormalMap, old_light, epsilon: float, seed: int) -> RelightResult:
-    """Baseline: relight under L + u with u uniform in [-epsilon, epsilon]^9."""
+def random_relight(plan: RelightPlan, epsilon: float, seed: int) -> RelightResult:
+    """Baseline: relight by ``plan`` under L + u with u uniform in [-epsilon, epsilon]^9."""
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
-    rng = np.random.default_rng(seed)
-    offset = rng.uniform(-epsilon, epsilon, size=9)
-    new_light = _light_coeffs(old_light) + offset
-    return quotient_relight(image, normals, old_light, new_light)
+    offset = np.random.default_rng(seed).uniform(-epsilon, epsilon, size=9)
+    return plan.relight(plan.old_light.coeffs + offset)
 
 
 def save_face_image(path, image: FaceImage) -> None:

@@ -111,8 +111,7 @@ class LightingMap:
 
     ``masked`` keeps the raw (unclamped) shading of the disk pixels in
     row-major order; ``values`` is the dense square form, zero off the disk,
-    built on first use. ``normalized()`` returns a [0, 1] copy for display.
-    The mask is the inscribed disk of :func:`sphere_normals`.
+    built on first use. The mask is the inscribed disk of :func:`sphere_normals`.
     """
 
     masked: np.ndarray
@@ -135,7 +134,9 @@ class LightingMap:
 
     @functools.cached_property
     def values(self) -> np.ndarray:
-        return _freeze(self._dense(self.masked))
+        out = np.zeros((self.resolution, self.resolution), dtype=np.float64)
+        out[self.mask] = self.masked
+        return _freeze(out)
 
     @functools.cached_property
     def brightest(self) -> tuple[int, int]:
@@ -145,16 +146,6 @@ class LightingMap:
     @functools.cached_property
     def peak(self) -> float:
         return float(self.masked.max())
-
-    def normalized(self) -> np.ndarray:
-        """Min-max normalized copy over the disk; constant maps become 0.5."""
-        lo, hi = self.masked.min(), self.masked.max()
-        return self._dense(0.5 if hi - lo < 1e-15 else (self.masked - lo) / (hi - lo))
-
-    def _dense(self, masked) -> np.ndarray:
-        out = np.zeros((self.resolution, self.resolution), dtype=np.float64)
-        out[self.mask] = masked
-        return out
 
 
 def _light_coeffs(light) -> np.ndarray:
@@ -209,11 +200,6 @@ def _shading(basis: np.ndarray, mask: np.ndarray, light) -> np.ndarray:
     out = np.zeros(mask.shape, dtype=np.float64)
     out[mask] = basis @ (BAND_GAINS * _light_coeffs(light))
     return out
-
-
-def shade_clamped(normal_map: NormalMap, light) -> np.ndarray:
-    """Shading clamped into [0, 1] for image output."""
-    return np.clip(shade(normal_map, light), 0.0, 1.0)
 
 
 @functools.lru_cache(maxsize=8)
@@ -315,8 +301,3 @@ def load_normal_map(path) -> NormalMap:
     n = np.divide(n, norms, out=np.zeros_like(n), where=norms > 1e-9)
     n[~mask] = (0.0, 0.0, 1.0)
     return NormalMap(n, mask)
-
-
-def save_lighting_map(path, lmap: LightingMap) -> None:
-    """Store the normalized copy as a 16-bit single-channel image."""
-    pngio.write_png(path, np.round(lmap.normalized() * 65535.0).astype(np.uint16))

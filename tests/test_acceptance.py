@@ -52,7 +52,7 @@ def aq_sweep(corpus, embedder):
         traces = []
         attacked = []
         for tagged in split.target:
-            trace = attack(tagged.sample.image, tagged.sample.normals, None,
+            trace = attack(RelightPlan(tagged.sample.image, tagged.sample.normals),
                            embedder, cfg)
             traces.append(trace)
             attacked.append(AttackedSample(
@@ -219,7 +219,8 @@ def test_criterion_7_predictor_training(corpus, embedder):
     worst_rel = 0.0
     for variant in ("static", "dynamic"):
         params = init_params(variant, hidden=8, seed=7)
-        _, grads = sample_gradient(params, image, normals, embedder, light, embedding)
+        _, grads = sample_gradient(params, RelightPlan(image, normals, light), embedder,
+                                   embedding)
         h = 1e-6
         fd_all, an_all = [], []
         for name in params.trainable():

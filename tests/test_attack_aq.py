@@ -13,7 +13,7 @@ from advrelight.attack_aq import (
     write_trace_csv,
 )
 from advrelight.embedder import ExternalEmbedder, cosine_similarity
-from advrelight.relight import RelightPlan, quotient_relight, random_relight
+from advrelight.relight import RelightPlan, estimate_light, quotient_relight, random_relight
 from advrelight.shading import SHLight
 
 from conftest import BlackBox, make_safe_light, make_scene
@@ -151,7 +151,7 @@ def test_fd_gradient_richardson(builtin_embedder, sphere64):
 
 def test_attack_zero_epsilon(builtin_embedder, sphere64):
     image, light = make_scene(np.random.default_rng(6), sphere64)
-    trace = attack(image, sphere64, light, builtin_embedder,
+    trace = attack(RelightPlan(image, sphere64, light), builtin_embedder,
                    AttackConfig(epsilon=0.0, iterations=3))
     assert np.array_equal(trace.adversarial_light.coeffs, light.coeffs)
     assert np.abs(trace.relit.luminance - image.luminance).max() < 1e-6
@@ -161,8 +161,8 @@ def test_attack_zero_epsilon(builtin_embedder, sphere64):
 def test_attack_ball_and_determinism(builtin_embedder, sphere64):
     image, light = make_scene(np.random.default_rng(7), sphere64)
     cfg = AttackConfig(epsilon=0.4, iterations=10)
-    first = attack(image, sphere64, light, builtin_embedder, cfg)
-    second = attack(image, sphere64, light, builtin_embedder, cfg)
+    first = attack(RelightPlan(image, sphere64, light), builtin_embedder, cfg)
+    second = attack(RelightPlan(image, sphere64, light), builtin_embedder, cfg)
     assert np.array_equal(first.lights, second.lights)
     assert np.array_equal(first.similarities, second.similarities)
     assert np.abs(first.lights - light.coeffs).max() <= 0.4 + 1e-9
@@ -171,18 +171,19 @@ def test_attack_ball_and_determinism(builtin_embedder, sphere64):
 
 
 def test_attack_estimates_missing_light(builtin_embedder, sphere64):
+    """A plan built without a light starts the attack from the estimated light."""
     image, _ = make_scene(np.random.default_rng(8), sphere64)
-    trace = attack(image, sphere64, None, builtin_embedder,
+    trace = attack(RelightPlan(image, sphere64), builtin_embedder,
                    AttackConfig(epsilon=0.2, iterations=5))
+    assert np.array_equal(trace.lights[0], estimate_light(image, sphere64).coeffs)
     assert trace.final_similarity < trace.initial_similarity
 
 
 def test_attack_fd_mode(builtin_embedder, sphere64):
     image, light = make_scene(np.random.default_rng(9), sphere64)
-    analytic = attack(image, sphere64, light, builtin_embedder,
-                      AttackConfig(epsilon=0.2, iterations=5))
-    fd = attack(image, sphere64, light, BlackBox(builtin_embedder),
-                AttackConfig(epsilon=0.2, iterations=5))
+    plan = RelightPlan(image, sphere64, light)
+    analytic = attack(plan, builtin_embedder, AttackConfig(epsilon=0.2, iterations=5))
+    fd = attack(plan, BlackBox(builtin_embedder), AttackConfig(epsilon=0.2, iterations=5))
     # both modes are effective and ball-constrained; their trajectories may
     # differ because the similarity gradient vanishes at the starting point
     # (the original image is the similarity maximizer), making the first
@@ -203,10 +204,9 @@ def test_attack_beats_random_baseline(builtin_embedder, corpus, epsilon):
     mean_random = []
     for idx, tagged in enumerate(split.target):
         sample = tagged.sample
-        trace = attack(sample.image, sample.normals, None, builtin_embedder,
-                       AttackConfig(epsilon=epsilon, iterations=10))
-        rnd = random_relight(sample.image, sample.normals,
-                             trace.origin_light, epsilon, seed=idx)
+        plan = RelightPlan(sample.image, sample.normals)
+        trace = attack(plan, builtin_embedder, AttackConfig(epsilon=epsilon, iterations=10))
+        rnd = random_relight(plan, epsilon, seed=idx)
         rnd_sim = cosine_similarity(
             builtin_embedder.embed(rnd.image),
             builtin_embedder.embed(sample.image),
@@ -221,7 +221,7 @@ def test_attack_beats_random_baseline(builtin_embedder, corpus, epsilon):
 
 def test_trace_csv(tmp_path, builtin_embedder, sphere64):
     image, light = make_scene(np.random.default_rng(10), sphere64)
-    trace = attack(image, sphere64, light, builtin_embedder,
+    trace = attack(RelightPlan(image, sphere64, light), builtin_embedder,
                    AttackConfig(epsilon=0.2, iterations=4))
     path = tmp_path / "trace.csv"
     write_trace_csv(path, trace)

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -168,14 +169,30 @@ def test_analyze_light(tmp_path):
     assert total > 0
 
 
+def _saved_bytes(save, **arrays):
+    buffer = io.BytesIO()
+    save(buffer, **arrays)
+    return buffer.getvalue()
+
+
+_EVAL_AP = ["eval", "--method", "ap", "--params"]
+_PARAMS_WITHOUT_W1 = _saved_bytes(np.savez, format_version=np.array(1), variant=np.array("static"),
+                                  hidden=np.array(8), embed_dim=np.array(128))
+
+
 @pytest.mark.parametrize("command, content, message", [
     (["analyze-light", "--lights"], "", "expected 19 columns, got 0"),
     (["eval", "--manifest"], "[]", "malformed manifest"),
     (["ap-train", "--out", "params.npz", "--manifest"], "[]", "malformed manifest"),
-], ids=["empty_lights", "eval_manifest_list", "ap_train_manifest_list"])
+    (_EVAL_AP, _PARAMS_WITHOUT_W1, "input: malformed parameter file: 'w1 is not a file"),
+    (_EVAL_AP, b"PK\x03\x04 is not a zip archive", "input: malformed parameter file"),
+    (_EVAL_AP, _saved_bytes(np.save, arr=np.zeros(9)), "input: malformed parameter file"),
+    (_EVAL_AP, b"", "input: malformed parameter file"),
+], ids=["empty_lights", "eval_manifest_list", "ap_train_manifest_list", "params_without_w1",
+        "params_bad_zip", "params_plain_npy", "params_empty"])
 def test_malformed_input_file_exits_2(tmp_path, capsys, command, content, message):
     path = tmp_path / "input"
-    path.write_text(content)
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
     assert cli(command + [str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err

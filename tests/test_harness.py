@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from advrelight import harness
+from advrelight import harness, relight
+from advrelight.attack_ap import init_params
 from advrelight.corpus import synthetic_corpus
 from advrelight.errors import DegenerateLabelsError, ManifestError
 from advrelight.harness import (
@@ -20,7 +21,7 @@ from advrelight.harness import (
     similarity_matrix,
 )
 from advrelight.phy_sim import PLSPose, pls_to_sh
-from advrelight.shading import SHLight, lighting_map
+from advrelight.shading import SHLight, lighting_map, sh_basis
 
 from conftest import BlackBox
 
@@ -122,6 +123,24 @@ def test_suite_random_and_aq(small_groups, builtin_embedder):
         drift = np.abs(sample.adversarial_light.coeffs - sample.original_light.coeffs)
         assert drift.max() <= 0.4 + 1e-9
         assert sample.mean_abs_change > 0.0
+
+
+@pytest.mark.parametrize("method", ["none", "random", "aq", "ap"])
+def test_suite_evaluates_one_basis_per_target(monkeypatch, small_groups, builtin_embedder, method):
+    """A target's light fit and every relight of its attack share one SH basis."""
+    calls = []
+
+    def counting_basis(normals):
+        calls.append(1)
+        return sh_basis(normals)
+
+    monkeypatch.setattr(relight, "sh_basis", counting_basis)
+    split = build_split(small_groups, k=2, seed=0)
+    params = init_params("static", hidden=8, embed_dim=builtin_embedder.descriptor.dimension)
+    suite = run_attack_suite(split.target, method, builtin_embedder, epsilon=0.2,
+                             iterations=2, params=params)
+    assert suite.failures == ()
+    assert len(calls) == len(split.target)
 
 
 def test_suite_unknown_method(small_groups, builtin_embedder):

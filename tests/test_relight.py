@@ -240,24 +240,26 @@ def test_estimate_rank_deficient():
 
 def test_random_relight_zero_epsilon(sphere64):
     image, light = make_scene(np.random.default_rng(6), sphere64)
-    result = random_relight(image, sphere64, light, 0.0, seed=1)
+    result = random_relight(RelightPlan(image, sphere64, light), 0.0, seed=1)
     assert np.abs(result.image.luminance - image.luminance).max() < 1e-6
     assert np.array_equal(result.new_light.coeffs, light.coeffs)
 
 
 def test_random_relight_determinism(sphere64):
     image, light = make_scene(np.random.default_rng(7), sphere64)
-    first = random_relight(image, sphere64, light, 0.4, seed=11)
-    second = random_relight(image, sphere64, light, 0.4, seed=11)
-    other = random_relight(image, sphere64, light, 0.4, seed=12)
+    plan = RelightPlan(image, sphere64, light)
+    first = random_relight(plan, 0.4, seed=11)
+    second = random_relight(plan, 0.4, seed=11)
+    other = random_relight(plan, 0.4, seed=12)
     assert np.array_equal(first.image.luminance, second.image.luminance)
     assert not np.array_equal(first.new_light.coeffs, other.new_light.coeffs)
 
 
 def test_random_relight_ball(sphere64):
     image, light = make_scene(np.random.default_rng(8), sphere64)
+    plan = RelightPlan(image, sphere64, light)
     for seed in range(20):
-        result = random_relight(image, sphere64, light, 0.8, seed=seed)
+        result = random_relight(plan, 0.8, seed=seed)
         assert np.abs(result.new_light.coeffs - light.coeffs).max() <= 0.8
 
 

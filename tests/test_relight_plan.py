@@ -88,7 +88,7 @@ def test_fd_gradient_agrees_with_analytic_random(seed):
 
 
 def test_plan_evaluates_basis_once(monkeypatch):
-    """One basis per plan; relights and gradients reuse it (shade included)."""
+    """One basis per plan, light fit included; relights and gradients reuse it."""
     calls = []
 
     def counting_basis(normals):
@@ -98,8 +98,20 @@ def test_plan_evaluates_basis_once(monkeypatch):
     monkeypatch.setattr(relight, "sh_basis", counting_basis)
     monkeypatch.setattr(shading, "sh_basis", counting_basis)
     image, old, new, grad_lum = tilted_scene(2, tilt=0.3, gain=1.0)
-    plan = RelightPlan(image, SPHERE, old)
-    for scale in (0.9, 1.0, 1.1):
-        plan.relight(scale * new)
-        plan.light_vjp(grad_lum, scale * new)
-    assert len(calls) == 1
+    for old_light in (old, None):  # a given light, then one the plan fits
+        calls.clear()
+        plan = RelightPlan(image, SPHERE, old_light)
+        for scale in (0.9, 1.0, 1.1):
+            plan.relight(scale * new)
+            plan.light_vjp(grad_lum, scale * new)
+        assert len(calls) == 1
+
+
+def test_fitted_light_equals_estimate_light(corpus):
+    """On every bundled sample, a plan's own fit is bit-identical to ``estimate_light``."""
+    samples = [sample for group in corpus for sample in group.samples]
+    assert len(samples) == 128
+    for sample in samples:
+        plan = RelightPlan(sample.image, sample.normals)
+        assert np.array_equal(plan.old_light.coeffs,
+                              relight.estimate_light(sample.image, sample.normals).coeffs)

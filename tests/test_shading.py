@@ -15,7 +15,6 @@ from advrelight.shading import (
     save_normal_map,
     sh_basis,
     shade,
-    shade_clamped,
     sphere_normals,
 )
 
@@ -73,11 +72,6 @@ def test_shade_linearity(sphere64):
     assert np.abs(combined - separate).max() < 1e-6
 
 
-def test_shade_clamped_range(sphere64):
-    values = shade_clamped(sphere64, np.full(9, 3.0))
-    assert values.min() >= 0.0 and values.max() <= 1.0
-
-
 def test_sphere_normals_center_and_norms():
     nm = sphere_normals(64)
     assert np.allclose(nm.normals[32, 32], [0, 0, 1], atol=0.05)
@@ -100,7 +94,6 @@ def test_lighting_map_ambient_constant():
     disk = lmap.values[lmap.mask]
     assert np.allclose(disk, 0.5, atol=1e-9)
     assert np.all(lmap.values[~lmap.mask] == 0.0)
-    assert np.allclose(lmap.normalized()[lmap.mask], 0.5)
 
 
 def test_lighting_map_brightest_at_source():
@@ -185,16 +178,3 @@ def test_lighting_map_linearity():
     combined = lighting_map(a * l1 + b * l2, 48)
     separate = a * lighting_map(l1, 48).values + b * lighting_map(l2, 48).values
     assert np.abs(combined.values - separate).max() < 1e-6
-
-
-def test_lighting_map_file_output(tmp_path):
-    from advrelight import pngio
-    from advrelight.shading import save_lighting_map
-
-    lmap = lighting_map(SHLight.ambient(0.5).coeffs + 0.3 * sh_basis([0.6, 0.0, 0.8]), 48)
-    path = tmp_path / "map.png"
-    save_lighting_map(path, lmap)
-    back = pngio.read_png(path)
-    assert back.dtype == np.uint16 and back.shape == (48, 48)
-    expected = np.round(lmap.normalized() * 65535.0).astype(np.uint16)
-    assert np.array_equal(back, expected)
