@@ -20,12 +20,13 @@ static middle weights reproduces the static computation exactly.
 from __future__ import annotations
 
 import zipfile
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .attack_aq import light_gradient, relight_loss
-from .relight import RelightPlan, estimate_light
+from .relight import NormalBasis, RelightPlan, estimate_light
 from .shading import SHLight, write_csv
 from .errors import DivergenceError
 
@@ -190,17 +191,21 @@ def train(corpus, embedder, config: TrainConfig, variant: str = "static",
 
     ``corpus`` is a sequence of (FaceImage, NormalMap) pairs. The original
     light and embedding of every sample are fixed inputs, computed once; each
-    sample's plan is rebuilt for its step, so only one basis is held at a time.
+    sample's plan is rebuilt for its step. The samples of a NormalMap object
+    that two or more use share one basis; any other map's is evaluated per use.
     """
     if len(corpus) == 0:
         raise ValueError("training corpus is empty")
     if params is None:
         params = init_params(variant, hidden=hidden,
                              embed_dim=embedder.descriptor.dimension, seed=config.seed)
-    prepared = [
-        (image, normals, estimate_light(image, normals), embedder.embed(image))
-        for image, normals in corpus
-    ]
+    maps = {id(normals): normals for _, normals in corpus}
+    uses = Counter(id(normals) for _, normals in corpus)
+    shared = {key: NormalBasis(maps[key]) for key, count in uses.items() if count > 1}
+    prepared = []
+    for image, normals in corpus:
+        normals = shared.get(id(normals), normals)
+        prepared.append((image, normals, estimate_light(image, normals), embedder.embed(image)))
     rng = np.random.default_rng(config.seed)
     velocity = {name: np.zeros_like(getattr(params, name)) for name in params.trainable()}
     history: list[float] = []

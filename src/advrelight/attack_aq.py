@@ -81,14 +81,13 @@ def relight_loss(plan: RelightPlan, light, embedder, reference,
     mean absolute luminance change when that weight is nonzero.
     """
     result = plan.relight(light)
-    return result, _score(plan, result, embedder.embed(result.image), reference, l1_weight)
+    return result, _score(plan, result.image, embedder.embed(result.image), reference, l1_weight)
 
 
-def _score(plan: RelightPlan, result: RelightResult, embedding, reference,
-           l1_weight: float) -> float:
+def _score(plan: RelightPlan, image: FaceImage, embedding, reference, l1_weight: float) -> float:
     value = cosine_similarity(embedding, reference)
     if l1_weight:
-        value += l1_weight * float(np.abs(result.image.luminance - plan.image.luminance).mean())
+        value += l1_weight * float(np.abs(image.luminance - plan.image.luminance).mean())
     return value
 
 
@@ -104,17 +103,16 @@ def loss_gradient_fd(plan: RelightPlan, current_light, embedder, reference,
     if h <= 0:
         raise ValueError("fd step must be positive")
     current = _light_coeffs(current_light)
-    probes = []
+    images = []
     for j in range(9):
         for step in (h, -h):
             probe = current.copy()
             probe[j] = current[j] + step
-            probes.append(plan.relight(probe))
-    images = [result.image for result in probes]
+            images.append(plan.relit_image(probe))
     embed_many = getattr(embedder, "embed_many", None)
     embeddings = embed_many(images) if embed_many else [embedder.embed(i) for i in images]
-    losses = [_score(plan, result, embedding, reference, l1_weight)
-              for result, embedding in zip(probes, embeddings)]
+    losses = [_score(plan, image, embedding, reference, l1_weight)
+              for image, embedding in zip(images, embeddings)]
     plus, minus = np.array(losses).reshape(9, 2).T
     return (plus - minus) / (2.0 * h)
 

@@ -226,17 +226,26 @@ def _load_scenario(path):
         else:
             target = phy_sim.scene_light_estimate(scene, phy_sim.PLSPose(**target_cfg["pose"]))
         options = dict(
-            gains=tuple(data.get("gains", phy_sim.DEFAULT_GAINS)),
+            gains=_floats(data, "gains", phy_sim.DEFAULT_GAINS, 3),
             max_iter=int(data.get("max_iterations", 100)),
             tau=float(data.get("tau", 0.9)),
-            tolerances=tuple(data.get("tolerances", phy_sim.DEFAULT_TOLERANCES)),
+            tolerances=_floats(data, "tolerances", phy_sim.DEFAULT_TOLERANCES, 3),
             map_resolution=int(data.get("map_resolution", phy_sim.DEFAULT_MAP_RESOLUTION)),
-            distance_bounds=tuple(data.get("distance_bounds", (0.05, 50.0))),
+            distance_bounds=_floats(data, "distance_bounds", (0.05, 50.0), 2),
         )
         return target, start, scene, options
-    except (KeyError, TypeError) as exc:
+    except (KeyError, OverflowError, TypeError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ScenarioError(f"malformed scenario {path}: {detail}") from exc
+
+
+def _floats(data, key, default, count) -> tuple[float, ...]:
+    """``data[key]``, or ``default`` when absent, as a tuple of ``count`` floats."""
+    values = data.get(key, default)
+    if not (isinstance(values, (list, tuple)) and len(values) == count
+            and all(type(v) in (int, float) for v in values)):
+        raise TypeError(f"{key} must be a list of {count} numbers")
+    return tuple(map(float, values))
 
 
 def _write_phy_trace(path, trace) -> None:

@@ -21,7 +21,7 @@ import numpy as np
 from . import attack_ap, attack_aq
 from .corpus import IdentityGroup, Sample
 from .errors import AdvRelightError, DegenerateLabelsError, EvaluationError, ManifestError
-from .relight import RelightPlan, estimate_light, load_face_image, random_relight
+from .relight import NormalBasis, RelightPlan, estimate_light, load_face_image, random_relight
 from .shading import SHLight, lighting_map, load_normal_map, write_csv
 
 ATTACK_METHODS = ("none", "random", "aq", "ap")
@@ -153,12 +153,15 @@ def run_attack_suite(targets, method: str, embedder, *, epsilon: float = 0.0,
         raise ValueError("method 'ap' needs trained predictor parameters")
     attacked: list[AttackedSample] = []
     failures: list[tuple[int, str]] = []
+    shared = None  # consecutive targets on one NormalMap object share its basis
     for idx, tagged in enumerate(targets):
         image, normals = tagged.sample.image, tagged.sample.normals
         try:
+            if shared is None or shared.normals is not normals:
+                shared = NormalBasis(normals)
             # Method none relights nothing, so it skips the plan and its floor check.
-            plan = None if method == "none" else RelightPlan(image, normals)
-            light = estimate_light(image, normals) if plan is None else plan.old_light
+            plan = None if method == "none" else RelightPlan(image, shared)
+            light = estimate_light(image, shared) if plan is None else plan.old_light
             if method == "none":
                 new_image, adv = image, light
             elif method == "random":

@@ -100,25 +100,38 @@ class RelightResult:
             raise ValueError("clamp_fraction must lie in [0, 1]")
 
 
+class NormalBasis:
+    """The SH basis of a normal map's masked pixels, shared by every fit and plan given it."""
+
+    def __init__(self, normals: NormalMap):
+        self.normals, self.mask = normals, normals.mask
+        self.basis = sh_basis(normals.normals[self.mask])
+
+
+def _masked(image: FaceImage, normals) -> tuple[NormalBasis, np.ndarray]:
+    """The basis of ``normals`` (a NormalMap or NormalBasis) and ``image``'s masked luminance."""
+    if image.luminance.shape != normals.mask.shape:
+        raise ValueError("image and normal map dimensions differ")
+    shared = normals if isinstance(normals, NormalBasis) else NormalBasis(normals)
+    return shared, image.luminance[shared.mask]
+
+
 class RelightPlan:
     """Quotient relighting of one (image, normals, old light) for any new light.
 
     Over the masked pixels the raw relit luminance is
     ``lum * (basis @ (gains * L')) / denom``, linear in the new light L'. The
-    SH basis and the floored old-light shading are evaluated once, here.
-    Without ``old_light`` the plan fits it from that basis, exactly as
-    :func:`estimate_light` does.
+    SH basis (unless ``normals`` is a :class:`NormalBasis`) and the floored
+    old-light shading are evaluated once, here. Without ``old_light`` the
+    plan fits it from that basis, exactly as :func:`estimate_light` does.
     """
 
-    def __init__(self, image: FaceImage, normals: NormalMap, old_light=None):
-        if image.luminance.shape != normals.mask.shape:
-            raise ValueError("image and normal map dimensions differ")
-        self.image, self.mask = image, normals.mask
-        n_masked = int(self.mask.sum())
+    def __init__(self, image: FaceImage, normals, old_light=None):
+        shared, self.lum = _masked(image, normals)
+        self.image, self.mask, self.basis = image, shared.mask, shared.basis
+        n_masked = self.lum.size
         if n_masked == 0:
             raise EmptyMaskError("relighting needs at least one masked pixel")
-        self.basis = sh_basis(normals.normals[self.mask])
-        self.lum = image.luminance[self.mask]
         self.old_light = (_fit_light(self.basis, self.lum) if old_light is None
                           else SHLight(_light_coeffs(old_light)))
         f_old = self.basis @ (BAND_GAINS * self.old_light.coeffs)
@@ -136,6 +149,15 @@ class RelightPlan:
         raw = self._raw(new_light)
         return (raw >= 0.0) & (raw <= 1.0)
 
+    def relit_image(self, new_light) -> FaceImage:
+        """The image :meth:`relight` returns, without its light or clamp fraction."""
+        return self._image(self._raw(new_light))
+
+    def _image(self, raw) -> FaceImage:
+        lum = self.image.luminance.copy()
+        lum[self.mask] = raw
+        return self.image.with_luminance(np.clip(lum, 0.0, 1.0, out=lum))
+
     def relight(self, new_light) -> RelightResult:
         """Relight via the shading quotient f(N, L') / f(N, L).
 
@@ -143,14 +165,12 @@ class RelightPlan:
         at ``DENOM_FLOOR``) and clamped to [0, 1]; unmasked pixels pass
         through.
         """
-        raw = self.image.luminance.copy()
-        raw[self.mask] = self._raw(new_light)
-        clipped = np.clip(raw, 0.0, 1.0)
+        raw = self._raw(new_light)
         return RelightResult(
-            image=self.image.with_luminance(clipped),
+            image=self._image(raw),
             new_light=SHLight(_light_coeffs(new_light)),
             old_light=self.old_light,
-            clamp_fraction=float(((raw != clipped) & self.mask).sum() / self.lum.size),
+            clamp_fraction=float(((raw < 0.0) | (raw > 1.0)).sum() / raw.size),
         )
 
     def light_vjp(self, grad_lum, new_light) -> np.ndarray:
@@ -172,17 +192,15 @@ def quotient_relight(image: FaceImage, normals: NormalMap, old_light, new_light)
     return RelightPlan(image, normals, old_light).relight(new_light)
 
 
-def estimate_light(image: FaceImage, normals: NormalMap) -> SHLight:
+def estimate_light(image: FaceImage, normals) -> SHLight:
     """Least-squares light from an image and its normals (uniform albedo).
 
     Solves luminance ~= sum_j A_j L_j b_j(n) over masked pixels and returns
     the residual-norm minimizer. Raises :class:`SingularFitError` when the
     system has rank below 9.
     """
-    if image.luminance.shape != normals.mask.shape:
-        raise ValueError("image and normal map dimensions differ")
-    mask = normals.mask
-    return _fit_light(sh_basis(normals.normals[mask]), image.luminance[mask])
+    shared, lum = _masked(image, normals)
+    return _fit_light(shared.basis, lum)
 
 
 def _fit_light(basis: np.ndarray, luminance: np.ndarray) -> SHLight:

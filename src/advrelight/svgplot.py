@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _MARGIN = 50.0
 _PLOT = 400.0
 
@@ -54,7 +56,7 @@ def write_roc_svg(path, curves) -> None:
     for i, (label, points) in enumerate(curves):
         color = colors[i % len(colors)]
         coords = [(px(0.0), py(0.0))]
-        coords += [(px(f), py(t)) for f, t in points]
+        coords += [(px(f), py(t)) for f, t in np.asarray(points).tolist()]
         coords.append((px(1.0), py(1.0)))
         path_data = " ".join(f"{x:.2f},{y:.2f}" for x, y in coords)
         parts.append(

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,15 @@ def corpus():
 @pytest.fixture(scope="session")
 def sphere64():
     return sphere_normals(64)
+
+
+def patch_every_binding(monkeypatch, original, replacement):
+    """Point every ``advrelight`` module attribute bound to ``original`` at ``replacement``."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "advrelight":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
 
 
 class BlackBox:

@@ -18,9 +18,9 @@ from advrelight.attack_aq import relight_loss
 from advrelight.embedder import EmbedderDescriptor, cosine_similarity
 from advrelight.errors import DivergenceError
 from advrelight.relight import RelightPlan, estimate_light
-from advrelight.shading import sphere_normals
+from advrelight.shading import NormalMap, sh_basis, sphere_normals
 
-from conftest import BlackBox, make_safe_light, make_scene
+from conftest import BlackBox, make_safe_light, make_scene, patch_every_binding
 
 
 def small_scene(seed=0, size=24):
@@ -173,6 +173,35 @@ def test_training_determinism(builtin_embedder, corpus):
     _, hist_a = train(samples, builtin_embedder, cfg, variant="static")
     _, hist_b = train(samples, builtin_embedder, cfg, variant="static")
     assert hist_a == hist_b
+
+
+def test_training_evaluates_one_basis_per_shared_map(monkeypatch, builtin_embedder, corpus):
+    """Samples on one map share its basis; samples with their own maps keep one per fit and step.
+
+    Both corpora hold the same images and normal values, so training is the same bit for bit.
+    """
+    shared = [(s.image, s.normals) for g in corpus[:2] for s in g.samples[:3]]
+    own = [(image, NormalMap(normals.normals, normals.mask)) for image, normals in shared]
+    cfg = TrainConfig(epochs=2, batch_size=4, seed=5)
+    calls = []
+
+    def counting_basis(normals):
+        calls.append(1)
+        return sh_basis(normals)
+
+    def run(samples):
+        calls.clear()
+        params, history = train(samples, builtin_embedder, cfg, hidden=8)
+        return len(calls), params, history
+
+    patch_every_binding(monkeypatch, sh_basis, counting_basis)
+    shared_calls, shared_params, shared_history = run(shared)
+    own_calls, own_params, own_history = run(own)
+    assert shared_calls == 2
+    assert own_calls == len(own) * (1 + cfg.epochs)
+    assert shared_history == own_history
+    for name in shared_params.trainable():
+        assert np.array_equal(getattr(shared_params, name), getattr(own_params, name))
 
 
 def test_training_reduces_similarity(builtin_embedder, corpus):

@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import advrelight
 from advrelight.cli import cli
 from advrelight.corpus import synthetic_corpus
 from advrelight.relight import load_face_image, save_face_image
@@ -223,6 +228,9 @@ def test_phy_sim_scenario(tmp_path, capsys):
         "target": {"pose": {"azimuth": 1.0, "polar": 0.6, "distance": 2.0,
                             "intensity": 1.5}},
         "max_iterations": 100,
+        "gains": [0.5, 0.5, 0.5],
+        "tolerances": [0.035, 0.035, 0.02],
+        "distance_bounds": [0.05, 50],
     }))
     trace = tmp_path / "trace.csv"
     assert cli(["phy-sim", "--scenario", str(scenario), "--trace", str(trace)]) == 0
@@ -252,6 +260,38 @@ def test_phy_sim_malformed_start_pose_exits_2(tmp_path, capsys, start_pose, scen
     err = capsys.readouterr().err
     assert err.startswith("error: malformed scenario")
     assert "Traceback" not in err
+
+
+_START = {"azimuth": 0.2, "polar": 0.3, "distance": 3.0, "intensity": 1.5}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("gains", ["a", "b", "c"]),
+    ("distance_bounds", ["a", "b"]),
+    ("tolerances", ["x", 0.1, 0.1]),
+    ("gains", [0.5, 0.5]),
+    ("distance_bounds", 5),
+])
+def test_phy_sim_malformed_scenario_list_exits_2(tmp_path, capsys, key, value):
+    data = {"scene": _SCENE, "start_pose": _START,
+            "target": {"coeffs": [1.0] + [0.0] * 8}, key: value}
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(data))
+    assert cli(["phy-sim", "--scenario", str(scenario)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed scenario") and key in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args, code", [(["--help"], 0), (["eval", "--method", "fgsm"], 1)])
+def test_python_m_runs_the_cli(args, code):
+    src = str(Path(advrelight.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-m", "advrelight", *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code
+    assert ("usage: advrelight" in proc.stdout) if code == 0 else ("invalid choice" in proc.stderr)
 
 
 def test_eval_aq_determinism(tmp_path):

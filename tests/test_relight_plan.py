@@ -3,13 +3,13 @@
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from advrelight import relight, shading
-from advrelight.attack_aq import light_gradient
+from advrelight import relight
+from advrelight.attack_aq import light_gradient, loss_gradient_fd
 from advrelight.embedder import BuiltinEmbedder
-from advrelight.relight import DENOM_FLOOR, FaceImage, RelightPlan
+from advrelight.relight import DENOM_FLOOR, FaceImage, NormalBasis, RelightPlan
 from advrelight.shading import BAND_GAINS, SH_C0, SH_C1, sh_basis, shade, sphere_normals
 
-from conftest import BlackBox, make_scene
+from conftest import BlackBox, make_scene, patch_every_binding
 
 SPHERE = sphere_normals(32)
 EMBEDDER = BuiltinEmbedder()
@@ -88,15 +88,17 @@ def test_fd_gradient_agrees_with_analytic_random(seed):
 
 
 def test_plan_evaluates_basis_once(monkeypatch):
-    """One basis per plan, light fit included; relights and gradients reuse it."""
+    """One basis per plan, light fit included; relights and gradients reuse it.
+
+    Plans and fits on a :class:`NormalBasis` evaluate no basis of their own.
+    """
     calls = []
 
     def counting_basis(normals):
         calls.append(1)
         return sh_basis(normals)
 
-    monkeypatch.setattr(relight, "sh_basis", counting_basis)
-    monkeypatch.setattr(shading, "sh_basis", counting_basis)
+    patch_every_binding(monkeypatch, sh_basis, counting_basis)
     image, old, new, grad_lum = tilted_scene(2, tilt=0.3, gain=1.0)
     for old_light in (old, None):  # a given light, then one the plan fits
         calls.clear()
@@ -105,6 +107,36 @@ def test_plan_evaluates_basis_once(monkeypatch):
             plan.relight(scale * new)
             plan.light_vjp(grad_lum, scale * new)
         assert len(calls) == 1
+    calls.clear()
+    shared = NormalBasis(SPHERE)
+    for old_light in (old, None):
+        RelightPlan(image, shared, old_light).relight(new)
+    relight.estimate_light(image, shared)
+    assert len(calls) == 1
+
+
+def test_fd_probe_images_equal_relight():
+    """Every finite-difference probe embeds exactly ``relight(probe).image``."""
+    image, old, new, _ = tilted_scene(0, tilt=2.0, gain=4.0)
+    plan = RelightPlan(image, SPHERE, old)
+    assert plan.relight(new).clamp_fraction > 0.0
+    embedded = []
+
+    class Recorder(BlackBox):
+        def embed(self, image):
+            embedded.append(image)
+            return super().embed(image)
+
+    h = 1e-2
+    loss_gradient_fd(plan, new, Recorder(EMBEDDER), EMBEDDER.embed(image), h=h)
+    assert len(embedded) == 18
+    for k, probe_image in enumerate(embedded):
+        j, step = divmod(k, 2)
+        probe = new.copy()
+        probe[j] = new[j] + (h, -h)[step]
+        expected = plan.relight(probe).image
+        assert np.array_equal(probe_image.luminance, expected.luminance)
+        assert np.array_equal(probe_image.rgb, expected.rgb)
 
 
 def test_fitted_light_equals_estimate_light(corpus):
@@ -115,3 +147,29 @@ def test_fitted_light_equals_estimate_light(corpus):
         plan = RelightPlan(sample.image, sample.normals)
         assert np.array_equal(plan.old_light.coeffs,
                               relight.estimate_light(sample.image, sample.normals).coeffs)
+
+
+def test_shared_basis_plans_equal_standalone_plans(corpus):
+    """On every bundled sample, a plan on its map's shared basis equals a standalone plan."""
+    rng = np.random.default_rng(4)
+    samples, clamped = 0, 0
+    for group in corpus:
+        shared = NormalBasis(group.samples[0].normals)
+        for sample in group.samples:
+            assert sample.normals is shared.normals
+            alone = RelightPlan(sample.image, sample.normals)
+            plan = RelightPlan(sample.image, shared)
+            assert plan.basis is shared.basis
+            assert np.array_equal(plan.old_light.coeffs, alone.old_light.coeffs)
+            assert np.array_equal(relight.estimate_light(sample.image, shared).coeffs,
+                                  alone.old_light.coeffs)
+            light = alone.old_light.coeffs + rng.uniform(-0.4, 0.4, 9)
+            expected, result = alone.relight(light), plan.relight(light)
+            assert np.array_equal(result.image.luminance, expected.image.luminance)
+            assert result.clamp_fraction == expected.clamp_fraction
+            grad_lum = rng.standard_normal(sample.image.luminance.shape)
+            assert np.array_equal(plan.light_vjp(grad_lum, light),
+                                  alone.light_vjp(grad_lum, light))
+            samples += 1
+            clamped += expected.clamp_fraction > 0.0
+    assert samples == 128 and clamped > 0
