@@ -2,5 +2,4 @@
 
 from .cli import main
 
-if __name__ == "__main__":
-    main()
+main()

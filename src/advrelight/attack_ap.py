@@ -191,17 +191,16 @@ def train(corpus, embedder, config: TrainConfig, variant: str = "static",
 
     ``corpus`` is a sequence of (FaceImage, NormalMap) pairs. The original
     light and embedding of every sample are fixed inputs, computed once; each
-    sample's plan is rebuilt for its step. The samples of a NormalMap object
-    that two or more use share one basis; any other map's is evaluated per use.
+    sample's plan is rebuilt for its step, sharing a basis with every sample on its map.
     """
     if len(corpus) == 0:
         raise ValueError("training corpus is empty")
     if params is None:
         params = init_params(variant, hidden=hidden,
                              embed_dim=embedder.descriptor.dimension, seed=config.seed)
-    maps = {id(normals): normals for _, normals in corpus}
     uses = Counter(id(normals) for _, normals in corpus)
-    shared = {key: NormalBasis(maps[key]) for key, count in uses.items() if count > 1}
+    maps = {id(normals): normals for _, normals in corpus if uses[id(normals)] > 1}
+    shared = {key: NormalBasis(normals) for key, normals in maps.items()}
     prepared = []
     for image, normals in corpus:
         normals = shared.get(id(normals), normals)

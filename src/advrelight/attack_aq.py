@@ -103,12 +103,8 @@ def loss_gradient_fd(plan: RelightPlan, current_light, embedder, reference,
     if h <= 0:
         raise ValueError("fd step must be positive")
     current = _light_coeffs(current_light)
-    images = []
-    for j in range(9):
-        for step in (h, -h):
-            probe = current.copy()
-            probe[j] = current[j] + step
-            images.append(plan.relit_image(probe))
+    steps = np.kron(np.eye(9), [[h], [-h]])  # rows +h e_j, -h e_j for j = 0..8
+    images = [plan.relit_image(current + step) for step in steps]
     embed_many = getattr(embedder, "embed_many", None)
     embeddings = embed_many(images) if embed_many else [embedder.embed(i) for i in images]
     losses = [_score(plan, image, embedding, reference, l1_weight)

@@ -206,6 +206,15 @@ def _cmd_ap_run(args) -> int:
 def _load_scenario(path):
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+
+    def floats(key, default, count) -> tuple[float, ...]:
+        """``data[key]``, or ``default`` when absent, as a tuple of ``count`` floats."""
+        values = data.get(key, default)
+        if not (isinstance(values, (list, tuple)) and len(values) == count
+                and all(type(v) in (int, float) for v in values)):
+            raise TypeError(f"{key} must be a list of {count} numbers")
+        return tuple(map(float, values))
+
     try:
         scene_cfg = data["scene"]
         if not isinstance(scene_cfg, dict):
@@ -226,26 +235,17 @@ def _load_scenario(path):
         else:
             target = phy_sim.scene_light_estimate(scene, phy_sim.PLSPose(**target_cfg["pose"]))
         options = dict(
-            gains=_floats(data, "gains", phy_sim.DEFAULT_GAINS, 3),
+            gains=floats("gains", phy_sim.DEFAULT_GAINS, 3),
             max_iter=int(data.get("max_iterations", 100)),
             tau=float(data.get("tau", 0.9)),
-            tolerances=_floats(data, "tolerances", phy_sim.DEFAULT_TOLERANCES, 3),
+            tolerances=floats("tolerances", phy_sim.DEFAULT_TOLERANCES, 3),
             map_resolution=int(data.get("map_resolution", phy_sim.DEFAULT_MAP_RESOLUTION)),
-            distance_bounds=_floats(data, "distance_bounds", (0.05, 50.0), 2),
+            distance_bounds=floats("distance_bounds", (0.05, 50.0), 2),
         )
         return target, start, scene, options
     except (KeyError, OverflowError, TypeError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ScenarioError(f"malformed scenario {path}: {detail}") from exc
-
-
-def _floats(data, key, default, count) -> tuple[float, ...]:
-    """``data[key]``, or ``default`` when absent, as a tuple of ``count`` floats."""
-    values = data.get(key, default)
-    if not (isinstance(values, (list, tuple)) and len(values) == count
-            and all(type(v) in (int, float) for v in values)):
-        raise TypeError(f"{key} must be a list of {count} numbers")
-    return tuple(map(float, values))
 
 
 def _write_phy_trace(path, trace) -> None:

@@ -107,28 +107,27 @@ class NormalBasis:
         self.normals, self.mask = normals, normals.mask
         self.basis = sh_basis(normals.normals[self.mask])
 
-
-def _masked(image: FaceImage, normals) -> tuple[NormalBasis, np.ndarray]:
-    """The basis of ``normals`` (a NormalMap or NormalBasis) and ``image``'s masked luminance."""
-    if image.luminance.shape != normals.mask.shape:
-        raise ValueError("image and normal map dimensions differ")
-    shared = normals if isinstance(normals, NormalBasis) else NormalBasis(normals)
-    return shared, image.luminance[shared.mask]
+    @classmethod
+    def of(cls, normals: NormalMap | NormalBasis, image: FaceImage) -> NormalBasis:
+        """``normals`` as a basis (itself if one already) once ``image``'s shape is checked."""
+        if image.luminance.shape != normals.mask.shape:
+            raise ValueError("image and normal map dimensions differ")
+        return normals if isinstance(normals, cls) else cls(normals)
 
 
 class RelightPlan:
     """Quotient relighting of one (image, normals, old light) for any new light.
 
-    Over the masked pixels the raw relit luminance is
-    ``lum * (basis @ (gains * L')) / denom``, linear in the new light L'. The
-    SH basis (unless ``normals`` is a :class:`NormalBasis`) and the floored
-    old-light shading are evaluated once, here. Without ``old_light`` the
-    plan fits it from that basis, exactly as :func:`estimate_light` does.
+    Over the masked pixels the raw relit luminance is ``lum * (basis @ (gains * L')) / denom``,
+    linear in the new light L'. The floored old-light shading, and the SH basis unless
+    ``normals`` is a :class:`NormalBasis`, are evaluated once, here. Without ``old_light``
+    the plan fits it from that basis, exactly as :func:`estimate_light` does.
     """
 
-    def __init__(self, image: FaceImage, normals, old_light=None):
-        shared, self.lum = _masked(image, normals)
+    def __init__(self, image: FaceImage, normals: NormalMap | NormalBasis, old_light=None):
+        shared = NormalBasis.of(normals, image)
         self.image, self.mask, self.basis = image, shared.mask, shared.basis
+        self.lum = image.luminance[self.mask]
         n_masked = self.lum.size
         if n_masked == 0:
             raise EmptyMaskError("relighting needs at least one masked pixel")
@@ -149,13 +148,10 @@ class RelightPlan:
         raw = self._raw(new_light)
         return (raw >= 0.0) & (raw <= 1.0)
 
-    def relit_image(self, new_light) -> FaceImage:
-        """The image :meth:`relight` returns, without its light or clamp fraction."""
-        return self._image(self._raw(new_light))
-
-    def _image(self, raw) -> FaceImage:
+    def relit_image(self, new_light, raw=None) -> FaceImage:
+        """The image :meth:`relight` returns, from its unclamped masked ``raw`` when given."""
         lum = self.image.luminance.copy()
-        lum[self.mask] = raw
+        lum[self.mask] = self._raw(new_light) if raw is None else raw
         return self.image.with_luminance(np.clip(lum, 0.0, 1.0, out=lum))
 
     def relight(self, new_light) -> RelightResult:
@@ -167,7 +163,7 @@ class RelightPlan:
         """
         raw = self._raw(new_light)
         return RelightResult(
-            image=self._image(raw),
+            image=self.relit_image(new_light, raw),
             new_light=SHLight(_light_coeffs(new_light)),
             old_light=self.old_light,
             clamp_fraction=float(((raw < 0.0) | (raw > 1.0)).sum() / raw.size),
@@ -192,15 +188,15 @@ def quotient_relight(image: FaceImage, normals: NormalMap, old_light, new_light)
     return RelightPlan(image, normals, old_light).relight(new_light)
 
 
-def estimate_light(image: FaceImage, normals) -> SHLight:
+def estimate_light(image: FaceImage, normals: NormalMap | NormalBasis) -> SHLight:
     """Least-squares light from an image and its normals (uniform albedo).
 
     Solves luminance ~= sum_j A_j L_j b_j(n) over masked pixels and returns
     the residual-norm minimizer. Raises :class:`SingularFitError` when the
     system has rank below 9.
     """
-    shared, lum = _masked(image, normals)
-    return _fit_light(shared.basis, lum)
+    shared = NormalBasis.of(normals, image)
+    return _fit_light(shared.basis, image.luminance[shared.mask])
 
 
 def _fit_light(basis: np.ndarray, luminance: np.ndarray) -> SHLight:

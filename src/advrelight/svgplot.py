@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 _MARGIN = 50.0
 _PLOT = 400.0
 
@@ -24,7 +22,7 @@ def _header(width: float, height: float) -> str:
 
 
 def write_roc_svg(path, curves) -> None:
-    """Plot (label, points[:, :2]) ROC curves on the unit square."""
+    """Plot (label, points) ROC curves, points an (n, 2) array, on the unit square."""
     size = _PLOT + 2 * _MARGIN
     parts = [_header(size, size)]
     x0, y0 = _MARGIN, _MARGIN + _PLOT  # plot origin, y grows upward
@@ -56,7 +54,7 @@ def write_roc_svg(path, curves) -> None:
     for i, (label, points) in enumerate(curves):
         color = colors[i % len(colors)]
         coords = [(px(0.0), py(0.0))]
-        coords += [(px(f), py(t)) for f, t in np.asarray(points).tolist()]
+        coords += [(px(f), py(t)) for f, t in points.tolist()]
         coords.append((px(1.0), py(1.0)))
         path_data = " ".join(f"{x:.2f},{y:.2f}" for x, y in coords)
         parts.append(

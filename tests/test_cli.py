@@ -220,38 +220,51 @@ def test_ap_train_and_run(assets, tmp_path, capsys):
 
 
 def test_phy_sim_scenario(tmp_path, capsys):
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps({
+    """A scenario without gains, tolerances or bounds runs on the defaults.
+
+    The same scenario with those defaults written out as lists gives the same trace.
+    """
+    data = {
         "scene": {"sphere_resolution": 64, "albedo": 0.8, "ambient": 0.25},
         "start_pose": {"azimuth": 0.2, "polar": 0.3, "distance": 3.0,
                        "intensity": 1.5},
         "target": {"pose": {"azimuth": 1.0, "polar": 0.6, "distance": 2.0,
                             "intensity": 1.5}},
         "max_iterations": 100,
-        "gains": [0.5, 0.5, 0.5],
-        "tolerances": [0.035, 0.035, 0.02],
-        "distance_bounds": [0.05, 50],
-    }))
-    trace = tmp_path / "trace.csv"
-    assert cli(["phy-sim", "--scenario", str(scenario), "--trace", str(trace)]) == 0
-    assert "converged" in capsys.readouterr().out
-    header = trace.read_text().splitlines()[0]
+    }
+    explicit = {"gains": [0.5, 0.5, 0.5], "tolerances": [0.035, 0.035, 0.02],
+                "distance_bounds": [0.05, 50]}
+    traces = []
+    for name, overrides in (("default", {}), ("explicit", explicit)):
+        scenario, trace = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        scenario.write_text(json.dumps({**data, **overrides}))
+        assert cli(["phy-sim", "--scenario", str(scenario), "--trace", str(trace)]) == 0
+        assert "converged" in capsys.readouterr().out
+        traces.append(trace.read_text())
+    header = traces[0].splitlines()[0]
     assert header == "iteration,azimuth,polar,distance,intensity,d_azimuth,d_polar,area_ratio"
+    assert traces[1] == traces[0]
 
 
 _SCENE = {"sphere_resolution": 16}
+_START = {"azimuth": 0.2, "polar": 0.3, "distance": 3.0, "intensity": 1.5}
 
 
-@pytest.mark.parametrize("start_pose, scene", [
-    pytest.param(None, _SCENE, id="None"),
+@pytest.mark.parametrize("start_pose, scene, overrides", [
+    pytest.param(None, _SCENE, {}, id="None"),
     pytest.param({"azimuth": 0.2, "polar": 0.3, "distance": 3.0, "brightness": 1.5},
-                 _SCENE, id="start_pose1"),
-    pytest.param({"azimuth": 0.2, "polar": 0.3, "distance": 3.0}, _SCENE, id="start_pose2"),
-    pytest.param({"azimuth": 0.2, "polar": 0.3, "distance": 3.0, "intensity": 1.5},
-                 [], id="scene_list"),
+                 _SCENE, {}, id="start_pose1"),
+    pytest.param({"azimuth": 0.2, "polar": 0.3, "distance": 3.0}, _SCENE, {}, id="start_pose2"),
+    pytest.param(_START, [], {}, id="scene_list"),
+    pytest.param(_START, _SCENE, {"gains": ["a", "b", "c"]}, id="gains_strings"),
+    pytest.param(_START, _SCENE, {"distance_bounds": ["a", "b"]}, id="bounds_strings"),
+    pytest.param(_START, _SCENE, {"tolerances": ["x", 0.1, 0.1]}, id="tolerances_string"),
+    pytest.param(_START, _SCENE, {"gains": [0.5, 0.5]}, id="gains_short"),
+    pytest.param(_START, _SCENE, {"distance_bounds": 5}, id="bounds_number"),
 ])
-def test_phy_sim_malformed_start_pose_exits_2(tmp_path, capsys, start_pose, scene):
-    data = {"scene": scene, "target": {"coeffs": [1.0] + [0.0] * 8}}
+def test_phy_sim_malformed_start_pose_exits_2(tmp_path, capsys, start_pose, scene, overrides):
+    """Malformed start poses, scenes and scenario lists exit 2; a bad list names its key."""
+    data = {"scene": scene, "target": {"coeffs": [1.0] + [0.0] * 8}, **overrides}
     if start_pose is not None:
         data["start_pose"] = start_pose
     scenario = tmp_path / "scenario.json"
@@ -259,27 +272,7 @@ def test_phy_sim_malformed_start_pose_exits_2(tmp_path, capsys, start_pose, scen
     assert cli(["phy-sim", "--scenario", str(scenario)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: malformed scenario")
-    assert "Traceback" not in err
-
-
-_START = {"azimuth": 0.2, "polar": 0.3, "distance": 3.0, "intensity": 1.5}
-
-
-@pytest.mark.parametrize("key, value", [
-    ("gains", ["a", "b", "c"]),
-    ("distance_bounds", ["a", "b"]),
-    ("tolerances", ["x", 0.1, 0.1]),
-    ("gains", [0.5, 0.5]),
-    ("distance_bounds", 5),
-])
-def test_phy_sim_malformed_scenario_list_exits_2(tmp_path, capsys, key, value):
-    data = {"scene": _SCENE, "start_pose": _START,
-            "target": {"coeffs": [1.0] + [0.0] * 8}, key: value}
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps(data))
-    assert cli(["phy-sim", "--scenario", str(scenario)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: malformed scenario") and key in err
+    assert all(key in err for key in overrides)
     assert "Traceback" not in err
 
 
