@@ -203,9 +203,21 @@ def _cmd_ap_run(args) -> int:
     return 0
 
 
+#: Largest sphere or lighting-map resolution a scenario may ask for, in px. Memory
+#: grows with its square: a 1024 px map's design matrix alone is 59 MB.
+MAX_SCENARIO_RESOLUTION = 1024
+
+
 def _load_scenario(path):
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+
+    def resolution(cfg, key, default, name) -> int:
+        """``cfg[key]`` (or ``default``) as a resolution in [8, MAX_SCENARIO_RESOLUTION]."""
+        value = int(cfg.get(key, default))
+        if not 8 <= value <= MAX_SCENARIO_RESOLUTION:
+            raise ValueError(f"{name} must lie in [8, {MAX_SCENARIO_RESOLUTION}], got {value}")
+        return value
 
     def floats(key, default, count) -> tuple[float, ...]:
         """``data[key]``, or ``default`` when absent, as a tuple of ``count`` floats."""
@@ -222,7 +234,8 @@ def _load_scenario(path):
         if "normals" in scene_cfg:
             normals = load_normal_map(Path(path).parent / scene_cfg["normals"])
         else:
-            normals = sphere_normals(int(scene_cfg.get("sphere_resolution", 64)))
+            normals = sphere_normals(resolution(scene_cfg, "sphere_resolution", 64,
+                                                "scene.sphere_resolution"))
         scene = phy_sim.SceneModel(normals=normals,
                                    albedo=scene_cfg.get("albedo", 0.8),
                                    ambient=float(scene_cfg.get("ambient", 0.25)))
@@ -234,16 +247,20 @@ def _load_scenario(path):
             target = SHLight(np.asarray(target_cfg["coeffs"], dtype=float))
         else:
             target = phy_sim.scene_light_estimate(scene, phy_sim.PLSPose(**target_cfg["pose"]))
+        tau = float(data.get("tau", 0.9))
+        if not tau <= 1.0:  # above 1 (or NaN) no pixel reaches tau times the peak
+            raise ValueError(f"tau must be a number no greater than 1, got {tau}")
         options = dict(
             gains=floats("gains", phy_sim.DEFAULT_GAINS, 3),
             max_iter=int(data.get("max_iterations", 100)),
-            tau=float(data.get("tau", 0.9)),
+            tau=tau,
             tolerances=floats("tolerances", phy_sim.DEFAULT_TOLERANCES, 3),
-            map_resolution=int(data.get("map_resolution", phy_sim.DEFAULT_MAP_RESOLUTION)),
+            map_resolution=resolution(data, "map_resolution", phy_sim.DEFAULT_MAP_RESOLUTION,
+                                      "map_resolution"),
             distance_bounds=floats("distance_bounds", (0.05, 50.0), 2),
         )
         return target, start, scene, options
-    except (KeyError, OverflowError, TypeError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ScenarioError(f"malformed scenario {path}: {detail}") from exc
 
@@ -339,3 +356,7 @@ def cli(argv) -> int:
 
 def main() -> None:
     sys.exit(cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -145,11 +145,9 @@ def map_feedback(current: LightingMap, target: LightingMap, tau: float = 0.9,
     az_tgt, po_tgt = pixel_to_direction(*target.brightest, target.resolution)
     if min(current.peak, target.peak) <= 0.0:
         raise NoLightError("lighting map has no positive signal")
-    area_now = int(np.count_nonzero(current.masked >= tau * current.peak))
-    area_tgt = int(np.count_nonzero(target.masked >= tau * target.peak))
     d_azimuth = _wrap_angle(az_tgt - az_now)
     d_polar = po_tgt - po_now
-    ratio = area_now / area_tgt
+    ratio = current.iso_area(tau) / target.iso_area(tau)
     tol_az, tol_po, tol_area = tolerances
     converged = (
         abs(d_azimuth) < tol_az and abs(d_polar) < tol_po and abs(ratio - 1.0) < tol_area

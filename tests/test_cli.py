@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import advrelight
-from advrelight.cli import cli
+from advrelight import cli as cli_module, shading
+from advrelight.cli import MAX_SCENARIO_RESOLUTION, cli
 from advrelight.corpus import synthetic_corpus
 from advrelight.relight import load_face_image, save_face_image
 from advrelight.shading import load_light, save_light, save_normal_map
@@ -261,6 +262,8 @@ _START = {"azimuth": 0.2, "polar": 0.3, "distance": 3.0, "intensity": 1.5}
     pytest.param(_START, _SCENE, {"tolerances": ["x", 0.1, 0.1]}, id="tolerances_string"),
     pytest.param(_START, _SCENE, {"gains": [0.5, 0.5]}, id="gains_short"),
     pytest.param(_START, _SCENE, {"distance_bounds": 5}, id="bounds_number"),
+    pytest.param(_START, _SCENE, {"tau": 1.5}, id="tau_above_1"),
+    pytest.param(_START, _SCENE, {"tau": float("nan")}, id="tau_nan"),
 ])
 def test_phy_sim_malformed_start_pose_exits_2(tmp_path, capsys, start_pose, scene, overrides):
     """Malformed start poses, scenes and scenario lists exit 2; a bad list names its key."""
@@ -276,12 +279,42 @@ def test_phy_sim_malformed_start_pose_exits_2(tmp_path, capsys, start_pose, scen
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("args, code", [(["--help"], 0), (["eval", "--method", "fgsm"], 1)])
-def test_python_m_runs_the_cli(args, code):
+@pytest.mark.parametrize("scene, overrides, key", [
+    pytest.param({"sphere_resolution": MAX_SCENARIO_RESOLUTION + 1}, {},
+                 "scene.sphere_resolution", id="sphere_resolution"),
+    pytest.param(_SCENE, {"map_resolution": MAX_SCENARIO_RESOLUTION + 1},
+                 "map_resolution", id="map_resolution"),
+])
+def test_phy_sim_resolution_above_bound_exits_2_before_allocating(tmp_path, capsys, monkeypatch,
+                                                                  scene, overrides, key):
+    """A resolution just above the bound is refused before any sphere of that size is built."""
+    def guarded(real):
+        def sphere_normals(resolution):
+            assert resolution <= MAX_SCENARIO_RESOLUTION, "allocated before the bound check"
+            return real(resolution)
+        return sphere_normals
+
+    monkeypatch.setattr(cli_module, "sphere_normals", guarded(cli_module.sphere_normals))
+    monkeypatch.setattr(shading, "sphere_normals", guarded(shading.sphere_normals))
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"scene": scene, "start_pose": _START,
+                                    "target": {"coeffs": [1.0] + [0.0] * 8}, **overrides}))
+    assert cli(["phy-sim", "--scenario", str(scenario)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed scenario") and key in err
+
+
+@pytest.mark.parametrize("module, args, code", [
+    pytest.param("advrelight", ["--help"], 0, id="args0-0"),
+    pytest.param("advrelight", ["eval", "--method", "fgsm"], 1, id="args1-1"),
+    pytest.param("advrelight.cli", ["--help"], 0, id="cli-args0-0"),
+    pytest.param("advrelight.cli", ["eval", "--method", "fgsm"], 1, id="cli-args1-1"),
+])
+def test_python_m_runs_the_cli(module, args, code):
     src = str(Path(advrelight.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-m", "advrelight", *args], env=env,
+    proc = subprocess.run([sys.executable, "-m", module, *args], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == code
     assert ("usage: advrelight" in proc.stdout) if code == 0 else ("invalid choice" in proc.stderr)

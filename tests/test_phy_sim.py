@@ -139,7 +139,7 @@ def test_feedback_no_light_error():
 
 def _dense_values(coeffs, resolution):
     values = np.zeros((resolution, resolution), dtype=np.float64)
-    values[sphere_normals(resolution).mask] = shading._sphere_design(resolution)[0] @ coeffs
+    values[sphere_normals(resolution).mask] = coeffs @ shading._sphere_design(resolution)[0]
     return values
 
 
@@ -199,9 +199,68 @@ def test_masked_maps_match_dense_oracle(current, target, resolution, tau):
     assert map_feedback(now, tgt, tau) == expected
 
 
+# Oracle: the row-major (n, 9) product of the disk normals' basis, built without the design.
+
+def _row_major_oracle(coeffs, resolution):
+    """(values, error bound): the oracle's values and 1e-15 of the largest sum of |terms|."""
+    normals = sphere_normals(resolution)
+    terms = sh_basis(normals.normals[normals.mask]) * shading.BAND_GAINS
+    return terms @ coeffs, 1e-15 * (np.abs(terms) @ np.abs(coeffs)).max()
+
+
+def _masked_index(lmap):
+    row, col = lmap.brightest
+    return int(np.searchsorted(np.flatnonzero(lmap.mask), row * lmap.resolution + col))
+
+
+@settings(max_examples=150, deadline=None)
+@given(light=lights, resolution=st.integers(8, 72))
+@example(light=np.array([1.0, 0.0, 0.0, 0.0, 0.34765625, 0.0, 0.0, 0.0, 0.0]), resolution=38)
+def test_lighting_map_matches_row_major_oracle(light, resolution):
+    """Values agree within the bound; features differ only where pixels lie within it."""
+    lmap = lighting_map(light, resolution)
+    oracle, tol = _row_major_oracle(light, resolution)
+    assert np.abs(lmap.masked - oracle).max() <= tol
+    assert lmap.peak == lmap.masked.max() and abs(lmap.peak - oracle.max()) <= tol
+    assert oracle[_masked_index(lmap)] >= oracle.max() - 2.0 * tol
+    threshold = 0.9 * oracle.max()
+    assert (np.count_nonzero(oracle >= threshold + 2.0 * tol) <= lmap.iso_area(0.9)
+            <= np.count_nonzero(oracle >= threshold - 2.0 * tol))
+
+
+def _single(index, value):
+    coeffs = np.zeros(9)
+    coeffs[index] = value
+    return coeffs
+
+
+@pytest.mark.parametrize("resolution", [8, 33, 64, 512])
+@pytest.mark.parametrize("light, exact", [
+    pytest.param(SHLight.ambient(0.5).coeffs, True, id="ambient"),
+    pytest.param(-SHLight.ambient(0.5).coeffs, True, id="negative_ambient"),
+    pytest.param(pls_to_sh(PLSPose(0.0, 0.0, 1.0, 1.0)).coeffs, False, id="zenith_source"),
+    *(pytest.param(_single(j, v), True, id=f"single_{j}_{v:g}") for j in range(9) for v in (1.0, -0.5)),
+])
+def test_lighting_map_ties_match_row_major_oracle(light, exact, resolution):
+    """Where maps tie exactly, the brightest pixel and the area equal the oracle's.
+
+    One-coefficient and ambient lights give the oracle's values bit for bit.
+    """
+    lmap = lighting_map(light, resolution)
+    oracle, tol = _row_major_oracle(light, resolution)
+    if exact:
+        assert np.array_equal(lmap.masked, oracle)
+    assert np.abs(lmap.masked - oracle).max() <= tol
+    assert _masked_index(lmap) == np.argmax(oracle)
+    assert lmap.peak == lmap.masked.max() and abs(lmap.peak - oracle.max()) <= tol
+    assert lmap.iso_area(0.9) == np.count_nonzero(oracle >= 0.9 * oracle.max())
+
+
 def test_lighting_map_rejects_wrong_size_and_non_finite_values():
     size = int(sphere_normals(16).mask.sum())
-    shading.LightingMap(np.zeros(size), 16)
+    values = np.zeros(size)
+    lmap = shading.LightingMap(values, 16)
+    assert values.flags.writeable and not np.shares_memory(lmap.masked, values)
     for bad in (np.zeros(size - 1), np.full(size, np.nan)):
         with pytest.raises(ValueError, match="finite values"):
             shading.LightingMap(bad, 16)
