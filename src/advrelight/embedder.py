@@ -282,7 +282,10 @@ class ExternalEmbedder:
                 f"endpoint advertised dimension {self.descriptor.dimension} "
                 f"but sent {len(tokens)} values"
             )
-        vec = np.array([float(t) for t in tokens], dtype=np.float64)
+        try:
+            vec = np.array(tokens, dtype=np.float64)  # float()'s grammar and bits
+        except ValueError as exc:
+            raise ProtocolError(f"endpoint sent a non-numeric value: {exc}") from exc
         if not np.all(np.isfinite(vec)):
             raise ProtocolError("endpoint sent non-finite values")
         norm = float(np.linalg.norm(vec))

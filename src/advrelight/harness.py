@@ -22,7 +22,7 @@ from . import attack_ap, attack_aq
 from .corpus import IdentityGroup, Sample
 from .errors import AdvRelightError, DegenerateLabelsError, EvaluationError, ManifestError
 from .relight import NormalBasis, RelightPlan, estimate_light, load_face_image, random_relight
-from .shading import SHLight, lighting_map, load_normal_map, write_csv
+from .shading import SHLight, _sphere_design, lighting_map, load_normal_map, write_csv
 
 ATTACK_METHODS = ("none", "random", "aq", "ap")
 
@@ -290,13 +290,15 @@ def sensitivity_analysis(pairs, resolution: int = 128, cell_size: float = 8.0) -
         raise ValueError("cell size must be positive")
     cells: dict[tuple[int, int], int] = {}
     skipped = 0
+    flat = _sphere_design(resolution)[1]  # row-major index of each disk pixel
     for old, new in pairs:
-        diff = np.abs(lighting_map(new, resolution).values
-                      - lighting_map(old, resolution).values)
+        # Off the disk both maps are 0, so the first disk maximum is the map's first maximum.
+        diff = np.abs(lighting_map(new, resolution).masked
+                      - lighting_map(old, resolution).masked)
         if diff.max() == 0.0:
             skipped += 1
             continue
-        row, col = divmod(int(np.argmax(diff)), resolution)
+        row, col = divmod(int(flat[np.argmax(diff)]), resolution)
         cell = _hex_cell(float(col), float(row), cell_size)
         cells[cell] = cells.get(cell, 0) + 1
     ordered = sorted(cells.items())

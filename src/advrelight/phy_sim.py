@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NoLightError, NonConvergenceError
-from .relight import FaceImage, _fit_light, estimate_light
+from .relight import FaceImage, NormalBasis, estimate_light
 from .shading import LightingMap, NormalMap, SHLight, _freeze, _light_coeffs, _shading, lighting_map, pixel_to_direction, sh_basis
 
 TWO_PI = 2.0 * math.pi
@@ -66,7 +66,8 @@ class PLSPose:
 class SceneModel:
     """Normals, per-pixel albedo and a constant ambient term.
 
-    The SH basis of the masked normals is evaluated once per scene.
+    The SH basis of the masked normals is evaluated once per scene, and every
+    photo's light is fitted on it.
     """
 
     normals: NormalMap
@@ -86,12 +87,12 @@ class SceneModel:
         object.__setattr__(self, "albedo", _freeze(albedo))
 
     @cached_property
-    def basis(self) -> np.ndarray:
-        return _freeze(sh_basis(self.normals.normals[self.normals.mask]))
+    def basis(self) -> NormalBasis:
+        return NormalBasis(self.normals)
 
     def estimate(self, photo: FaceImage) -> SHLight:
         """``estimate_light(photo, self.normals)``, from the scene's basis."""
-        return _fit_light(self.basis, photo.luminance[self.normals.mask])
+        return estimate_light(photo, self.basis)
 
 
 @dataclass(frozen=True)
@@ -112,9 +113,9 @@ def pls_to_sh(pose: PLSPose) -> SHLight:
 
 def scene_photo(scene: SceneModel, light) -> FaceImage:
     """Forward render: albedo * shading + ambient, clipped into [0, 1]."""
-    lum = scene.albedo * _shading(scene.basis, scene.normals.mask, light) + scene.ambient
+    lum = scene.albedo * _shading(scene.basis.basis, scene.normals.mask, light) + scene.ambient
     lum[~scene.normals.mask] = 0.0
-    return FaceImage.from_luminance(np.clip(lum, 0.0, 1.0))
+    return FaceImage.from_luminance(lum)
 
 
 def scene_light_estimate(scene: SceneModel, pose: PLSPose) -> SHLight:
@@ -123,7 +124,7 @@ def scene_light_estimate(scene: SceneModel, pose: PLSPose) -> SHLight:
     Use this to express pose-defined targets in the scene pipeline, which
     keeps the area feedback meaningful for distance recovery.
     """
-    return estimate_light(scene_photo(scene, pls_to_sh(pose)), scene.normals)
+    return scene.estimate(scene_photo(scene, pls_to_sh(pose)))
 
 
 def _wrap_angle(value: float) -> float:

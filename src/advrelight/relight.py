@@ -58,8 +58,15 @@ class FaceImage:
 
     @classmethod
     def from_luminance(cls, luminance) -> "FaceImage":
+        """The grey image :meth:`from_rgb` builds from ``luminance`` in all three channels."""
         lum = np.clip(np.asarray(luminance, dtype=np.float64), 0.0, 1.0)
-        return cls.from_rgb(np.repeat(lum[:, :, None], 3, axis=2))
+        if lum.ndim != 2:
+            raise ValueError(f"luminance must be HxW, got {lum.shape}")
+        if not np.all(np.isfinite(lum)):
+            raise ValueError("luminance must be finite")
+        rgb = np.empty((*lum.shape, 3), dtype=np.float64)
+        rgb[...] = lum[:, :, None]
+        return cls(_freeze(rgb @ LUMA_WEIGHTS), rgb=_freeze(rgb))
 
     def with_luminance(self, luminance) -> "FaceImage":
         """Reattach chroma to a new (already clamped) luminance channel."""
@@ -105,7 +112,25 @@ class NormalBasis:
 
     def __init__(self, normals: NormalMap):
         self.normals, self.mask = normals, normals.mask
-        self.basis = sh_basis(normals.normals[self.mask])
+        self.basis = _freeze(sh_basis(normals.normals[self.mask]))
+
+    @cached_property
+    def _gained(self) -> np.ndarray:
+        return _freeze(self.basis * BAND_GAINS)
+
+    def fit(self, luminance) -> SHLight:
+        """Least-squares light from the masked pixels' ``luminance`` (uniform albedo).
+
+        Solves luminance ~= sum_j A_j L_j b_j(n) and returns the residual-norm
+        minimizer. Raises :class:`SingularFitError` when the system has rank below 9,
+        and :class:`EmptyMaskError` when no pixel is masked.
+        """
+        if not len(self.basis):
+            raise EmptyMaskError("light estimation needs at least one masked pixel")
+        solution, _, rank, _ = np.linalg.lstsq(self._gained, luminance, rcond=None)
+        if rank < 9:
+            raise SingularFitError(rank=int(rank))
+        return SHLight(solution)
 
     @classmethod
     def of(cls, normals: NormalMap | NormalBasis, image: FaceImage) -> NormalBasis:
@@ -131,7 +156,7 @@ class RelightPlan:
         n_masked = self.lum.size
         if n_masked == 0:
             raise EmptyMaskError("relighting needs at least one masked pixel")
-        self.old_light = (_fit_light(self.basis, self.lum) if old_light is None
+        self.old_light = (shared.fit(self.lum) if old_light is None
                           else SHLight(_light_coeffs(old_light)))
         f_old = self.basis @ (BAND_GAINS * self.old_light.coeffs)
         floored = int((f_old < DENOM_FLOOR).sum())
@@ -189,24 +214,9 @@ def quotient_relight(image: FaceImage, normals: NormalMap, old_light, new_light)
 
 
 def estimate_light(image: FaceImage, normals: NormalMap | NormalBasis) -> SHLight:
-    """Least-squares light from an image and its normals (uniform albedo).
-
-    Solves luminance ~= sum_j A_j L_j b_j(n) over masked pixels and returns
-    the residual-norm minimizer. Raises :class:`SingularFitError` when the
-    system has rank below 9.
-    """
+    """Least-squares light from an image and its normals: :meth:`NormalBasis.fit`."""
     shared = NormalBasis.of(normals, image)
-    return _fit_light(shared.basis, image.luminance[shared.mask])
-
-
-def _fit_light(basis: np.ndarray, luminance: np.ndarray) -> SHLight:
-    """:func:`estimate_light` from the masked pixels' SH ``basis`` and ``luminance``."""
-    if not len(basis):
-        raise EmptyMaskError("light estimation needs at least one masked pixel")
-    solution, _, rank, _ = np.linalg.lstsq(basis * BAND_GAINS, luminance, rcond=None)
-    if rank < 9:
-        raise SingularFitError(rank=int(rank))
-    return SHLight(solution)
+    return shared.fit(image.luminance[shared.mask])
 
 
 def random_relight(plan: RelightPlan, epsilon: float, seed: int) -> RelightResult:

@@ -110,8 +110,8 @@ class LightingMap:
     """Shading of the front hemisphere of a unit sphere, orthographic.
 
     ``masked`` keeps the raw (unclamped) shading of the disk pixels in
-    row-major order; ``values`` is the dense square form, zero off the disk,
-    built on first use. The mask is the inscribed disk of :func:`sphere_normals`.
+    row-major order, and ``peak`` its maximum, found in the one pass that finds
+    :attr:`brightest`. The disk is the mask of :func:`sphere_normals`.
     """
 
     masked: np.ndarray
@@ -129,10 +129,13 @@ class LightingMap:
         return lmap
 
     def _own(self, v: np.ndarray) -> None:
-        if v.shape != self._flat.shape or not np.all(np.isfinite(v)):
-            raise ValueError(f"a {self.resolution} px lighting map needs "
-                             f"{self._flat.size} finite values")
-        object.__setattr__(self, "masked", _freeze(v))
+        if v.shape == self._flat.shape:
+            first = int(np.argmax(v))  # the first maximum, or the first NaN
+            if np.isfinite(v[first]) and np.isfinite(v.min()):  # the minimum shows a -inf
+                vars(self).update(masked=_freeze(v), peak=float(v[first]), _first=first)
+                return
+        raise ValueError(f"a {self.resolution} px lighting map needs "
+                         f"{self._flat.size} finite values")
 
     @property
     def _flat(self) -> np.ndarray:
@@ -142,24 +145,10 @@ class LightingMap:
     def mask(self) -> np.ndarray:
         return sphere_normals(self.resolution).mask
 
-    @functools.cached_property
-    def values(self) -> np.ndarray:
-        out = np.zeros((self.resolution, self.resolution), dtype=np.float64)
-        out[self.mask] = self.masked
-        return _freeze(out)
-
-    @functools.cached_property
-    def _argmax(self) -> int:
-        return int(np.argmax(self.masked))
-
-    @functools.cached_property
+    @property
     def brightest(self) -> tuple[int, int]:
         """(row, col) of the brightest disk pixel; ties go to the first in row-major order."""
-        return divmod(int(self._flat[self._argmax]), self.resolution)
-
-    @functools.cached_property
-    def peak(self) -> float:
-        return float(self.masked[self._argmax])
+        return divmod(int(self._flat[self._first]), self.resolution)
 
     @functools.cached_property
     def _iso_areas(self) -> dict:

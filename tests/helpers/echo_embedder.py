@@ -6,6 +6,7 @@ payload. Flags exercise the adapter's failure paths:
   --dim N         embedding dimension (default 16)
   --norm-scale X  scale of the returned vector's norm (default 1.0)
   --bad-dim       drop one value from every response
+  --bad-token     send a non-numeric token in place of the last value
   --hang          never answer the first request
   --slow-first S  answer the first request only after S seconds
   --slow-hello S  send the handshake only after S seconds
@@ -56,7 +57,10 @@ def main() -> None:
         vec = vec / np.linalg.norm(vec) * norm_scale
         if "--bad-dim" in argv:
             vec = vec[:-1]
-        sys.stdout.write("VEC\n" + " ".join(f"{v:.9g}" for v in vec) + "\n")
+        tokens = [f"{v:.9g}" for v in vec]
+        if "--bad-token" in argv:
+            tokens[-1] = "0.5x"
+        sys.stdout.write("VEC\n" + " ".join(tokens) + "\n")
         sys.stdout.flush()
 
 

@@ -22,6 +22,8 @@ from advrelight.phy_sim import PLSPose, SceneModel, pls_to_sh, recurrence_loop, 
 from advrelight.relight import DENOM_FLOOR, FaceImage, RelightPlan, estimate_light, quotient_relight
 from advrelight.shading import SHLight, lighting_map, shade, sphere_normals
 
+from helpers.lighting import dense_values
+
 EPSILONS_CHAIN = (0.2, 0.4, 0.8)
 EPSILONS_SWEEP = (0.1, 0.2, 0.4, 0.8)
 
@@ -314,9 +316,9 @@ def test_criterion_9_sensitivity_histogram():
     base = SHLight.ambient(0.5)
     oracle_pose = PLSPose(math.pi / 4, 0.8, 1.0, 0.4)
     diff = np.abs(
-        lighting_map(SHLight(base.coeffs + pls_to_sh(oracle_pose).coeffs),
-                     resolution).values
-        - lighting_map(base, resolution).values)
+        dense_values(lighting_map(SHLight(base.coeffs + pls_to_sh(oracle_pose).coeffs),
+                                  resolution))
+        - dense_values(lighting_map(base, resolution)))
     row, col = divmod(int(np.argmax(diff)), resolution)
     modal = hist.centers[int(np.argmax(hist.counts))]
     offset = math.hypot(modal[0] - col, modal[1] - row)

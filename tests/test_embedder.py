@@ -188,6 +188,13 @@ def test_external_dimension_mismatch():
             emb.embed(image)
 
 
+def test_external_non_numeric_value_is_a_protocol_error():
+    image = random_image(np.random.default_rng(9))
+    with ExternalEmbedder(ENDPOINT + ["--bad-token"]) as emb:
+        with pytest.raises(ProtocolError, match="non-numeric"):
+            emb.embed(image)
+
+
 def test_external_bad_handshake():
     with pytest.raises(ProtocolError):
         ExternalEmbedder(ENDPOINT + ["--bad-hello"], timeout=5.0)

@@ -24,6 +24,7 @@ from advrelight.phy_sim import PLSPose, pls_to_sh
 from advrelight.shading import SHLight, lighting_map, sh_basis
 
 from conftest import BlackBox, patch_every_binding
+from helpers.lighting import dense_values
 
 
 def auc_pair_oracle(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -271,9 +272,9 @@ def test_sensitivity_clustered_modal_cell():
 
     center_pose = PLSPose(cluster["azimuth"], cluster["polar"], 1.0, 0.4)
     base = SHLight.ambient(0.5)
-    diff = np.abs(lighting_map(SHLight(base.coeffs + pls_to_sh(center_pose).coeffs),
-                               resolution).values
-                  - lighting_map(base, resolution).values)
+    diff = np.abs(dense_values(lighting_map(SHLight(base.coeffs + pls_to_sh(center_pose).coeffs),
+                                            resolution))
+                  - dense_values(lighting_map(base, resolution)))
     row, col = divmod(int(np.argmax(diff)), resolution)
     assert np.hypot(modal[0] - col, modal[1] - row) <= 2 * cell
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from advrelight import phy_sim, shading
+from advrelight import shading
 from advrelight.corpus import ellipsoid_normals
 from advrelight.errors import EmptyMaskError, NoLightError, NonConvergenceError
 from advrelight.phy_sim import (
@@ -18,7 +18,7 @@ from advrelight.phy_sim import (
     scene_light_estimate,
     scene_photo,
 )
-from advrelight.relight import FaceImage, estimate_light
+from advrelight.relight import FaceImage, NormalBasis, estimate_light
 from advrelight.shading import (
     NormalMap,
     SHLight,
@@ -28,6 +28,9 @@ from advrelight.shading import (
     shade,
     sphere_normals,
 )
+
+from conftest import patch_every_binding
+from helpers.lighting import dense_values
 
 
 @pytest.fixture(scope="module")
@@ -188,7 +191,7 @@ def test_masked_maps_match_dense_oracle(current, target, resolution, tau):
     now, tgt = lighting_map(current, resolution), lighting_map(target, resolution)
     mask = sphere_normals(resolution).mask
     dense_now, dense_tgt = _dense_values(current, resolution), _dense_values(target, resolution)
-    assert np.array_equal(now.values, dense_now) and np.array_equal(tgt.values, dense_tgt)
+    assert np.array_equal(dense_values(now), dense_now) and np.array_equal(dense_values(tgt), dense_tgt)
     assert np.array_equal(now.mask, mask) and now.resolution == resolution
     try:
         expected = _dense_feedback(dense_now, dense_tgt, mask, tau)
@@ -222,6 +225,7 @@ def test_lighting_map_matches_row_major_oracle(light, resolution):
     oracle, tol = _row_major_oracle(light, resolution)
     assert np.abs(lmap.masked - oracle).max() <= tol
     assert lmap.peak == lmap.masked.max() and abs(lmap.peak - oracle.max()) <= tol
+    assert _masked_index(lmap) == np.argmax(lmap.masked)  # the first maximum, as at 38 px
     assert oracle[_masked_index(lmap)] >= oracle.max() - 2.0 * tol
     threshold = 0.9 * oracle.max()
     assert (np.count_nonzero(oracle >= threshold + 2.0 * tol) <= lmap.iso_area(0.9)
@@ -264,6 +268,13 @@ def test_lighting_map_rejects_wrong_size_and_non_finite_values():
     for bad in (np.zeros(size - 1), np.full(size, np.nan)):
         with pytest.raises(ValueError, match="finite values"):
             shading.LightingMap(bad, 16)
+    shaded = lighting_map(pls_to_sh(PLSPose(1.0, 0.6, 2.0, 1.5)), 16).masked
+    for value in (np.nan, np.inf, -np.inf):  # one pixel each: first, inner, last
+        for where in (0, size // 2, size - 1):
+            bad = shaded.copy()
+            bad[where] = value
+            with pytest.raises(ValueError, match="finite values"):
+                shading.LightingMap(bad, 16)
 
 
 def test_feedback_resolution_mismatch():
@@ -282,7 +293,7 @@ def test_scene_photo_range(scene):
 @pytest.mark.parametrize("normals", [sphere_normals(64), ellipsoid_normals(48, 0.8, 0.9, 0.7)],
                          ids=["sphere", "ellipsoid"])
 def test_scene_basis_matches_shade_and_estimate_light(normals):
-    """Photos and fits from the scene's cached basis equal ``shade`` and ``estimate_light``."""
+    """Photos, fits and pose targets from the scene's basis equal ``shade`` and ``estimate_light``."""
     rng = np.random.default_rng(8)
     scene = SceneModel(normals=normals, albedo=rng.uniform(0.3, 1.0, normals.mask.shape),
                        ambient=0.2)
@@ -295,8 +306,9 @@ def test_scene_basis_matches_shade_and_estimate_light(normals):
         lum[~normals.mask] = 0.0
         assert np.array_equal(photo.luminance,
                               FaceImage.from_luminance(np.clip(lum, 0.0, 1.0)).luminance)
-        assert np.array_equal(scene.estimate(photo).coeffs,
-                              estimate_light(photo, normals).coeffs)
+        fresh_fit = estimate_light(photo, normals).coeffs
+        assert np.array_equal(scene.estimate(photo).coeffs, fresh_fit)
+        assert np.array_equal(scene_light_estimate(scene, pose).coeffs, fresh_fit)
 
 
 def test_scene_basis_is_evaluated_once_per_scene(monkeypatch, scene):
@@ -307,7 +319,7 @@ def test_scene_basis_is_evaluated_once_per_scene(monkeypatch, scene):
         rows.append(np.shape(normals)[:-1])
         return sh_basis(normals)
 
-    monkeypatch.setattr(phy_sim, "sh_basis", counting)
+    patch_every_binding(monkeypatch, sh_basis, counting)  # the scene's NormalBasis and pls_to_sh
     fresh = SceneModel(normals=scene.normals, albedo=scene.albedo, ambient=scene.ambient)
     try:
         trace = recurrence_loop(target, PLSPose(3.0, 0.3, 2.0, 1.5), fresh, max_iter=3).trace
@@ -316,6 +328,8 @@ def test_scene_basis_is_evaluated_once_per_scene(monkeypatch, scene):
     assert rows.count((int(scene.normals.mask.sum()),)) == 1
     assert rows.count(()) == len(trace)  # pls_to_sh's direction, once per photo
     assert len(rows) == len(trace) + 1
+    assert isinstance(fresh.basis, NormalBasis)
+
 
 
 def test_empty_scene_raises_empty_mask():

@@ -7,6 +7,7 @@ from advrelight.errors import DegenerateLightError, EmptyMaskError, SingularFitE
 from advrelight.relight import (
     LUMA_WEIGHTS,
     FaceImage,
+    NormalBasis,
     RelightPlan,
     estimate_light,
     load_face_image,
@@ -14,7 +15,7 @@ from advrelight.relight import (
     random_relight,
     save_face_image,
 )
-from advrelight.shading import NormalMap, SHLight, shade
+from advrelight.shading import BAND_GAINS, NormalMap, SHLight, shade, sphere_normals
 
 from conftest import make_safe_light, make_scene
 
@@ -119,10 +120,48 @@ _NAN_DIAGONAL = np.where(np.eye(8, dtype=bool), np.nan, 0.5)
     (FaceImage.from_rgb, np.full((8, 3), 0.5)),
     (FaceImage.from_rgb, np.repeat(_NAN_DIAGONAL[:, :, None], 3, axis=2)),
     (FaceImage.from_luminance, _NAN_DIAGONAL),
-], ids=["gray", "rgba", "rows", "nan", "nan_luminance"])
+    (FaceImage.from_luminance, np.full(8, 0.5)),
+    (FaceImage.from_luminance, np.full((8, 8, 1), 0.5)),
+], ids=["gray", "rgba", "rows", "nan", "nan_luminance", "luminance_row", "luminance_3d"])
 def test_builders_reject_bad_input(build, array):
     with pytest.raises(ValueError):
         build(array)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+       grid=st.booleans())
+def test_from_luminance_equals_grey_from_rgb(seed, shape, grid):
+    """Luminance and rgb bytes equal ``from_rgb`` of the clipped input in all three channels."""
+    rng = np.random.default_rng(seed)
+    x = (rng.integers(0, 256, shape) / 255.0 if grid
+         else rng.uniform(-0.5, 1.5, shape) * rng.choice([1.0, 1e-3, 1e3], shape))
+    image = FaceImage.from_luminance(x)
+    expected = FaceImage.from_rgb(np.repeat(np.clip(x, 0.0, 1.0)[:, :, None], 3, axis=2))
+    assert image.luminance.tobytes() == expected.luminance.tobytes()
+    assert image.rgb.tobytes() == expected.rgb.tobytes()
+    assert not image.luminance.flags.writeable and not image.rgb.flags.writeable
+
+
+def test_normal_basis_fit_is_lstsq_on_the_gained_basis(sphere64):
+    image, _ = make_scene(np.random.default_rng(11), sphere64)
+    shared = NormalBasis(sphere64)
+    lum = image.luminance[sphere64.mask]
+    expected = np.linalg.lstsq(shared.basis * BAND_GAINS, lum, rcond=None)[0]
+    for _ in range(2):  # the first fit and a fit on the kept gained basis
+        assert shared.fit(lum).coeffs.tobytes() == expected.tobytes()
+    assert estimate_light(image, shared).coeffs.tobytes() == expected.tobytes()
+
+
+def test_normal_basis_fit_raises_below_rank_9_and_on_an_empty_mask():
+    sphere = sphere_normals(16)
+    few = np.zeros_like(sphere.mask)
+    few[8, 4:12] = True  # one row of the sphere: its normals span fewer than 9 terms
+    with pytest.raises(SingularFitError) as err:
+        NormalBasis(NormalMap(sphere.normals, few)).fit(np.full(8, 0.5))
+    assert 0 < err.value.rank < 9
+    with pytest.raises(EmptyMaskError):
+        NormalBasis(NormalMap(sphere.normals, np.zeros_like(sphere.mask))).fit(np.zeros(0))
 
 
 def test_quotient_identity(sphere64):
