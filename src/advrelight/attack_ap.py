@@ -180,7 +180,7 @@ def sample_gradient(params: AdvLNetParams, plan: RelightPlan, embedder,
     delta, cache = forward_net(params, light, embedding)
     if not np.all(np.isfinite(delta)):
         raise FloatingPointError("network produced a non-finite light residual")
-    result, value = relight_loss(plan, light + delta, embedder, embedding, l1_weight)
+    result, _, value = relight_loss(plan, light + delta, embedder, embedding, l1_weight)
     d_delta = light_gradient(plan, result, embedder, embedding, l1_weight)
     return value, backward_net(params, cache, d_delta)
 

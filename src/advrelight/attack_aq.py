@@ -52,6 +52,7 @@ class AttackTrace:
     clamp_fractions: np.ndarray  # (iterations + 1,)
     adversarial_light: SHLight
     relit: FaceImage
+    embedding: np.ndarray  # the attack embedder's embedding of ``relit``
     origin_light: SHLight
     epsilon: float
 
@@ -74,14 +75,15 @@ class AttackTrace:
 
 
 def relight_loss(plan: RelightPlan, light, embedder, reference,
-                 l1_weight: float = 0.0) -> tuple[RelightResult, float]:
-    """Relight by ``plan`` under ``light`` and score the result.
+                 l1_weight: float = 0.0) -> tuple[RelightResult, np.ndarray, float]:
+    """Relight by ``plan`` under ``light`` and score the result: (result, embedding, loss).
 
     The loss is sim(embed(relit), reference), plus ``l1_weight`` times the
     mean absolute luminance change when that weight is nonzero.
     """
     result = plan.relight(light)
-    return result, _score(plan, result.image, embedder.embed(result.image), reference, l1_weight)
+    embedding = embedder.embed(result.image)
+    return result, embedding, _score(plan, result.image, embedding, reference, l1_weight)
 
 
 def _score(plan: RelightPlan, image: FaceImage, embedding, reference, l1_weight: float) -> float:
@@ -127,7 +129,7 @@ def light_gradient(plan: RelightPlan, result: RelightResult, embedder, reference
     if l1_weight:
         diff = result.image.luminance - plan.image.luminance
         grad_lum = grad_lum + (l1_weight / diff.size) * np.sign(diff)
-    return plan.light_vjp(grad_lum, result.new_light)
+    return plan.light_vjp(grad_lum, result)
 
 
 def attack(plan: RelightPlan, embedder, config: AttackConfig) -> AttackTrace:
@@ -138,7 +140,7 @@ def attack(plan: RelightPlan, embedder, config: AttackConfig) -> AttackTrace:
     hi = origin + config.epsilon
 
     current = origin.copy()
-    result, sim = relight_loss(plan, current, embedder, reference)
+    result, embedding, sim = relight_loss(plan, current, embedder, reference)
     lights = [current.copy()]
     sims = [sim]
     clamps = [result.clamp_fraction]
@@ -146,7 +148,7 @@ def attack(plan: RelightPlan, embedder, config: AttackConfig) -> AttackTrace:
     for _ in range(config.iterations):
         grad = light_gradient(plan, result, embedder, reference)
         current = np.clip(current - config.step * np.sign(grad), lo, hi)
-        result, sim = relight_loss(plan, current, embedder, reference)
+        result, embedding, sim = relight_loss(plan, current, embedder, reference)
         lights.append(current.copy())
         sims.append(sim)
         clamps.append(result.clamp_fraction)
@@ -157,6 +159,7 @@ def attack(plan: RelightPlan, embedder, config: AttackConfig) -> AttackTrace:
         clamp_fractions=np.array(clamps),
         adversarial_light=SHLight(current),
         relit=result.image,
+        embedding=embedding,
         origin_light=plan.old_light,
         epsilon=config.epsilon,
     )

@@ -70,7 +70,7 @@ def cosine_similarity(a, b) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError(f"embedding dimensions differ: {a.shape} vs {b.shape}")
-    return float(np.clip(a @ b, -1.0, 1.0))
+    return float(min(max(a @ b, -1.0), 1.0))
 
 
 class BuiltinEmbedder:
@@ -84,7 +84,7 @@ class BuiltinEmbedder:
         q, _ = np.linalg.qr(gauss)
         self._projection = q.T.copy()  # rows orthonormal, (dim, PATCH^2)
         self.descriptor = EmbedderDescriptor("builtin", dimension, differentiable=True)
-        self._resize_plans: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._resize_plans: dict[tuple[int, int], tuple[tuple[np.ndarray, np.ndarray], ...]] = {}
         self._last = None  # (luminance, _project result) of the last projection
 
     def embed(self, image: FaceImage) -> np.ndarray:
@@ -92,9 +92,6 @@ class BuiltinEmbedder:
         if norm < _DEGENERATE_NORM:
             return self._fallback_axis()
         return v / norm
-
-    def embed_many(self, images) -> list[np.ndarray]:
-        return [self.embed(image) for image in images]
 
     def input_gradient(self, image: FaceImage, upstream) -> np.ndarray:
         """Exact gradient of <embed(image), upstream> w.r.t. each luminance pixel."""
@@ -109,7 +106,7 @@ class BuiltinEmbedder:
         dv = (u - (u @ e) * e) / norm
         dz = self._projection.T @ dv
         dz -= dz.mean()  # transpose of the mean subtraction
-        idx, weights = self._plan(lum.shape)
+        _, (idx, weights) = self._plan(lum.shape)
         grad = np.bincount(idx.ravel(), weights=(dz[:, None] * weights).ravel(),
                            minlength=lum.size)
         return grad.reshape(lum.shape)
@@ -119,8 +116,9 @@ class BuiltinEmbedder:
         last = self._last
         if last is not None and last[0] is lum:
             return last[1]
-        idx, weights = self._plan(lum.shape)
-        patch = (lum.reshape(-1)[idx] * weights).sum(axis=1)
+        (idx, weights), _ = self._plan(lum.shape)
+        # Reducing the outer axis adds the four contiguous tap rows in order.
+        patch = (lum.reshape(-1)[idx] * weights).sum(axis=0)
         z = patch - patch.mean()
         v = self._projection @ z
         self._last = lum, (v, float(np.linalg.norm(v)))
@@ -132,7 +130,11 @@ class BuiltinEmbedder:
         return e
 
     def _plan(self, shape: tuple[int, int]):
-        """Bilinear gather indices/weights mapping ``shape`` to PATCH x PATCH."""
+        """Bilinear resize of ``shape`` to PATCH x PATCH, as (indices, weights) twice.
+
+        Tap-major, (4, PATCH^2), for the gather; patch-major, (PATCH^2, 4), for
+        the scatter in ``input_gradient``, whose sums depend on that order.
+        """
         plan = self._resize_plans.get(shape)
         if plan is None:
             h, w = shape
@@ -144,25 +146,19 @@ class BuiltinEmbedder:
             c1 = np.minimum(c0 + 1, w - 1)
             fr = (rows - r0)[:, None]
             fc = (cols - c0)[None, :]
-            idx = np.stack(
-                [
-                    (r0[:, None] * w + c0[None, :]).ravel(),
-                    (r0[:, None] * w + c1[None, :]).ravel(),
-                    (r1[:, None] * w + c0[None, :]).ravel(),
-                    (r1[:, None] * w + c1[None, :]).ravel(),
-                ],
-                axis=1,
-            )
-            weights = np.stack(
-                [
-                    ((1 - fr) * (1 - fc)).ravel(),
-                    ((1 - fr) * fc).ravel(),
-                    (fr * (1 - fc)).ravel(),
-                    (fr * fc).ravel(),
-                ],
-                axis=1,
-            )
-            plan = (idx, weights)
+            idx = np.stack([
+                (r0[:, None] * w + c0[None, :]).ravel(),
+                (r0[:, None] * w + c1[None, :]).ravel(),
+                (r1[:, None] * w + c0[None, :]).ravel(),
+                (r1[:, None] * w + c1[None, :]).ravel(),
+            ])
+            weights = np.stack([
+                ((1 - fr) * (1 - fc)).ravel(),
+                ((1 - fr) * fc).ravel(),
+                (fr * (1 - fc)).ravel(),
+                (fr * fc).ravel(),
+            ])
+            plan = (idx, weights), (idx.T.copy(), weights.T.copy())
             self._resize_plans[shape] = plan
         return plan
 

@@ -133,6 +133,7 @@ class AttackedSample:
     adversarial_light: SHLight | None
     mean_abs_change: float
     error: str | None = None
+    embedding: np.ndarray | None = None  # the attack embedder's, if the attack made one
 
 
 @dataclass(frozen=True)
@@ -162,6 +163,7 @@ def run_attack_suite(targets, method: str, embedder, *, epsilon: float = 0.0,
             # Method none relights nothing, so it skips the plan and its floor check.
             plan = None if method == "none" else RelightPlan(image, shared)
             light = estimate_light(image, shared) if plan is None else plan.old_light
+            embedding = None
             if method == "none":
                 new_image, adv = image, light
             elif method == "random":
@@ -170,12 +172,12 @@ def run_attack_suite(targets, method: str, embedder, *, epsilon: float = 0.0,
             elif method == "aq":
                 cfg = attack_aq.AttackConfig(epsilon=epsilon, iterations=iterations)
                 trace = attack_aq.attack(plan, embedder, cfg)
-                new_image, adv = trace.relit, trace.adversarial_light
+                new_image, adv, embedding = trace.relit, trace.adversarial_light, trace.embedding
             else:  # ap
                 new_image, adv = attack_ap.predict(plan, params, embedder)
             change = float(np.abs(new_image.luminance - image.luminance).mean())
             attacked.append(AttackedSample(tagged.identity, tagged.index, new_image,
-                                           light, adv, change))
+                                           light, adv, change, embedding=embedding))
         except AdvRelightError as exc:
             failures.append((idx, str(exc)))
             attacked.append(AttackedSample(tagged.identity, tagged.index, image,
@@ -191,10 +193,12 @@ def _per_image_seed(seed: int, index: int) -> int:
 # Similarity matrix, ROC and AUC
 # ---------------------------------------------------------------------------
 
-def similarity_matrix(reference, attacked, embedder) -> np.ndarray:
+def similarity_matrix(reference, attacked, embedder, reuse: bool = False) -> np.ndarray:
     """S[i, j] = cosine similarity of reference i against attacked j.
 
-    Embedding failures are collected per sample and raised together as one
+    With ``reuse``, an attacked sample that carries its embedding (which
+    must be ``embedder``'s) is not embedded again. Embedding failures are
+    collected per sample and raised together as one
     :class:`EvaluationError` so a flaky external endpoint reports every
     affected row/column at once.
     """
@@ -202,17 +206,17 @@ def similarity_matrix(reference, attacked, embedder) -> np.ndarray:
         raise ValueError("reference and attacked sets must be nonempty")
     failures: list[tuple[str, int, str]] = []
 
-    def embed_all(side, images):
+    def embed_all(side, pairs):
         vectors = []
-        for idx, image in enumerate(images):
+        for idx, (image, known) in enumerate(pairs):
             try:
-                vectors.append(embedder.embed(image))
+                vectors.append(embedder.embed(image) if known is None else known)
             except AdvRelightError as exc:
                 failures.append((side, idx, str(exc)))
         return vectors
 
-    ref_vecs = embed_all("reference", [t.sample.image for t in reference])
-    att_vecs = embed_all("attacked", [a.image for a in attacked])
+    ref_vecs = embed_all("reference", ((t.sample.image, None) for t in reference))
+    att_vecs = embed_all("attacked", ((a.image, a.embedding if reuse else None) for a in attacked))
     if failures:
         raise EvaluationError(failures)
     return np.clip(np.stack(ref_vecs) @ np.stack(att_vecs).T, -1.0, 1.0)
@@ -361,7 +365,8 @@ def evaluate(groups, method: str, embedder, *, epsilon: float = 0.0, k: int = 8,
     suite = run_attack_suite(split.target, method, embedder, epsilon=epsilon,
                              iterations=iterations, seed=seed, params=params)
     scorer = eval_embedder if eval_embedder is not None else embedder
-    matrix = similarity_matrix(split.reference, suite.attacked, scorer)
+    matrix = similarity_matrix(split.reference, suite.attacked, scorer,
+                               reuse=eval_embedder is None)
     truth = ground_truth(split.reference, suite.attacked)
     roc = roc_auc(matrix, truth)
     changes = [a.mean_abs_change for a in suite.attacked if a.error is None]

@@ -97,14 +97,17 @@ class FaceImage:
 
 @dataclass(frozen=True)
 class RelightResult:
+    """A relit image; ``unclamped`` marks the masked pixels the [0, 1] clip left alone."""
+
     image: FaceImage
     new_light: SHLight
     old_light: SHLight
-    clamp_fraction: float
+    unclamped: np.ndarray
 
-    def __post_init__(self):
-        if not 0.0 <= self.clamp_fraction <= 1.0:
-            raise ValueError("clamp_fraction must lie in [0, 1]")
+    @property
+    def clamp_fraction(self) -> float:
+        """Fraction of masked pixels whose raw relit luminance was clipped."""
+        return (self.unclamped.size - np.count_nonzero(self.unclamped)) / self.unclamped.size
 
 
 class NormalBasis:
@@ -169,15 +172,14 @@ class RelightPlan:
         """Unclamped relit luminance over the masked pixels."""
         return self.lum * (self.basis @ (BAND_GAINS * _light_coeffs(new_light))) / self.denom
 
-    def _unclamped(self, new_light) -> np.ndarray:
-        raw = self._raw(new_light)
-        return (raw >= 0.0) & (raw <= 1.0)
-
     def relit_image(self, new_light, raw=None) -> FaceImage:
         """The image :meth:`relight` returns, from its unclamped masked ``raw`` when given."""
         lum = self.image.luminance.copy()
         lum[self.mask] = self._raw(new_light) if raw is None else raw
-        return self.image.with_luminance(np.clip(lum, 0.0, 1.0, out=lum))
+        lum.clip(0.0, 1.0, out=lum)
+        if np.isnan(lum).any():  # the only values the clip leaves outside [0, 1]
+            raise ValueError("relit luminance must not be NaN")
+        return FaceImage(_freeze(lum), chroma=self.image.chroma)
 
     def relight(self, new_light) -> RelightResult:
         """Relight via the shading quotient f(N, L') / f(N, L).
@@ -191,26 +193,13 @@ class RelightPlan:
             image=self.relit_image(new_light, raw),
             new_light=SHLight(_light_coeffs(new_light)),
             old_light=self.old_light,
-            clamp_fraction=float(((raw < 0.0) | (raw > 1.0)).sum() / raw.size),
+            unclamped=_freeze((raw >= 0.0) & (raw <= 1.0)),
         )
 
-    def light_vjp(self, grad_lum, new_light) -> np.ndarray:
-        """<grad_lum, d relit luminance / d L'>; unmasked and clamped pixels add 0."""
+    def light_vjp(self, grad_lum, result: RelightResult) -> np.ndarray:
+        """<grad_lum, d relit luminance / d L'> at this plan's ``result``; clipped pixels add 0."""
         g = np.asarray(grad_lum, dtype=np.float64)[self.mask]
-        return BAND_GAINS * (self.basis.T @ (g * self.ratio * self._unclamped(new_light)))
-
-    def jacobian(self, new_light) -> np.ndarray:
-        """Dense H x W x 9 form of :meth:`light_vjp`, kept as its test oracle."""
-        rows = (self.basis * BAND_GAINS) * self.ratio[:, None]
-        rows[~self._unclamped(new_light)] = 0.0
-        jac = np.zeros((*self.mask.shape, 9), dtype=np.float64)
-        jac[self.mask] = rows
-        return jac
-
-
-def quotient_relight(image: FaceImage, normals: NormalMap, old_light, new_light) -> RelightResult:
-    """One-off :meth:`RelightPlan.relight`."""
-    return RelightPlan(image, normals, old_light).relight(new_light)
+        return BAND_GAINS * (self.basis.T @ (g * self.ratio * result.unclamped))
 
 
 def estimate_light(image: FaceImage, normals: NormalMap | NormalBasis) -> SHLight:

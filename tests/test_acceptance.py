@@ -19,10 +19,11 @@ from advrelight.corpus import synthetic_corpus
 from advrelight.embedder import BuiltinEmbedder, cosine_similarity
 from advrelight.harness import AttackedSample, build_split, roc_auc, sensitivity_analysis
 from advrelight.phy_sim import PLSPose, SceneModel, pls_to_sh, recurrence_loop, scene_light_estimate
-from advrelight.relight import DENOM_FLOOR, FaceImage, RelightPlan, estimate_light, quotient_relight
+from advrelight.relight import DENOM_FLOOR, FaceImage, RelightPlan, estimate_light
 from advrelight.shading import SHLight, lighting_map, shade, sphere_normals
 
 from helpers.lighting import dense_values
+from helpers.relighting import jacobian
 
 EPSILONS_CHAIN = (0.2, 0.4, 0.8)
 EPSILONS_SWEEP = (0.1, 0.2, 0.4, 0.8)
@@ -89,7 +90,7 @@ def test_criterion_1_quotient_identity():
         f = shade(normals, light)
         lum = np.clip(rng.uniform(0.3, 0.9) * np.clip(f, 0, 1), 0.0, 1.0)
         image = FaceImage.from_luminance(lum)
-        result = quotient_relight(image, normals, light, light)
+        result = RelightPlan(image, normals, light).relight(light)
         ok_pixels = normals.mask & (f >= DENOM_FLOOR)
         worst = max(worst, np.abs(result.image.luminance
                                   - image.luminance)[ok_pixels].max())
@@ -116,16 +117,16 @@ def test_criterion_2_linearity_and_jacobian():
         new = scene_lights(rng, 1, directional=0.08)[0]
         lum = np.clip(0.6 * np.clip(shade(normals, old), 0, 1), 0.02, 0.98)
         image = FaceImage.from_luminance(lum)
-        base = quotient_relight(image, normals, old, new.coeffs)
-        assert base.clamp_fraction == 0.0
-        jac = RelightPlan(image, normals, old).jacobian(new.coeffs)
+        plan = RelightPlan(image, normals, old)
+        assert plan.relight(new.coeffs).clamp_fraction == 0.0
+        jac = jacobian(plan, new.coeffs)
         h = 1e-4
         j = int(rng.integers(0, 9))
         plus, minus = new.coeffs.copy(), new.coeffs.copy()
         plus[j] += h
         minus[j] -= h
-        fd = (quotient_relight(image, normals, old, plus).image.luminance
-              - quotient_relight(image, normals, old, minus).image.luminance) / (2 * h)
+        fd = (plan.relight(plus).image.luminance
+              - plan.relight(minus).image.luminance) / (2 * h)
         mask = normals.mask
         rel = (np.abs(jac[:, :, j] - fd)[mask]
                / np.maximum(np.abs(fd[mask]), 1e-6)).max()
@@ -218,11 +219,11 @@ def test_criterion_7_predictor_training(corpus, embedder):
         np.clip(0.3 + 0.4 * sample.image.luminance[:24, :24], 0.05, 0.95))
     light = estimate_light(image, normals)
     embedding = embedder.embed(image)
+    plan = RelightPlan(image, normals, light)
     worst_rel = 0.0
     for variant in ("static", "dynamic"):
         params = init_params(variant, hidden=8, seed=7)
-        _, grads = sample_gradient(params, RelightPlan(image, normals, light), embedder,
-                                   embedding)
+        _, grads = sample_gradient(params, plan, embedder, embedding)
         h = 1e-6
         fd_all, an_all = [], []
         for name in params.trainable():
@@ -231,14 +232,12 @@ def test_criterion_7_predictor_training(corpus, embedder):
                 original = flat[k]
                 flat[k] = original + h
                 d, _ = forward_net(params, light.coeffs, embedding)
-                relit = quotient_relight(image, normals, light,
-                                         light.coeffs + d).image
+                relit = plan.relight(light.coeffs + d).image
                 plus = (cosine_similarity(embedder.embed(relit), embedding)
                         + np.abs(relit.luminance - image.luminance).mean())
                 flat[k] = original - h
                 d, _ = forward_net(params, light.coeffs, embedding)
-                relit = quotient_relight(image, normals, light,
-                                         light.coeffs + d).image
+                relit = plan.relight(light.coeffs + d).image
                 minus = (cosine_similarity(embedder.embed(relit), embedding)
                          + np.abs(relit.luminance - image.luminance).mean())
                 flat[k] = original

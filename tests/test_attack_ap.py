@@ -74,17 +74,19 @@ def test_params_shape_validation():
 def test_loss_identity(builtin_embedder):
     image, normals = small_scene(3)
     light = estimate_light(image, normals)
-    _, value = relight_loss(RelightPlan(image, normals, light), light, builtin_embedder,
-                            builtin_embedder.embed(image), l1_weight=1.0)
+    _, _, value = relight_loss(RelightPlan(image, normals, light), light, builtin_embedder,
+                               builtin_embedder.embed(image), l1_weight=1.0)
     assert value == pytest.approx(1.0)
 
 
 def test_loss_matches_two_pass_oracle(builtin_embedder):
     image, normals = small_scene(4)
     plan = RelightPlan(image, normals, estimate_light(image, normals))
-    result, value = relight_loss(plan, make_safe_light(np.random.default_rng(99)),
-                                 builtin_embedder, builtin_embedder.embed(image), l1_weight=1.0)
+    result, embedding, value = relight_loss(plan, make_safe_light(np.random.default_rng(99)),
+                                            builtin_embedder, builtin_embedder.embed(image),
+                                            l1_weight=1.0)
     other = result.image
+    assert np.array_equal(embedding, builtin_embedder.embed(other))
     sim = cosine_similarity(builtin_embedder.embed(other), builtin_embedder.embed(image))
     l1 = 0.0
     for i in range(image.luminance.shape[0]):
@@ -98,29 +100,27 @@ def test_loss_matches_two_pass_oracle(builtin_embedder):
 
 @pytest.mark.parametrize("variant", ["static", "dynamic"])
 def test_backprop_matches_fd(builtin_embedder, variant):
-    from advrelight.relight import quotient_relight
-
     image, normals = small_scene(1)
     params = init_params(variant, hidden=8, seed=7)
     light = estimate_light(image, normals)
+    plan = RelightPlan(image, normals, light)
     embedding = builtin_embedder.embed(image)
     h = 1e-6
 
     # the loss is only differentiable away from the clamp and the L1 kink;
     # check the scene leaves all probes a comfortable margin
     delta, cache = forward_net(params, light.coeffs, embedding)
-    probe = quotient_relight(image, normals, light, light.coeffs + delta)
+    probe = plan.relight(light.coeffs + delta)
     assert probe.clamp_fraction == 0.0
     diff = probe.image.luminance - image.luminance
     assert np.abs(diff[normals.mask]).min() > 50 * h
     assert min(np.abs(cache[2]).min(), np.abs(cache[5]).min()) > 50 * h
 
-    _, grads = sample_gradient(params, RelightPlan(image, normals, light), builtin_embedder,
-                               embedding)
+    _, grads = sample_gradient(params, plan, builtin_embedder, embedding)
 
     def loss_at(p):
         d, _ = forward_net(p, light.coeffs, embedding)
-        relit = quotient_relight(image, normals, light, light.coeffs + d).image
+        relit = plan.relight(light.coeffs + d).image
         sim = cosine_similarity(builtin_embedder.embed(relit), embedding)
         return sim + np.abs(relit.luminance - image.luminance).mean()
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from advrelight.embedder import (
     DEFAULT_DIM,
@@ -17,6 +18,8 @@ from advrelight.embedder import (
 from advrelight.errors import CapabilityError, ProtocolError, ProtocolTimeoutError
 from advrelight.relight import FaceImage
 
+from helpers import resize
+
 ENDPOINT = [sys.executable, str(Path(__file__).parent / "helpers" / "echo_embedder.py")]
 BENCHMARK_ENDPOINT = [sys.executable,
                       str(Path(__file__).resolve().parents[1] / "perfbench" / "endpoint.py")]
@@ -24,6 +27,29 @@ BENCHMARK_ENDPOINT = [sys.executable,
 
 def random_image(rng, size=40):
     return FaceImage.from_luminance(rng.uniform(0.1, 0.9, size=(size, size)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(height=st.integers(1, 80), width=st.integers(1, 80), seed=st.integers(0, 2**32 - 1))
+@example(height=64, width=64, seed=0)
+@example(height=48, width=80, seed=1)
+@example(height=17, width=33, seed=2)
+@example(height=8, width=8, seed=3)
+@example(height=1, width=2, seed=4)
+def test_tap_gather_equals_gather_and_row_sum(height, width, seed):
+    """``embed`` and ``input_gradient`` equal the one-gather, row-sum resize bit for bit.
+
+    Below 33 pixels on a side the edge rows or columns repeat a tap.
+    """
+    assume(height * width > 1)
+    rng = np.random.default_rng(seed)
+    lum = rng.uniform(0.0, 1.0, size=(height, width))
+    upstream = rng.standard_normal(DEFAULT_DIM)
+    embedder = BuiltinEmbedder()
+    image = FaceImage.from_luminance(lum)
+    assert np.array_equal(embedder.embed(image), resize.embed(embedder, image.luminance))
+    assert np.array_equal(embedder.input_gradient(image, upstream),
+                          resize.input_gradient(embedder, image.luminance, upstream))
 
 
 def test_determinism_and_norm(builtin_embedder):
@@ -58,6 +84,8 @@ def test_similarity_basics():
     other = np.zeros(8)
     other[4] = 1.0
     assert cosine_similarity(e, other) == 0.0
+    assert cosine_similarity(3 * e, e) == 1.0 and cosine_similarity(-3 * e, e) == -1.0
+    assert np.isnan(cosine_similarity(np.full(8, np.nan), e))
     with pytest.raises(ValueError):
         cosine_similarity(np.ones(4), np.ones(5))
 

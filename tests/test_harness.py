@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from advrelight import harness
 from advrelight.attack_ap import init_params
 from advrelight.corpus import synthetic_corpus
+from advrelight.embedder import BuiltinEmbedder
 from advrelight.errors import DegenerateLabelsError, ManifestError
 from advrelight.harness import (
     _hex_cell,
@@ -296,8 +297,6 @@ def test_hex_cells_partition_points(x, y):
 # ---------------------------------------------------------------------------
 
 def test_evaluate_transfer_embedder(small_groups, builtin_embedder):
-    from advrelight.embedder import BuiltinEmbedder
-
     other = BuiltinEmbedder(seed=99)
     white = harness.evaluate(small_groups, "aq", builtin_embedder,
                              epsilon=0.4, k=2, seed=0, iterations=5)
@@ -317,6 +316,41 @@ def test_evaluate_csv_roundtrip(tmp_path, small_groups, builtin_embedder):
     first_old, first_new = pairs[0]
     assert np.allclose(first_old.coeffs, report.light_pairs[0][0].coeffs, atol=1e-5)
     assert np.allclose(first_new.coeffs, report.light_pairs[0][1].coeffs, atol=1e-5)
+
+
+class CountingEmbedder(BuiltinEmbedder):
+    """The built-in embedder, recording every image it embeds."""
+
+    def __init__(self):
+        super().__init__()
+        self.embedded = []
+
+    def embed(self, image):
+        self.embedded.append(image)
+        return super().embed(image)
+
+
+def test_evaluate_scores_aq_with_the_attack_embeddings(small_groups):
+    """Scored by its own embedder, AQ's final embeddings are reused, with the same ROC bits.
+
+    A second scorer embeds every reference and attacked image itself.
+    """
+    iterations, n = 3, 6
+    attacker = CountingEmbedder()
+    report = harness.evaluate(small_groups, "aq", attacker, epsilon=0.4, k=2, iterations=iterations)
+    # Per target: the original and one image per iterate; then the references.
+    assert len(attacker.embedded) == n * (iterations + 2) + n
+    for sample in report.suite.attacked:
+        assert np.array_equal(sample.embedding, BuiltinEmbedder().embed(sample.image))
+    scorer = CountingEmbedder()
+    scored = harness.evaluate(small_groups, "aq", BuiltinEmbedder(), epsilon=0.4, k=2,
+                              iterations=iterations, eval_embedder=scorer)
+    assert len(scorer.embedded) == 2 * n
+    assert np.array_equal(scored.roc.points, report.roc.points)
+    split = build_split(small_groups, k=2, seed=0)
+    fresh = similarity_matrix(split.reference, report.suite.attacked, BuiltinEmbedder())
+    assert np.array_equal(fresh, similarity_matrix(split.reference, report.suite.attacked,
+                                                   BuiltinEmbedder(), reuse=True))
 
 
 def test_similarity_matrix_collects_failures(small_groups, builtin_embedder):

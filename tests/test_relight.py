@@ -11,7 +11,6 @@ from advrelight.relight import (
     RelightPlan,
     estimate_light,
     load_face_image,
-    quotient_relight,
     random_relight,
     save_face_image,
 )
@@ -166,7 +165,7 @@ def test_normal_basis_fit_raises_below_rank_9_and_on_an_empty_mask():
 
 def test_quotient_identity(sphere64):
     image, light = make_scene(np.random.default_rng(1), sphere64)
-    result = quotient_relight(image, sphere64, light, light)
+    result = RelightPlan(image, sphere64, light).relight(light)
     assert np.abs(result.image.luminance - image.luminance).max() < 1e-6
     assert result.clamp_fraction == 0.0
 
@@ -176,7 +175,7 @@ def test_quotient_ambient_doubling(sphere64):
     doubled = SHLight.ambient(0.8)
     lum = np.full((64, 64), 0.3)
     image = FaceImage.from_luminance(lum)
-    result = quotient_relight(image, sphere64, ambient, doubled)
+    result = RelightPlan(image, sphere64, ambient).relight(doubled)
     masked = sphere64.mask
     assert np.allclose(result.image.luminance[masked], 0.6, atol=1e-9)
     assert np.array_equal(result.image.luminance[~masked], lum[~masked])
@@ -191,7 +190,7 @@ def test_quotient_matches_forward_render(sphere64):
     rendered_old = np.clip(albedo * shade(sphere64, old), 0, 1)
     rendered_new = np.clip(albedo * shade(sphere64, new), 0, 1)
     image = FaceImage.from_luminance(rendered_old)
-    result = quotient_relight(image, sphere64, old, new)
+    result = RelightPlan(image, sphere64, old).relight(new)
     unclamped = (rendered_new > 0) & (rendered_new < 1) & sphere64.mask
     err = np.abs(result.image.luminance - rendered_new)[unclamped].max()
     assert err < 1e-4
@@ -202,9 +201,10 @@ def test_quotient_composition(sphere64):
     image, l0 = make_scene(rng, sphere64)
     l1 = make_safe_light(rng)
     l2 = make_safe_light(rng)
-    step1 = quotient_relight(image, sphere64, l0, l1)
-    step2 = quotient_relight(step1.image, sphere64, l1, l2)
-    direct = quotient_relight(image, sphere64, l0, l2)
+    plan = RelightPlan(image, sphere64, l0)
+    step1 = plan.relight(l1)
+    step2 = RelightPlan(step1.image, sphere64, l1).relight(l2)
+    direct = plan.relight(l2)
     clean = (step1.clamp_fraction == 0.0 and step2.clamp_fraction == 0.0
              and direct.clamp_fraction == 0.0)
     assert clean
@@ -220,8 +220,8 @@ def test_reflectance_cancellation(sphere64):
     base = 0.35 * shade(sphere64, old)
     img_r = FaceImage.from_luminance(np.clip(base, 0, 1))
     img_2r = FaceImage.from_luminance(np.clip(2 * base, 0, 1))
-    out_r = quotient_relight(img_r, sphere64, old, new)
-    out_2r = quotient_relight(img_2r, sphere64, old, new)
+    out_r = RelightPlan(img_r, sphere64, old).relight(new)
+    out_2r = RelightPlan(img_2r, sphere64, old).relight(new)
     assert out_r.clamp_fraction == 0.0 and out_2r.clamp_fraction == 0.0
     mask = sphere64.mask & (out_r.image.luminance > 0)
     ratio = out_2r.image.luminance[mask] / out_r.image.luminance[mask]
@@ -233,13 +233,13 @@ def test_quotient_empty_mask():
                    np.zeros((8, 8), dtype=bool))
     image = FaceImage.from_luminance(np.full((8, 8), 0.5))
     with pytest.raises(EmptyMaskError):
-        quotient_relight(image, nm, SHLight.ambient(0.5), SHLight.ambient(0.5))
+        RelightPlan(image, nm, SHLight.ambient(0.5))
 
 
 def test_quotient_degenerate_light(sphere64):
     image = FaceImage.from_luminance(np.full((64, 64), 0.5))
     with pytest.raises(DegenerateLightError):
-        quotient_relight(image, sphere64, np.zeros(9), SHLight.ambient(0.5))
+        RelightPlan(image, sphere64, np.zeros(9))
 
 
 def test_estimate_roundtrip(sphere64):

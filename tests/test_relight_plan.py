@@ -1,6 +1,7 @@
-"""RelightPlan against the per-call quotient formula and the dense Jacobian."""
+"""RelightPlan against the per-call quotient formula and the recomputing oracles."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from advrelight import relight
@@ -10,6 +11,7 @@ from advrelight.relight import DENOM_FLOOR, FaceImage, NormalBasis, RelightPlan
 from advrelight.shading import BAND_GAINS, SH_C0, SH_C1, sh_basis, shade, sphere_normals
 
 from conftest import BlackBox, make_scene, patch_every_binding
+from helpers import relighting
 
 SPHERE = sphere_normals(32)
 EMBEDDER = BuiltinEmbedder()
@@ -63,9 +65,36 @@ def test_plan_matches_formula_and_jacobian(seed, tilt, gain):
     assert np.array_equal(result.image.luminance, expected)
     assert result.clamp_fraction == clamp_fraction
 
-    vjp = plan.light_vjp(grad_lum, new)
-    dense = np.tensordot(grad_lum, plan.jacobian(new), 2)
+    vjp = plan.light_vjp(grad_lum, result)
+    dense = np.tensordot(grad_lum, relighting.jacobian(plan, new), 2)
     np.testing.assert_allclose(vjp, dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), tilt=st.floats(0.0, 2.0), gain=st.floats(0.2, 4.0))
+@example(seed=0, tilt=2.0, gain=4.0)
+def test_result_mask_and_vjp_equal_recomputing_oracles(seed, tilt, gain):
+    """A relight's clip mask and clamp fraction, and the VJP reading them, recompute bit for bit."""
+    image, old, new, grad_lum = tilted_scene(seed, tilt, gain)
+    plan = RelightPlan(image, SPHERE, old)
+    result = plan.relight(new)
+    raw = plan._raw(new)
+    assert np.array_equal(result.unclamped, (raw >= 0.0) & (raw <= 1.0))
+    assert result.clamp_fraction == float(((raw < 0.0) | (raw > 1.0)).sum() / raw.size)
+    assert np.array_equal(plan.light_vjp(grad_lum, result),
+                          relighting.light_vjp(plan, grad_lum, new))
+
+
+def test_relit_image_rejects_nan():
+    image, old, new, _ = tilted_scene(0, tilt=0.3, gain=1.0)
+    plan = RelightPlan(image, SPHERE, old)
+    raw = plan._raw(new)
+    for bad in (np.full_like(raw, np.nan), np.where(np.arange(raw.size) == raw.size // 2,
+                                                    np.nan, raw)):
+        with pytest.raises(ValueError):
+            plan.relit_image(new, bad)
+    with pytest.raises(ValueError):
+        plan.relight(np.full(9, np.nan))
 
 
 @settings(max_examples=30, deadline=None)
@@ -104,8 +133,7 @@ def test_plan_evaluates_basis_once(monkeypatch):
         calls.clear()
         plan = RelightPlan(image, SPHERE, old_light)
         for scale in (0.9, 1.0, 1.1):
-            plan.relight(scale * new)
-            plan.light_vjp(grad_lum, scale * new)
+            plan.light_vjp(grad_lum, plan.relight(scale * new))
         assert len(calls) == 1
     calls.clear()
     shared = NormalBasis(SPHERE)
@@ -168,8 +196,8 @@ def test_shared_basis_plans_equal_standalone_plans(corpus):
             assert np.array_equal(result.image.luminance, expected.image.luminance)
             assert result.clamp_fraction == expected.clamp_fraction
             grad_lum = rng.standard_normal(sample.image.luminance.shape)
-            assert np.array_equal(plan.light_vjp(grad_lum, light),
-                                  alone.light_vjp(grad_lum, light))
+            assert np.array_equal(plan.light_vjp(grad_lum, result),
+                                  alone.light_vjp(grad_lum, expected))
             samples += 1
             clamped += expected.clamp_fraction > 0.0
     assert samples == 128 and clamped > 0
