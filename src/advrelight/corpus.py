@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phy_sim import PLSPose, pls_to_sh
+from .phy_sim import PLSPose
 from .relight import FaceImage
-from .shading import NormalMap, SHLight, _pixel_grid, _shading, sh_basis
+from .shading import BAND_GAINS, SH_C0, NormalMap, _pixel_grid, sh_basis
 
 DEFAULT_IDENTITIES = 8
 DEFAULT_PER_IDENTITY = 16
@@ -64,23 +64,29 @@ def _texture(size: int, rng: np.random.Generator) -> np.ndarray:
     return np.clip(tex, 0.22, 0.95)
 
 
-def _render_light(rng: np.random.Generator) -> SHLight:
-    """Ambient-dominant light with a random directional component."""
-    ambient = SHLight.ambient(rng.uniform(0.48, 0.62)).coeffs
-    pose = PLSPose(
-        azimuth=rng.uniform(0.0, 2.0 * math.pi),
-        polar=rng.uniform(0.15, 1.05),
-        distance=1.0,
-        intensity=rng.uniform(0.10, 0.34),
-    )
-    return SHLight(ambient + pls_to_sh(pose).coeffs)
+def _render_lights(seed: int, identity: int, count: int) -> np.ndarray:
+    """(count, 9) ambient-dominant lights with a random directional component; light ``j``
+    draws level, azimuth, polar and intensity from ``default_rng([seed, identity, j])``."""
+    lights, intensities, directions = np.zeros((count, 9)), [], []
+    for j in range(count):
+        rng = np.random.default_rng([seed, identity, j])
+        lights[j, 0] = rng.uniform(0.48, 0.62) / (BAND_GAINS[0] * SH_C0)  # SHLight.ambient
+        pose = PLSPose(azimuth=rng.uniform(0.0, 2.0 * math.pi), polar=rng.uniform(0.15, 1.05),
+                       distance=1.0, intensity=rng.uniform(0.10, 0.34))
+        intensities.append(pose.intensity)
+        directions.append(pose.direction())
+    lights += np.array(intensities)[:, None] * sh_basis(np.reshape(directions, (count, 3)))
+    if not np.all(np.isfinite(lights)):
+        raise ValueError("light coefficients must be finite")
+    return lights
 
 
 def synthetic_corpus(identities: int = DEFAULT_IDENTITIES,
                      per_identity: int = DEFAULT_PER_IDENTITY,
                      size: int = DEFAULT_SIZE,
                      seed: int = 0) -> list[IdentityGroup]:
-    """Generate the fixed verification corpus; deterministic in ``seed``."""
+    """Generate the fixed verification corpus; deterministic in ``seed``. Each identity's
+    images are rendered together on its one SH basis, one shading product per light."""
     groups = []
     for i in range(identities):
         id_rng = np.random.default_rng([seed, i])
@@ -91,13 +97,15 @@ def synthetic_corpus(identities: int = DEFAULT_IDENTITIES,
         texture = _texture(size, id_rng)
         tint = id_rng.uniform(0.72, 1.0, size=3)
         tint /= tint.max()
-        samples = []
-        for j in range(per_identity):
-            img_rng = np.random.default_rng([seed, i, j])
-            light = _render_light(img_rng)
-            lum = np.clip(texture * _shading(basis, normals.mask, light), 0.0, 1.0)
-            lum[~normals.mask] = _BACKGROUND
-            rgb = np.clip(lum[:, :, None] * tint, 0.0, 1.0)
-            samples.append(Sample(image=FaceImage.from_rgb(rgb), normals=normals))
-        groups.append(IdentityGroup(identity=f"id{i:02d}", samples=tuple(samples)))
+        shading = np.zeros((per_identity, size, size))
+        for shaded, light in zip(shading, _render_lights(seed, i, per_identity)):
+            shaded[normals.mask] = basis @ (BAND_GAINS * light)
+        lum = np.clip(np.multiply(texture, shading, out=shading), 0.0, 1.0, out=shading)
+        np.copyto(lum, _BACKGROUND, where=~normals.mask)
+        rgb = np.empty((*lum.shape, 3))
+        for c in range(3):  # a multiply per channel, not a broadcast over the last axis
+            np.multiply(lum, tint[c], out=rgb[..., c])
+        # lum and tint lie in [0, 1], so rgb does too; from_rgb's clip leaves it as it is.
+        samples = tuple(Sample(image=FaceImage.from_rgb(image), normals=normals) for image in rgb)
+        groups.append(IdentityGroup(identity=f"id{i:02d}", samples=samples))
     return groups

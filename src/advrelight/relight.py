@@ -68,15 +68,6 @@ class FaceImage:
         rgb[...] = lum[:, :, None]
         return cls(_freeze(rgb @ LUMA_WEIGHTS), rgb=_freeze(rgb))
 
-    def with_luminance(self, luminance) -> "FaceImage":
-        """Reattach chroma to a new (already clamped) luminance channel."""
-        lum = np.array(luminance, dtype=np.float64)
-        if lum.shape != self.luminance.shape:
-            raise ValueError(f"luminance must be {self.luminance.shape}, got {lum.shape}")
-        if not np.all((lum >= -1e-9) & (lum <= 1.0 + 1e-9)):
-            raise ValueError("luminance must be finite and lie in [0, 1]")
-        return FaceImage(_freeze(lum), chroma=self.chroma)
-
     @cached_property
     def rgb(self) -> np.ndarray:
         return _freeze(np.clip(self.chroma * self.luminance[:, :, None], 0.0, 1.0))
@@ -97,12 +88,17 @@ class FaceImage:
 
 @dataclass(frozen=True)
 class RelightResult:
-    """A relit image; ``unclamped`` marks the masked pixels the [0, 1] clip left alone."""
+    """A relit image; ``unclamped`` marks the masked pixels the [0, 1] clip left alone.
+    :attr:`new_light` is built from a copy of the new light's coefficients when first read."""
 
     image: FaceImage
-    new_light: SHLight
+    new_coeffs: np.ndarray
     old_light: SHLight
     unclamped: np.ndarray
+
+    @cached_property
+    def new_light(self) -> SHLight:
+        return SHLight(self.new_coeffs)
 
     @property
     def clamp_fraction(self) -> float:
@@ -176,9 +172,9 @@ class RelightPlan:
         """The image :meth:`relight` returns, from its unclamped masked ``raw`` when given."""
         lum = self.image.luminance.copy()
         lum[self.mask] = self._raw(new_light) if raw is None else raw
+        if not np.isfinite(lum).all():  # as from a non-finite light
+            raise ValueError("relit luminance must be finite")
         lum.clip(0.0, 1.0, out=lum)
-        if np.isnan(lum).any():  # the only values the clip leaves outside [0, 1]
-            raise ValueError("relit luminance must not be NaN")
         return FaceImage(_freeze(lum), chroma=self.image.chroma)
 
     def relight(self, new_light) -> RelightResult:
@@ -191,7 +187,7 @@ class RelightPlan:
         raw = self._raw(new_light)
         return RelightResult(
             image=self.relit_image(new_light, raw),
-            new_light=SHLight(_light_coeffs(new_light)),
+            new_coeffs=_light_coeffs(new_light).copy(),
             old_light=self.old_light,
             unclamped=_freeze((raw >= 0.0) & (raw <= 1.0)),
         )

@@ -13,7 +13,6 @@ presentation concern and only happens at image boundaries.
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass
 
@@ -276,12 +275,13 @@ def pixel_to_direction(row: int, col: int, resolution: int) -> tuple[float, floa
 # ---------------------------------------------------------------------------
 
 def write_csv(path, header, rows) -> None:
-    """Write ``header`` then ``rows``; float cells get 6 significant digits."""
+    """Write ``header`` then ``rows`` as ``csv.writer`` does, float cells to 6 significant
+    digits. Every row has the first row's cell types, and no cell needs quoting."""
+    rows = list(rows)
+    cells = ["%.6g" if isinstance(v, (float, np.floating)) else "%s" for v in (rows or [()])[0]]
+    line = ",".join(cells) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([f"{v:.6g}" if isinstance(v, (float, np.floating)) else v
-                          for v in row] for row in rows)
+        fh.write(",".join(header) + "\r\n" + "".join(line % tuple(row) for row in rows))
 
 
 def save_light(path, light) -> None:

@@ -95,6 +95,20 @@ def test_relit_image_rejects_nan():
             plan.relit_image(new, bad)
     with pytest.raises(ValueError):
         plan.relight(np.full(9, np.nan))
+    with pytest.raises(ValueError):  # an infinite ambient term shades every pixel infinitely
+        plan.relight(np.where(np.arange(9) == 0, np.inf, 0.0))
+
+
+def test_result_builds_its_new_light_on_first_read():
+    image, old, new, _ = tilted_scene(1, tilt=0.3, gain=1.0)
+    given = new.copy()
+    result = RelightPlan(image, SPHERE, old).relight(given)
+    assert "new_light" not in vars(result)
+    given[:] = 0.0  # the result keeps its own copy of the coefficients
+    assert np.array_equal(result.new_light.coeffs, new)
+    assert result.new_light is result.new_light
+    with pytest.raises(ValueError, match="read-only"):
+        result.new_light.coeffs[0] = 1.0
 
 
 @settings(max_examples=30, deadline=None)
