@@ -20,13 +20,12 @@ static middle weights reproduces the static computation exactly.
 from __future__ import annotations
 
 import zipfile
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .attack_aq import light_gradient, relight_loss
-from .relight import NormalBasis, RelightPlan, estimate_light
+from .relight import RelightPlan, estimate_light
 from .shading import SHLight, write_csv
 from .errors import DivergenceError
 
@@ -191,20 +190,16 @@ def train(corpus, embedder, config: TrainConfig, variant: str = "static",
 
     ``corpus`` is a sequence of (FaceImage, NormalMap) pairs. The original
     light and embedding of every sample are fixed inputs, computed once; each
-    sample's plan is rebuilt for its step, sharing a basis with every sample on its map.
+    sample's plan is rebuilt for its step on the basis its normal map holds, so
+    samples that share a map share one basis.
     """
     if len(corpus) == 0:
         raise ValueError("training corpus is empty")
     if params is None:
         params = init_params(variant, hidden=hidden,
                              embed_dim=embedder.descriptor.dimension, seed=config.seed)
-    uses = Counter(id(normals) for _, normals in corpus)
-    maps = {id(normals): normals for _, normals in corpus if uses[id(normals)] > 1}
-    shared = {key: NormalBasis(normals) for key, normals in maps.items()}
-    prepared = []
-    for image, normals in corpus:
-        normals = shared.get(id(normals), normals)
-        prepared.append((image, normals, estimate_light(image, normals), embedder.embed(image)))
+    prepared = [(image, normals, estimate_light(image, normals), embedder.embed(image))
+                for image, normals in corpus]
     rng = np.random.default_rng(config.seed)
     velocity = {name: np.zeros_like(getattr(params, name)) for name in params.trainable()}
     history: list[float] = []

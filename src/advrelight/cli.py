@@ -50,6 +50,17 @@ def _managed(embedder):
             close()
 
 
+def _bounded(convert, valid, what: str):
+    """An argparse type: ``convert(text)``, refused as a usage error unless ``valid``."""
+    def parse(text: str):
+        value = convert(text)
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"{what}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # names the type in argparse's "invalid int value"
+    return parse
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser() -> _Parser:
     """The command-line parser, built once per process (argparse parses statelessly)."""
@@ -121,8 +132,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("analyze-light", help="hexagonal sensitive-point histogram")
     p.add_argument("--lights", required=True, help="lights.csv from an eval run")
-    p.add_argument("--resolution", type=int, default=128)
-    p.add_argument("--hex-size", type=float, default=8.0)
+    p.add_argument("--resolution", default=128, type=_bounded(
+        int, lambda v: 8 <= v <= MAX_SCENARIO_RESOLUTION,
+        f"resolution must lie in [8, {MAX_SCENARIO_RESOLUTION}]"))
+    p.add_argument("--hex-size", default=8.0, type=_bounded(
+        float, lambda v: 0.0 < v < np.inf, "hex size must be finite and positive"))
     p.add_argument("--out-dir", default=".")
     return parser
 
@@ -203,8 +217,8 @@ def _cmd_ap_run(args) -> int:
     return 0
 
 
-#: Largest sphere or lighting-map resolution a scenario may ask for, in px. Memory
-#: grows with its square: a 1024 px map's design matrix alone is 59 MB.
+#: Largest sphere or lighting-map resolution a scenario or ``analyze-light`` may ask for,
+#: in px. Memory grows with its square: a 1024 px map's design matrix alone is 59 MB.
 MAX_SCENARIO_RESOLUTION = 1024
 
 

@@ -86,20 +86,20 @@ def synthetic_corpus(identities: int = DEFAULT_IDENTITIES,
                      size: int = DEFAULT_SIZE,
                      seed: int = 0) -> list[IdentityGroup]:
     """Generate the fixed verification corpus; deterministic in ``seed``. Each identity's
-    images are rendered together on its one SH basis, one shading product per light."""
+    images share its normal map and are rendered together on that map's basis, one shading
+    product per light."""
     groups = []
     for i in range(identities):
         id_rng = np.random.default_rng([seed, i])
         ax, ay = id_rng.uniform(0.72, 0.95, size=2)
         az = id_rng.uniform(0.55, 1.0)
         normals = ellipsoid_normals(size, ax, ay, az)
-        basis = sh_basis(normals.normals[normals.mask])
         texture = _texture(size, id_rng)
         tint = id_rng.uniform(0.72, 1.0, size=3)
         tint /= tint.max()
         shading = np.zeros((per_identity, size, size))
         for shaded, light in zip(shading, _render_lights(seed, i, per_identity)):
-            shaded[normals.mask] = basis @ (BAND_GAINS * light)
+            shaded[normals.mask] = normals.basis @ (BAND_GAINS * light)
         lum = np.clip(np.multiply(texture, shading, out=shading), 0.0, 1.0, out=shading)
         np.copyto(lum, _BACKGROUND, where=~normals.mask)
         rgb = np.empty((*lum.shape, 3))

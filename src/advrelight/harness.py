@@ -21,8 +21,8 @@ import numpy as np
 from . import attack_ap, attack_aq
 from .corpus import IdentityGroup, Sample
 from .errors import AdvRelightError, DegenerateLabelsError, EvaluationError, ManifestError
-from .relight import NormalBasis, RelightPlan, estimate_light, load_face_image, random_relight
-from .shading import SHLight, _sphere_design, lighting_map, load_normal_map, write_csv
+from .relight import RelightPlan, estimate_light, load_face_image, random_relight
+from .shading import NormalMap, SHLight, _sphere_design, lighting_map, load_normal_map, write_csv
 
 ATTACK_METHODS = ("none", "random", "aq", "ap")
 
@@ -79,13 +79,19 @@ def _validate_manifest(manifest: DatasetManifest) -> None:
 
 
 def load_groups(manifest: DatasetManifest, base_dir=".") -> list[IdentityGroup]:
+    """Load every sample; normal maps of equal content become one object, sharing one basis."""
     base = Path(base_dir)
+    maps: dict[tuple, NormalMap] = {}
+
+    def normal_map(path) -> NormalMap:
+        loaded = load_normal_map(base / path)
+        key = (loaded.normals.shape, loaded.normals.tobytes(), loaded.mask.tobytes())
+        return maps.setdefault(key, loaded)
+
     groups = []
     for entry in manifest.identities:
-        samples = tuple(
-            Sample(load_face_image(base / img), load_normal_map(base / nrm))
-            for img, nrm in zip(entry.images, entry.normals)
-        )
+        samples = tuple(Sample(load_face_image(base / img), normal_map(nrm))
+                        for img, nrm in zip(entry.images, entry.normals))
         groups.append(IdentityGroup(entry.identity, samples))
     return groups
 
@@ -154,15 +160,12 @@ def run_attack_suite(targets, method: str, embedder, *, epsilon: float = 0.0,
         raise ValueError("method 'ap' needs trained predictor parameters")
     attacked: list[AttackedSample] = []
     failures: list[tuple[int, str]] = []
-    shared = None  # consecutive targets on one NormalMap object share its basis
     for idx, tagged in enumerate(targets):
         image, normals = tagged.sample.image, tagged.sample.normals
         try:
-            if shared is None or shared.normals is not normals:
-                shared = NormalBasis(normals)
             # Method none relights nothing, so it skips the plan and its floor check.
-            plan = None if method == "none" else RelightPlan(image, shared)
-            light = estimate_light(image, shared) if plan is None else plan.old_light
+            plan = None if method == "none" else RelightPlan(image, normals)
+            light = estimate_light(image, normals) if plan is None else plan.old_light
             embedding = None
             if method == "none":
                 new_image, adv = image, light

@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import NoLightError, NonConvergenceError
-from .relight import FaceImage, NormalBasis, estimate_light
-from .shading import LightingMap, NormalMap, SHLight, _freeze, _light_coeffs, _shading, lighting_map, pixel_to_direction, sh_basis
+from .relight import FaceImage, estimate_light
+from .shading import LightingMap, NormalMap, SHLight, _freeze, _light_coeffs, lighting_map, pixel_to_direction, sh_basis, shade
 
 TWO_PI = 2.0 * math.pi
 
@@ -66,8 +65,8 @@ class PLSPose:
 class SceneModel:
     """Normals, per-pixel albedo and a constant ambient term.
 
-    The SH basis of the masked normals is evaluated once per scene, and every
-    photo's light is fitted on it.
+    Photos are rendered, and their lights fitted, on the basis the normal map
+    holds, so scenes that share a map share one basis.
     """
 
     normals: NormalMap
@@ -85,14 +84,6 @@ class SceneModel:
         if self.ambient < 0.0:
             raise ValueError("ambient must be non-negative")
         object.__setattr__(self, "albedo", _freeze(albedo))
-
-    @cached_property
-    def basis(self) -> NormalBasis:
-        return NormalBasis(self.normals)
-
-    def estimate(self, photo: FaceImage) -> SHLight:
-        """``estimate_light(photo, self.normals)``, from the scene's basis."""
-        return estimate_light(photo, self.basis)
 
 
 @dataclass(frozen=True)
@@ -113,7 +104,7 @@ def pls_to_sh(pose: PLSPose) -> SHLight:
 
 def scene_photo(scene: SceneModel, light) -> FaceImage:
     """Forward render: albedo * shading + ambient, clipped into [0, 1]."""
-    lum = scene.albedo * _shading(scene.basis.basis, scene.normals.mask, light) + scene.ambient
+    lum = scene.albedo * shade(scene.normals, light) + scene.ambient
     lum[~scene.normals.mask] = 0.0
     return FaceImage.from_luminance(lum)
 
@@ -124,7 +115,7 @@ def scene_light_estimate(scene: SceneModel, pose: PLSPose) -> SHLight:
     Use this to express pose-defined targets in the scene pipeline, which
     keeps the area feedback meaningful for distance recovery.
     """
-    return scene.estimate(scene_photo(scene, pls_to_sh(pose)))
+    return estimate_light(scene_photo(scene, pls_to_sh(pose)), scene.normals)
 
 
 def _wrap_angle(value: float) -> float:
@@ -186,7 +177,7 @@ def recurrence_loop(target, start: PLSPose, scene: SceneModel,
     pose = start
     trace: list[tuple[PLSPose, NavFeedback]] = []
     for _ in range(max_iter + 1):
-        estimated = scene.estimate(scene_photo(scene, pls_to_sh(pose)))
+        estimated = estimate_light(scene_photo(scene, pls_to_sh(pose)), scene.normals)
         feedback = map_feedback(
             lighting_map(estimated, map_resolution), target_map, tau, tolerances
         )

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import pngio
 from .errors import DegenerateLightError, EmptyMaskError, SingularFitError
-from .shading import BAND_GAINS, NormalMap, SHLight, _freeze, _light_coeffs, sh_basis
+from .shading import BAND_GAINS, NormalMap, SHLight, _freeze, _light_coeffs
 
 #: Rec. 601 luma weights.
 LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114], dtype=np.float64)
@@ -93,7 +93,6 @@ class RelightResult:
 
     image: FaceImage
     new_coeffs: np.ndarray
-    old_light: SHLight
     unclamped: np.ndarray
 
     @cached_property
@@ -106,56 +105,27 @@ class RelightResult:
         return (self.unclamped.size - np.count_nonzero(self.unclamped)) / self.unclamped.size
 
 
-class NormalBasis:
-    """The SH basis of a normal map's masked pixels, shared by every fit and plan given it."""
-
-    def __init__(self, normals: NormalMap):
-        self.normals, self.mask = normals, normals.mask
-        self.basis = _freeze(sh_basis(normals.normals[self.mask]))
-
-    @cached_property
-    def _gained(self) -> np.ndarray:
-        return _freeze(self.basis * BAND_GAINS)
-
-    def fit(self, luminance) -> SHLight:
-        """Least-squares light from the masked pixels' ``luminance`` (uniform albedo).
-
-        Solves luminance ~= sum_j A_j L_j b_j(n) and returns the residual-norm
-        minimizer. Raises :class:`SingularFitError` when the system has rank below 9,
-        and :class:`EmptyMaskError` when no pixel is masked.
-        """
-        if not len(self.basis):
-            raise EmptyMaskError("light estimation needs at least one masked pixel")
-        solution, _, rank, _ = np.linalg.lstsq(self._gained, luminance, rcond=None)
-        if rank < 9:
-            raise SingularFitError(rank=int(rank))
-        return SHLight(solution)
-
-    @classmethod
-    def of(cls, normals: NormalMap | NormalBasis, image: FaceImage) -> NormalBasis:
-        """``normals`` as a basis (itself if one already) once ``image``'s shape is checked."""
-        if image.luminance.shape != normals.mask.shape:
-            raise ValueError("image and normal map dimensions differ")
-        return normals if isinstance(normals, cls) else cls(normals)
+def _masked_luminance(image: FaceImage, normals: NormalMap) -> np.ndarray:
+    if image.luminance.shape != normals.mask.shape:
+        raise ValueError("image and normal map dimensions differ")
+    return image.luminance[normals.mask]
 
 
 class RelightPlan:
     """Quotient relighting of one (image, normals, old light) for any new light.
 
     Over the masked pixels the raw relit luminance is ``lum * (basis @ (gains * L')) / denom``,
-    linear in the new light L'. The floored old-light shading, and the SH basis unless
-    ``normals`` is a :class:`NormalBasis`, are evaluated once, here. Without ``old_light``
-    the plan fits it from that basis, exactly as :func:`estimate_light` does.
+    linear in the new light L', on the normal map's own basis. The floored old-light shading
+    is evaluated once, here. Without ``old_light`` the plan fits it by :func:`estimate_light`.
     """
 
-    def __init__(self, image: FaceImage, normals: NormalMap | NormalBasis, old_light=None):
-        shared = NormalBasis.of(normals, image)
-        self.image, self.mask, self.basis = image, shared.mask, shared.basis
-        self.lum = image.luminance[self.mask]
+    def __init__(self, image: FaceImage, normals: NormalMap, old_light=None):
+        self.lum = _masked_luminance(image, normals)
+        self.image, self.mask, self.basis = image, normals.mask, normals.basis
         n_masked = self.lum.size
         if n_masked == 0:
             raise EmptyMaskError("relighting needs at least one masked pixel")
-        self.old_light = (shared.fit(self.lum) if old_light is None
+        self.old_light = (estimate_light(image, normals) if old_light is None
                           else SHLight(_light_coeffs(old_light)))
         f_old = self.basis @ (BAND_GAINS * self.old_light.coeffs)
         floored = int((f_old < DENOM_FLOOR).sum())
@@ -188,7 +158,6 @@ class RelightPlan:
         return RelightResult(
             image=self.relit_image(new_light, raw),
             new_coeffs=_light_coeffs(new_light).copy(),
-            old_light=self.old_light,
             unclamped=_freeze((raw >= 0.0) & (raw <= 1.0)),
         )
 
@@ -198,10 +167,20 @@ class RelightPlan:
         return BAND_GAINS * (self.basis.T @ (g * self.ratio * result.unclamped))
 
 
-def estimate_light(image: FaceImage, normals: NormalMap | NormalBasis) -> SHLight:
-    """Least-squares light from an image and its normals: :meth:`NormalBasis.fit`."""
-    shared = NormalBasis.of(normals, image)
-    return shared.fit(image.luminance[shared.mask])
+def estimate_light(image: FaceImage, normals: NormalMap) -> SHLight:
+    """Least-squares light from an image and its normals (uniform albedo).
+
+    Solves luminance ~= sum_j A_j L_j b_j(n) over the masked pixels, on the map's basis, and
+    returns the residual-norm minimizer. Raises ``ValueError`` when the shapes differ,
+    :class:`SingularFitError` below rank 9 and :class:`EmptyMaskError` when no pixel is masked.
+    """
+    luminance = _masked_luminance(image, normals)
+    if not luminance.size:
+        raise EmptyMaskError("light estimation needs at least one masked pixel")
+    solution, _, rank, _ = np.linalg.lstsq(normals.basis * BAND_GAINS, luminance, rcond=None)
+    if rank < 9:
+        raise SingularFitError(rank=int(rank))
+    return SHLight(solution)
 
 
 def random_relight(plan: RelightPlan, epsilon: float, seed: int) -> RelightResult:

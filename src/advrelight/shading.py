@@ -72,7 +72,8 @@ class NormalMap:
     """Per-pixel unit surface normals with a validity mask.
 
     Camera-space convention: x right, y up, z toward the camera. Pixels
-    outside the mask are ignored by every operation.
+    outside the mask are ignored by every operation. :attr:`basis` is
+    evaluated on first read and kept for as long as the map.
     """
 
     normals: np.ndarray
@@ -95,13 +96,10 @@ class NormalMap:
         object.__setattr__(self, "normals", _freeze(n))
         object.__setattr__(self, "mask", _freeze(m))
 
-    @property
-    def height(self) -> int:
-        return self.normals.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.normals.shape[1]
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        """The (n, 9) SH basis of the masked normals, in row-major order."""
+        return _freeze(sh_basis(self.normals[self.mask]))
 
 
 @dataclass(frozen=True)
@@ -204,14 +202,8 @@ def _sh_terms(x, y, z) -> list[np.ndarray]:
 
 def shade(normal_map: NormalMap, light) -> np.ndarray:
     """Lambertian shading f(N, L): raw values, zero outside the mask."""
-    mask = normal_map.mask
-    return _shading(sh_basis(normal_map.normals[mask]), mask, light)
-
-
-def _shading(basis: np.ndarray, mask: np.ndarray, light) -> np.ndarray:
-    """:func:`shade` from the SH ``basis`` of the ``mask``'s pixels, in row-major order."""
-    out = np.zeros(mask.shape, dtype=np.float64)
-    out[mask] = basis @ (BAND_GAINS * _light_coeffs(light))
+    out = np.zeros(normal_map.mask.shape, dtype=np.float64)
+    out[normal_map.mask] = normal_map.basis @ (BAND_GAINS * _light_coeffs(light))
     return out
 
 

@@ -15,6 +15,7 @@ from advrelight.attack_ap import (
     write_loss_history_csv,
 )
 from advrelight.attack_aq import relight_loss
+from advrelight.corpus import synthetic_corpus
 from advrelight.embedder import EmbedderDescriptor, cosine_similarity
 from advrelight.errors import DivergenceError
 from advrelight.relight import RelightPlan, estimate_light
@@ -175,13 +176,11 @@ def test_training_determinism(builtin_embedder, corpus):
     assert hist_a == hist_b
 
 
-def test_training_evaluates_one_basis_per_shared_map(monkeypatch, builtin_embedder, corpus):
-    """Samples on one map share its basis; samples with their own maps keep one per fit and step.
+def test_training_evaluates_one_basis_per_shared_map(monkeypatch, builtin_embedder):
+    """A corpus and the training after it evaluate each normal map's basis once between them.
 
-    Both corpora hold the same images and normal values, so training is the same bit for bit.
+    Samples on their own copies of the maps train the same bit for bit, one basis per copy.
     """
-    shared = [(s.image, s.normals) for g in corpus[:2] for s in g.samples[:3]]
-    own = [(image, NormalMap(normals.normals, normals.mask)) for image, normals in shared]
     cfg = TrainConfig(epochs=2, batch_size=4, seed=5)
     calls = []
 
@@ -189,16 +188,16 @@ def test_training_evaluates_one_basis_per_shared_map(monkeypatch, builtin_embedd
         calls.append(1)
         return sh_basis(normals)
 
-    def run(samples):
-        calls.clear()
-        params, history = train(samples, builtin_embedder, cfg, hidden=8)
-        return len(calls), params, history
-
     patch_every_binding(monkeypatch, sh_basis, counting_basis)
-    shared_calls, shared_params, shared_history = run(shared)
-    own_calls, own_params, own_history = run(own)
-    assert shared_calls == 2
-    assert own_calls == len(own) * (1 + cfg.epochs)
+    groups = synthetic_corpus(identities=2, per_identity=3)
+    assert len(calls) == 2 * len(groups)  # each identity's light directions, then its map
+    shared = [(s.image, s.normals) for g in groups for s in g.samples]
+    own = [(image, NormalMap(normals.normals, normals.mask)) for image, normals in shared]
+    calls.clear()
+    shared_params, shared_history = train(shared, builtin_embedder, cfg, hidden=8)
+    assert calls == []
+    own_params, own_history = train(own, builtin_embedder, cfg, hidden=8)
+    assert len(calls) == len(own)
     assert shared_history == own_history
     for name in shared_params.trainable():
         assert np.array_equal(getattr(shared_params, name), getattr(own_params, name))

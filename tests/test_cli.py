@@ -304,6 +304,26 @@ def test_phy_sim_resolution_above_bound_exits_2_before_allocating(tmp_path, caps
     assert err.startswith("error: malformed scenario") and key in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--resolution", "7"), ("--resolution", str(MAX_SCENARIO_RESOLUTION + 1)),
+    ("--resolution", "100000"), ("--resolution", "x"),
+    ("--hex-size", "inf"), ("--hex-size", "nan"), ("--hex-size", "0"), ("--hex-size", "-1"),
+])
+def test_analyze_light_out_of_bound_flag_exits_1_before_allocating(tmp_path, capsys, monkeypatch,
+                                                                  flag, value):
+    """Bad flags are usage errors, found before the lights file is read or a map is built."""
+    def sphere_normals(resolution):
+        raise AssertionError("allocated before the bound check")
+
+    monkeypatch.setattr(shading, "sphere_normals", sphere_normals)
+    out = tmp_path / "out"
+    assert cli(["analyze-light", "--lights", str(tmp_path / "missing.csv"), flag, value,
+                "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err and "usage" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("module, args, code", [
     pytest.param("advrelight", ["--help"], 0, id="args0-0"),
     pytest.param("advrelight", ["eval", "--method", "fgsm"], 1, id="args1-1"),

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from advrelight import harness
 from advrelight.attack_ap import init_params
-from advrelight.corpus import synthetic_corpus
+from advrelight.corpus import ellipsoid_normals, synthetic_corpus
 from advrelight.embedder import BuiltinEmbedder
 from advrelight.errors import DegenerateLabelsError, ManifestError
 from advrelight.harness import (
@@ -22,7 +22,8 @@ from advrelight.harness import (
     similarity_matrix,
 )
 from advrelight.phy_sim import PLSPose, pls_to_sh
-from advrelight.shading import SHLight, lighting_map, sh_basis
+from advrelight.relight import FaceImage, save_face_image
+from advrelight.shading import NormalMap, SHLight, lighting_map, save_normal_map, sh_basis, sphere_normals
 
 from conftest import BlackBox, patch_every_binding
 from helpers.lighting import dense_values
@@ -95,6 +96,30 @@ def test_manifest_roundtrip(tmp_path):
     assert manifest.identities[0].identity == "a"
 
 
+def test_load_groups_interns_normal_maps_of_equal_content(tmp_path):
+    """Equal normal maps under different names load as one object, so they share one basis;
+    different contents, and equal bytes in different shapes, stay apart."""
+    flat = {shape: NormalMap(np.broadcast_to([0.0, 0.0, 1.0], (*shape, 3)).copy(),
+                             np.ones(shape, dtype=bool)) for shape in ((2, 8), (8, 2))}
+    maps = {"a.png": sphere_normals(16), "a_copy.png": sphere_normals(16),
+            "b.png": ellipsoid_normals(16, 0.8, 0.9, 0.7),
+            "wide.png": flat[2, 8], "tall.png": flat[8, 2]}
+    for name, normals in maps.items():
+        save_normal_map(tmp_path / name, normals)
+    save_face_image(tmp_path / "face.png", FaceImage.from_luminance(np.full((16, 16), 0.5)))
+    manifest = harness.DatasetManifest((
+        harness.ManifestEntry("x", ("face.png",) * 4, ("a.png", "b.png", "wide.png", "a_copy.png")),
+        harness.ManifestEntry("y", ("face.png",) * 4, ("a_copy.png", "tall.png", "b.png", "a.png")),
+    ), k=2)
+    x, y = ([s.normals for s in g.samples] for g in harness.load_groups(manifest, tmp_path))
+    assert x[0] is x[3] is y[0] is y[3]
+    assert x[1] is y[2] and x[1] is not x[0]
+    assert x[2].normals.tobytes() == y[1].normals.tobytes()
+    assert x[2].mask.tobytes() == y[1].mask.tobytes()
+    assert (x[2].mask.shape, y[1].mask.shape) == ((2, 8), (8, 2))
+    assert len({id(normals) for normals in x + y}) == 4
+
+
 # ---------------------------------------------------------------------------
 # Attack suite and similarity matrix
 # ---------------------------------------------------------------------------
@@ -128,8 +153,8 @@ def test_suite_random_and_aq(small_groups, builtin_embedder):
 
 
 @pytest.mark.parametrize("method", ["none", "random", "aq", "ap"])
-def test_suite_evaluates_one_basis_per_target(monkeypatch, small_groups, builtin_embedder, method):
-    """Targets on one normal map share one SH basis for their light fits and attacks."""
+def test_suite_evaluates_one_basis_per_target(monkeypatch, builtin_embedder, method):
+    """A corpus and the suite after it evaluate each normal map's basis once between them."""
     calls = []
 
     def counting_basis(normals):
@@ -137,14 +162,15 @@ def test_suite_evaluates_one_basis_per_target(monkeypatch, small_groups, builtin
         return sh_basis(normals)
 
     patch_every_binding(monkeypatch, sh_basis, counting_basis)
-    split = build_split(small_groups, k=2, seed=0)
+    groups = synthetic_corpus(identities=3, per_identity=4, size=48, seed=1)
+    assert len(calls) == 2 * len(groups)  # each identity's light directions, then its map
+    split = build_split(groups, k=2, seed=0)
     params = init_params("static", hidden=8, embed_dim=builtin_embedder.descriptor.dimension)
     suite = run_attack_suite(split.target, method, builtin_embedder, epsilon=0.2,
                              iterations=2, params=params)
     assert suite.failures == ()
-    maps = {id(t.sample.normals) for t in split.target}
-    assert len(maps) < len(split.target)
-    assert len(calls) == len(maps)
+    assert len({id(t.sample.normals) for t in split.target}) == len(groups)
+    assert len(calls) == 2 * len(groups)
 
 
 def test_suite_unknown_method(small_groups, builtin_embedder):

@@ -18,7 +18,7 @@ from advrelight.phy_sim import (
     scene_light_estimate,
     scene_photo,
 )
-from advrelight.relight import FaceImage, NormalBasis, estimate_light
+from advrelight.relight import FaceImage, estimate_light
 from advrelight.shading import (
     NormalMap,
     SHLight,
@@ -293,7 +293,7 @@ def test_scene_photo_range(scene):
 @pytest.mark.parametrize("normals", [sphere_normals(64), ellipsoid_normals(48, 0.8, 0.9, 0.7)],
                          ids=["sphere", "ellipsoid"])
 def test_scene_basis_matches_shade_and_estimate_light(normals):
-    """Photos, fits and pose targets from the scene's basis equal ``shade`` and ``estimate_light``."""
+    """Photos and pose targets from the map's basis equal ``shade`` and ``estimate_light``."""
     rng = np.random.default_rng(8)
     scene = SceneModel(normals=normals, albedo=rng.uniform(0.3, 1.0, normals.mask.shape),
                        ambient=0.2)
@@ -306,30 +306,34 @@ def test_scene_basis_matches_shade_and_estimate_light(normals):
         lum[~normals.mask] = 0.0
         assert np.array_equal(photo.luminance,
                               FaceImage.from_luminance(np.clip(lum, 0.0, 1.0)).luminance)
-        fresh_fit = estimate_light(photo, normals).coeffs
-        assert np.array_equal(scene.estimate(photo).coeffs, fresh_fit)
-        assert np.array_equal(scene_light_estimate(scene, pose).coeffs, fresh_fit)
+        fresh = NormalMap(normals.normals, normals.mask)  # evaluates a basis of its own
+        assert np.array_equal(scene_light_estimate(scene, pose).coeffs,
+                              estimate_light(photo, fresh).coeffs)
 
 
-def test_scene_basis_is_evaluated_once_per_scene(monkeypatch, scene):
-    target = pls_to_sh(PLSPose(1.0, 0.6, 2.0, 1.5))
+def test_scene_basis_is_evaluated_once_per_scene(monkeypatch):
+    """Scenarios on ``sphere_normals(64)`` evaluate its basis once between them; every
+    photo adds only ``pls_to_sh``'s one-row direction basis."""
     rows = []
 
     def counting(normals):
         rows.append(np.shape(normals)[:-1])
         return sh_basis(normals)
 
-    patch_every_binding(monkeypatch, sh_basis, counting)  # the scene's NormalBasis and pls_to_sh
-    fresh = SceneModel(normals=scene.normals, albedo=scene.albedo, ambient=scene.ambient)
-    try:
-        trace = recurrence_loop(target, PLSPose(3.0, 0.3, 2.0, 1.5), fresh, max_iter=3).trace
-    except NonConvergenceError as exc:
-        trace = exc.trace
-    assert rows.count((int(scene.normals.mask.sum()),)) == 1
-    assert rows.count(()) == len(trace)  # pls_to_sh's direction, once per photo
-    assert len(rows) == len(trace) + 1
-    assert isinstance(fresh.basis, NormalBasis)
-
+    patch_every_binding(monkeypatch, sh_basis, counting)
+    sphere_normals.cache_clear()  # a map whose basis no earlier test has read
+    photos = 0
+    for ambient, azimuth in ((0.25, 1.0), (0.1, 2.0), (0.4, 4.0)):
+        scene = SceneModel(normals=sphere_normals(64), albedo=0.8, ambient=ambient)
+        target = scene_light_estimate(scene, PLSPose(azimuth, 0.6, 2.0, 1.5))
+        try:
+            trace = recurrence_loop(target, PLSPose(3.0, 0.3, 2.0, 1.5), scene, max_iter=3).trace
+        except NonConvergenceError as exc:
+            trace = exc.trace
+        photos += 1 + len(trace)
+    assert rows.count((int(sphere_normals(64).mask.sum()),)) == 1
+    assert rows.count(()) == photos  # pls_to_sh's direction, once per photo
+    assert len(rows) == photos + 1
 
 
 def test_empty_scene_raises_empty_mask():

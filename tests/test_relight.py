@@ -7,14 +7,13 @@ from advrelight.errors import DegenerateLightError, EmptyMaskError, SingularFitE
 from advrelight.relight import (
     LUMA_WEIGHTS,
     FaceImage,
-    NormalBasis,
     RelightPlan,
     estimate_light,
     load_face_image,
     random_relight,
     save_face_image,
 )
-from advrelight.shading import BAND_GAINS, NormalMap, SHLight, shade, sphere_normals
+from advrelight.shading import BAND_GAINS, NormalMap, SHLight, sh_basis, shade, sphere_normals
 
 from conftest import make_safe_light, make_scene
 
@@ -140,24 +139,31 @@ def test_from_luminance_equals_grey_from_rgb(seed, shape, grid):
 
 
 def test_normal_basis_fit_is_lstsq_on_the_gained_basis(sphere64):
+    """A light fit is lstsq on the map's own basis times the band gains, bit for bit."""
     image, _ = make_scene(np.random.default_rng(11), sphere64)
-    shared = NormalBasis(sphere64)
+    basis = sh_basis(sphere64.normals[sphere64.mask])
+    assert sphere64.basis.tobytes() == basis.tobytes() and not sphere64.basis.flags.writeable
     lum = image.luminance[sphere64.mask]
-    expected = np.linalg.lstsq(shared.basis * BAND_GAINS, lum, rcond=None)[0]
-    for _ in range(2):  # the first fit and a fit on the kept gained basis
-        assert shared.fit(lum).coeffs.tobytes() == expected.tobytes()
-    assert estimate_light(image, shared).coeffs.tobytes() == expected.tobytes()
+    expected = np.linalg.lstsq(basis * BAND_GAINS, lum, rcond=None)[0]
+    for _ in range(2):  # the second fit reads the basis the first one kept on the map
+        assert estimate_light(image, sphere64).coeffs.tobytes() == expected.tobytes()
+    assert RelightPlan(image, sphere64).old_light.coeffs.tobytes() == expected.tobytes()
 
 
 def test_normal_basis_fit_raises_below_rank_9_and_on_an_empty_mask():
+    """``estimate_light`` and a plan that fits its own light raise the same errors."""
     sphere = sphere_normals(16)
+    image = FaceImage.from_luminance(np.full((16, 16), 0.5))
     few = np.zeros_like(sphere.mask)
     few[8, 4:12] = True  # one row of the sphere: its normals span fewer than 9 terms
-    with pytest.raises(SingularFitError) as err:
-        NormalBasis(NormalMap(sphere.normals, few)).fit(np.full(8, 0.5))
-    assert 0 < err.value.rank < 9
-    with pytest.raises(EmptyMaskError):
-        NormalBasis(NormalMap(sphere.normals, np.zeros_like(sphere.mask))).fit(np.zeros(0))
+    for fit in (estimate_light, RelightPlan):
+        with pytest.raises(SingularFitError) as err:
+            fit(image, NormalMap(sphere.normals, few))
+        assert 0 < err.value.rank < 9
+        with pytest.raises(EmptyMaskError):
+            fit(image, NormalMap(sphere.normals, np.zeros_like(sphere.mask)))
+        with pytest.raises(ValueError, match="dimensions differ"):
+            fit(image, sphere_normals(32))
 
 
 def test_quotient_identity(sphere64):
