@@ -33,6 +33,11 @@ VARIANTS = ("static", "dynamic")
 
 PARAMS_FORMAT_VERSION = 1
 
+#: Largest dynamic generator ``init_params`` builds, in floats (hidden^2 x embedding
+#: dimension). Training holds the generator, its velocity and its batch sum, each 64 MB
+#: at the cap, which hidden width 256 on 128-d embeddings reaches.
+MAX_GENERATOR_FLOATS = 2 ** 23
+
 
 @dataclass
 class AdvLNetParams:
@@ -88,8 +93,10 @@ class TrainConfig:
     l1_weight: float = 1.0
 
     def __post_init__(self):
-        if min(self.learning_rate, self.momentum, self.batch_size, self.epochs) <= 0:
-            raise ValueError("learning rate, momentum, batch size and epochs must be positive")
+        values = (self.learning_rate, self.momentum, self.batch_size, self.epochs)
+        if not all(0 < v < np.inf for v in values):  # NaN fails both comparisons
+            raise ValueError("learning rate, momentum, batch size and epochs must be finite "
+                             "and positive")
 
 
 def init_params(variant: str, hidden: int = 32, embed_dim: int = 128, seed: int = 0,
@@ -104,6 +111,11 @@ def init_params(variant: str, hidden: int = 32, embed_dim: int = 128, seed: int 
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
+    if hidden < 1:
+        raise ValueError(f"hidden width must be at least 1, got {hidden}")
+    if variant == "dynamic" and hidden * hidden * embed_dim > MAX_GENERATOR_FLOATS:
+        raise ValueError(f"a dynamic generator of hidden width {hidden} on {embed_dim}-d "
+                         f"embeddings exceeds {MAX_GENERATOR_FLOATS} floats")
     rng = np.random.default_rng(seed)
     params = AdvLNetParams(
         variant=variant,
@@ -140,7 +152,11 @@ def forward_net(params: AdvLNetParams, light: np.ndarray, embedding: np.ndarray)
 
 
 def backward_net(params: AdvLNetParams, cache, d_delta: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of <delta, d_delta> w.r.t. every trainable parameter."""
+    """Gradients of <delta, d_delta> w.r.t. every trainable parameter.
+
+    The dynamic generator's gradient is left factored: it is
+    ``np.outer(grads["bg"], embedding)``, and ``grads`` holds no ``"wg"``.
+    """
     light, embedding, a1, h1, w2, a2, h2 = cache
     grads: dict[str, np.ndarray] = {}
     grads["w3"] = np.outer(d_delta, h2)
@@ -156,9 +172,15 @@ def backward_net(params: AdvLNetParams, cache, d_delta: np.ndarray) -> dict[str,
     if params.variant == "static":
         grads["w2"] = dw2
     else:
-        grads["wg"] = np.outer(dw2.reshape(-1), embedding)
         grads["bg"] = dw2.reshape(-1)
     return grads
+
+
+def _check_embedding_dim(params: AdvLNetParams, dim: int) -> None:
+    """A dynamic predictor's generator reads embeddings of exactly ``params.embed_dim``."""
+    if params.variant == "dynamic" and dim != params.embed_dim:
+        raise ValueError(f"dynamic predictor expects {params.embed_dim}-d embeddings, "
+                         f"the embedder gives {dim}-d")
 
 
 def predict(plan: RelightPlan, params: AdvLNetParams, embedder):
@@ -167,7 +189,9 @@ def predict(plan: RelightPlan, params: AdvLNetParams, embedder):
     Returns (relit image, adversarial light).
     """
     light = plan.old_light.coeffs
-    delta, _ = forward_net(params, light, embedder.embed(plan.image))
+    embedding = embedder.embed(plan.image)
+    _check_embedding_dim(params, embedding.size)
+    delta, _ = forward_net(params, light, embedding)
     adversarial = SHLight(light + delta)
     return plan.relight(adversarial).image, adversarial
 
@@ -184,6 +208,17 @@ def sample_gradient(params: AdvLNetParams, plan: RelightPlan, embedder,
     return value, backward_net(params, cache, d_delta)
 
 
+def add_generator_gradient(accum: np.ndarray, bg_grad: np.ndarray, embedding: np.ndarray) -> None:
+    """``accum += np.outer(bg_grad, embedding)``, added over the nonzero rows of ``bg_grad`` only.
+
+    Bit for bit the dense add while ``embedding`` is finite and ``accum`` holds no -0.0, as a
+    sum that starts at +0.0 never does: a skipped row adds products of +-0.0, and x + +-0.0
+    is x for every other x. NaN entries are nonzero, so their rows are added.
+    """
+    rows = np.flatnonzero(bg_grad)
+    accum[rows] += np.outer(bg_grad[rows], embedding)
+
+
 def train(corpus, embedder, config: TrainConfig, variant: str = "static",
           hidden: int = 32, params: AdvLNetParams | None = None):
     """SGD with momentum over the corpus; returns (params, epoch loss history).
@@ -191,13 +226,18 @@ def train(corpus, embedder, config: TrainConfig, variant: str = "static",
     ``corpus`` is a sequence of (FaceImage, NormalMap) pairs. The original
     light and embedding of every sample are fixed inputs, computed once; each
     sample's plan is rebuilt for its step on the basis its normal map holds, so
-    samples that share a map share one basis.
+    samples that share a map share one basis. A given ``params`` object is
+    trained on copies of its arrays, updated in place; the arrays it held are
+    never written.
     """
     if len(corpus) == 0:
         raise ValueError("training corpus is empty")
     if params is None:
         params = init_params(variant, hidden=hidden,
                              embed_dim=embedder.descriptor.dimension, seed=config.seed)
+    _check_embedding_dim(params, embedder.descriptor.dimension)
+    for name in params.trainable():
+        setattr(params, name, getattr(params, name).copy())
     prepared = [(image, normals, estimate_light(image, normals), embedder.embed(image))
                 for image, normals in corpus]
     rng = np.random.default_rng(config.seed)
@@ -222,10 +262,13 @@ def train(corpus, embedder, config: TrainConfig, variant: str = "static",
                 epoch_losses.append(value)
                 for name, grad in grads.items():
                     accum[name] += grad
-            for name in accum:
-                velocity[name] = config.momentum * velocity[name] + accum[name] / len(batch)
-                updated = getattr(params, name) - config.learning_rate * velocity[name]
-                setattr(params, name, updated)
+                if params.variant == "dynamic":
+                    add_generator_gradient(accum["wg"], grads["bg"], embedding)
+            for name, v in velocity.items():
+                v *= config.momentum
+                v += accum[name] / len(batch)
+                p = getattr(params, name)
+                p -= config.learning_rate * v
         history.append(float(np.mean(epoch_losses)))
     return params, history
 

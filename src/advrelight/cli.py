@@ -99,11 +99,16 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--manifest", help="dataset manifest; synthetic corpus when omitted")
     p.add_argument("--variant", choices=attack_ap.VARIANTS, default="static")
-    p.add_argument("--hidden", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--epochs", type=int, default=10)
+    p.add_argument("--hidden", default=32, type=_bounded(
+        int, lambda v: 1 <= v <= MAX_HIDDEN, f"hidden width must lie in [1, {MAX_HIDDEN}]"))
+    p.add_argument("--lr", default=1e-3, type=_bounded(
+        float, lambda v: 0.0 < v < np.inf, "learning rate must be finite and positive"))
+    p.add_argument("--momentum", default=0.9, type=_bounded(
+        float, lambda v: 0.0 < v < np.inf, "momentum must be finite and positive"))
+    p.add_argument("--batch-size", default=8, type=_bounded(
+        int, lambda v: v >= 1, "batch size must be at least 1"))
+    p.add_argument("--epochs", default=10, type=_bounded(
+        int, lambda v: v >= 1, "epochs must be at least 1"))
     p.add_argument("--out", required=True)
     p.add_argument("--loss-csv")
 
@@ -216,6 +221,10 @@ def _cmd_ap_run(args) -> int:
     print(f"similarity {similarity:.6g}")
     return 0
 
+
+#: Largest ``ap-train --hidden``. A dynamic predictor's generator grows with its square
+#: times the embedding dimension, which ``attack_ap.MAX_GENERATOR_FLOATS`` caps.
+MAX_HIDDEN = 256
 
 #: Largest sphere or lighting-map resolution a scenario or ``analyze-light`` may ask for,
 #: in px. Memory grows with its square: a 1024 px map's design matrix alone is 59 MB.

@@ -33,18 +33,20 @@ class FaceImage:
 
     ``luminance`` is what shading operations act on; ``chroma`` is the
     per-channel ratio rgb / luminance, so that a relit luminance can be
-    reattached to the original colors. An image holds the one of ``rgb`` and
-    ``chroma`` it was built from and derives the other on first read, so a
-    relit image builds rgb only when saved. All three arrays are read-only.
-    Build instances with :meth:`from_rgb` or :meth:`from_luminance`.
+    reattached to the original colors. An image built from rgb derives its
+    chroma on first read. A relit image shares its source's colors: its first
+    read of ``chroma`` (or of ``rgb``, which it builds only when saved) reads the
+    source's ``chroma``. All three arrays are read-only. Build instances with
+    :meth:`from_rgb` or :meth:`from_luminance`.
     """
 
     luminance: np.ndarray
 
     def __init__(self, luminance: np.ndarray, rgb: np.ndarray | None = None,
-                 chroma: np.ndarray | None = None):
-        """Take ``luminance`` and exactly one of ``rgb`` and ``chroma``, checked and frozen."""
-        held = {"rgb": rgb} if chroma is None else {"chroma": chroma}
+                 colors_of: FaceImage | None = None):
+        """Take ``luminance`` and either ``rgb`` or ``colors_of``, the image whose chroma this
+        one shares; the arrays must be checked and frozen."""
+        held = {"rgb": rgb} if colors_of is None else {"_colors_of": colors_of}
         vars(self).update(luminance=luminance, **held)
 
     @classmethod
@@ -74,6 +76,9 @@ class FaceImage:
 
     @cached_property
     def chroma(self) -> np.ndarray:
+        source = vars(self).get("_colors_of")
+        if source is not None:
+            return source.chroma
         lum = self.luminance[:, :, None]
         return _freeze(np.where(lum > _CHROMA_EPS, self.rgb / np.maximum(lum, _CHROMA_EPS), 0.0))
 
@@ -145,7 +150,7 @@ class RelightPlan:
         if not np.isfinite(lum).all():  # as from a non-finite light
             raise ValueError("relit luminance must be finite")
         lum.clip(0.0, 1.0, out=lum)
-        return FaceImage(_freeze(lum), chroma=self.image.chroma)
+        return FaceImage(_freeze(lum), colors_of=self.image)
 
     def relight(self, new_light) -> RelightResult:
         """Relight via the shading quotient f(N, L') / f(N, L).

@@ -24,6 +24,7 @@ from advrelight.shading import SHLight, lighting_map, shade, sphere_normals
 
 from helpers.lighting import dense_values
 from helpers.relighting import jacobian
+from helpers.training import dense_gradients
 
 EPSILONS_CHAIN = (0.2, 0.4, 0.8)
 EPSILONS_SWEEP = (0.1, 0.2, 0.4, 0.8)
@@ -224,6 +225,7 @@ def test_criterion_7_predictor_training(corpus, embedder):
     for variant in ("static", "dynamic"):
         params = init_params(variant, hidden=8, seed=7)
         _, grads = sample_gradient(params, plan, embedder, embedding)
+        grads = dense_gradients(params, grads, embedding)
         h = 1e-6
         fd_all, an_all = [], []
         for name in params.trainable():

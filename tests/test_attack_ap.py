@@ -4,6 +4,7 @@ import pytest
 from advrelight.attack_ap import (
     AdvLNetParams,
     TrainConfig,
+    add_generator_gradient,
     backward_net,
     forward_net,
     init_params,
@@ -22,6 +23,7 @@ from advrelight.relight import RelightPlan, estimate_light
 from advrelight.shading import NormalMap, sh_basis, sphere_normals
 
 from conftest import BlackBox, make_safe_light, make_scene, patch_every_binding
+from helpers.training import dense_gradients, dense_train
 
 
 def small_scene(seed=0, size=24):
@@ -118,6 +120,7 @@ def test_backprop_matches_fd(builtin_embedder, variant):
     assert min(np.abs(cache[2]).min(), np.abs(cache[5]).min()) > 50 * h
 
     _, grads = sample_gradient(params, plan, builtin_embedder, embedding)
+    grads = dense_gradients(params, grads, embedding)
 
     def loss_at(p):
         d, _ = forward_net(p, light.coeffs, embedding)
@@ -270,3 +273,89 @@ def test_training_with_black_box_embedder(builtin_embedder, corpus):
                             variant="static", hidden=8)
     assert len(history) == 2
     assert all(np.isfinite(v) for v in history)
+
+
+@pytest.fixture(scope="module")
+def ten_samples():
+    """Ten samples on two maps: neither batch size 3 nor 8 divides them."""
+    return [(s.image, s.normals)
+            for g in synthetic_corpus(identities=2, per_identity=5) for s in g.samples]
+
+
+@pytest.mark.parametrize("batch_size", [3, 8])
+@pytest.mark.parametrize("hidden", [8, 32])
+@pytest.mark.parametrize("variant", ["static", "dynamic"])
+def test_training_equals_the_dense_oracle_bit_for_bit(builtin_embedder, ten_samples, variant,
+                                                      hidden, batch_size):
+    cfg = TrainConfig(epochs=2, batch_size=batch_size, seed=4)
+    params, history = train(ten_samples, builtin_embedder, cfg, variant=variant, hidden=hidden)
+    oracle, oracle_history = dense_train(ten_samples, builtin_embedder, cfg, variant=variant,
+                                         hidden=hidden)
+    assert history == oracle_history
+    for name in params.trainable():
+        assert np.array_equal(getattr(params, name), getattr(oracle, name)), name
+
+
+def test_training_never_writes_the_callers_arrays(builtin_embedder, ten_samples):
+    cfg = TrainConfig(epochs=2, batch_size=3, seed=1)
+    params = init_params("dynamic", hidden=8, seed=2)
+    held = {name: getattr(params, name) for name in params.trainable()}
+    before = {name: array.copy() for name, array in held.items()}
+    trained, history = train(ten_samples, builtin_embedder, cfg, params=params)
+    oracle, oracle_history = dense_train(ten_samples, builtin_embedder, cfg,
+                                         params=init_params("dynamic", hidden=8, seed=2))
+    assert history == oracle_history
+    for name, array in held.items():
+        assert np.array_equal(array, before[name]), name
+        assert np.array_equal(getattr(trained, name), getattr(oracle, name)), name
+        assert not np.array_equal(getattr(trained, name), before[name]), name
+
+
+def test_generator_gradient_row_sparse_add_equals_the_dense_add():
+    """Rows of +0.0, -0.0 and NaN, on a sum that starts at +0.0 and on rows already summed."""
+    rng = np.random.default_rng(11)
+    bg = rng.normal(size=12)
+    bg[[1, 4]], bg[[2, 7]], bg[5] = 0.0, -0.0, np.nan
+    embedding = rng.normal(size=6)
+    embedding[3] = 0.0
+    later = bg.copy()
+    later[[0, 3]] = 0.0  # rows that hold a sum by now add nothing
+    sparse, dense = np.zeros((12, 6)), np.zeros((12, 6))
+    for grad in (bg, -bg, later):
+        add_generator_gradient(sparse, grad, embedding)
+        dense += np.outer(grad, embedding)
+        assert sparse.tobytes() == dense.tobytes()
+    skipped = np.outer(bg, embedding)[[1, 2, 4, 7]]
+    assert np.signbit(skipped).any() and not np.signbit(skipped).all()
+    assert np.isnan(sparse[5]).all()
+
+
+@pytest.mark.parametrize("variant, hidden, embed_dim, message", [
+    ("static", 0, 128, "hidden width must be at least 1, got 0"),
+    ("dynamic", -1, 128, "hidden width must be at least 1, got -1"),
+    ("dynamic", 257, 128, "exceeds 8388608 floats"),
+    ("dynamic", 32, 8193, "exceeds 8388608 floats"),
+])
+def test_init_params_refuses_before_allocating(monkeypatch, variant, hidden, embed_dim, message):
+    def default_rng(seed):
+        raise AssertionError("allocated before the bound check")
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    with pytest.raises(ValueError, match=message):
+        init_params(variant, hidden=hidden, embed_dim=embed_dim)
+
+
+@pytest.mark.parametrize("field", ["learning_rate", "momentum"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+def test_train_config_refuses_non_finite_and_non_positive_values(field, value):
+    with pytest.raises(ValueError, match="finite and positive"):
+        TrainConfig(**{field: value})
+
+
+def test_training_a_dynamic_predictor_of_another_embedding_dimension_raises(builtin_embedder,
+                                                                             ten_samples):
+    params = init_params("dynamic", hidden=8, embed_dim=64)
+    with pytest.raises(ValueError, match="expects 64-d embeddings, the embedder gives 128-d"):
+        train(ten_samples, builtin_embedder, TrainConfig(epochs=1), params=params)
+    with pytest.raises(ValueError, match="expects 64-d embeddings, the embedder gives 128-d"):
+        predict(RelightPlan(*ten_samples[0]), params, builtin_embedder)

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import advrelight
-from advrelight import cli as cli_module, shading
-from advrelight.cli import MAX_SCENARIO_RESOLUTION, cli
+from advrelight import attack_ap, cli as cli_module, shading
+from advrelight.cli import MAX_HIDDEN, MAX_SCENARIO_RESOLUTION, cli
 from advrelight.corpus import synthetic_corpus
 from advrelight.relight import load_face_image, save_face_image
 from advrelight.shading import load_light, save_light, save_normal_map
@@ -218,6 +218,55 @@ def test_ap_train_and_run(assets, tmp_path, capsys):
                 "--out-image", str(tmp_path / "ap.png")])
     assert code == 0
     assert "similarity" in capsys.readouterr().out
+
+
+def test_ap_training_and_eval_never_read_the_corpus_colors(tmp_path, monkeypatch):
+    """Relit images share their sources' colors lazily, and nothing here reads them."""
+    built = []
+
+    def recording_corpus(*args, **kwargs):
+        groups = synthetic_corpus(*args, **kwargs)
+        built.extend(s.image for g in groups for s in g.samples)
+        return groups
+
+    monkeypatch.setattr(cli_module, "synthetic_corpus", recording_corpus)
+    params = tmp_path / "params.npz"
+    assert cli(["ap-train", "--variant", "dynamic", "--hidden", "8", "--epochs", "1",
+                "--out", str(params)]) == 0
+    assert cli(["eval", "--method", "ap", "--params", str(params),
+                "--out-dir", str(tmp_path / "eval")]) == 0
+    assert len(built) == 2 * 128
+    assert not any("chroma" in vars(image) for image in built)
+
+
+def test_eval_ap_with_a_predictor_of_another_embedding_dimension_exits_2(tmp_path, capsys):
+    params = tmp_path / "params.npz"
+    attack_ap.save_params(params, attack_ap.init_params("dynamic", hidden=8, embed_dim=64))
+    assert cli(["eval", "--method", "ap", "--params", str(params),
+                "--out-dir", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert "expects 64-d embeddings, the embedder gives 128-d" in err
+    assert "Traceback" not in err and "gufunc" not in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--hidden", "0"), ("--hidden", "-1"), ("--hidden", str(MAX_HIDDEN + 1)), ("--hidden", "x"),
+    ("--batch-size", "0"), ("--batch-size", "-8"), ("--epochs", "0"),
+    ("--lr", "nan"), ("--lr", "inf"), ("--lr", "0"), ("--lr", "-1e-3"),
+    ("--momentum", "nan"), ("--momentum", "inf"), ("--momentum", "0"),
+])
+def test_ap_train_out_of_bound_flag_exits_1_before_allocating(tmp_path, capsys, monkeypatch,
+                                                              flag, value):
+    """Bad flags are usage errors, found before the corpus is built or a predictor allocated."""
+    def init_params(*args, **kwargs):
+        raise AssertionError("allocated before the bound check")
+
+    monkeypatch.setattr(attack_ap, "init_params", init_params)
+    out = tmp_path / "params.npz"
+    assert cli(["ap-train", flag, value, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err and "usage" in err
+    assert not out.exists()
 
 
 def test_phy_sim_scenario(tmp_path, capsys):

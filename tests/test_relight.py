@@ -16,6 +16,7 @@ from advrelight.relight import (
 from advrelight.shading import BAND_GAINS, NormalMap, SHLight, sh_basis, shade, sphere_normals
 
 from conftest import make_safe_light, make_scene
+from helpers.training import EagerPlan
 
 
 def test_face_image_reconstruction():
@@ -104,6 +105,20 @@ def test_face_image_arrays_are_read_only_and_relights_share_chroma(tmp_path, sph
     eager = np.clip(colored.chroma * relit.luminance[:, :, None], 0.0, 1.0)
     pngio.write_png(tmp_path / "eager.png", np.round(eager * 255.0).astype(np.uint8))
     assert (tmp_path / "relit.png").read_bytes() == (tmp_path / "eager.png").read_bytes()
+
+
+def test_relit_image_reads_its_sources_colors_on_first_read(sphere64):
+    rng = np.random.default_rng(12)
+    image, light = make_scene(rng, sphere64)
+    colored = FaceImage.from_rgb(image.rgb * rng.uniform(0.5, 1.0, size=(64, 64, 3)))
+    new_light = make_safe_light(rng)
+    relit = RelightPlan(colored, sphere64, light).relight(new_light).image
+    assert "chroma" not in vars(colored) and "chroma" not in vars(relit)
+    eager = EagerPlan(FaceImage.from_rgb(colored.rgb), sphere64, light).relight(new_light).image
+    assert "chroma" in vars(eager)
+    assert np.array_equal(relit.rgb, eager.rgb)
+    assert np.array_equal(relit.chroma, eager.chroma)
+    assert relit.chroma is vars(colored)["chroma"]
 
 
 _NAN_DIAGONAL = np.where(np.eye(8, dtype=bool), np.nan, 0.5)
