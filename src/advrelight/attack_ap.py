@@ -61,26 +61,25 @@ class AdvLNetParams:
     bg: np.ndarray | None = None
 
     def __post_init__(self):
-        h, d = self.hidden, self.embed_dim
-        expected = {"w1": (h, 9), "b1": (h,), "b2": (h,), "w3": (9, h), "b3": (9,)}
-        if self.variant == "static":
-            expected["w2"] = (h, h)
-        elif self.variant == "dynamic":
-            expected["wg"] = (h * h, d)
-            expected["bg"] = (h * h,)
-        else:
-            raise ValueError(f"variant must be one of {VARIANTS}")
-        for name, shape in expected.items():
+        for name, shape in _shapes(self.variant, self.hidden, self.embed_dim).items():
             arr = getattr(self, name)
             if arr is None or arr.shape != shape:
                 raise ValueError(f"parameter {name} must have shape {shape}")
 
     def trainable(self) -> list[str]:
-        names = ["w1", "b1", "b2", "w3", "b3"]
-        names.insert(2, "w2" if self.variant == "static" else "wg")
-        if self.variant == "dynamic":
-            names.insert(3, "bg")
-        return names
+        return list(_shapes(self.variant, self.hidden, self.embed_dim))
+
+
+def _shapes(variant: str, hidden: int, embed_dim: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every trainable parameter of ``variant``, in ``trainable()`` order."""
+    h = hidden
+    if variant == "static":
+        middle = {"w2": (h, h)}
+    elif variant == "dynamic":
+        middle = {"wg": (h * h, embed_dim), "bg": (h * h,)}
+    else:
+        raise ValueError(f"variant must be one of {VARIANTS}")
+    return {"w1": (h, 9), "b1": (h,), **middle, "b2": (h,), "w3": (9, h), "b3": (9,)}
 
 
 @dataclass(frozen=True)
@@ -109,31 +108,19 @@ def init_params(variant: str, hidden: int = 32, embed_dim: int = 128, seed: int 
     SGD fixed point. Pass ``output_scale=0`` for the exact-identity
     parameterization.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
+    shapes = _shapes(variant, hidden, embed_dim)
     if hidden < 1:
         raise ValueError(f"hidden width must be at least 1, got {hidden}")
     if variant == "dynamic" and hidden * hidden * embed_dim > MAX_GENERATOR_FLOATS:
         raise ValueError(f"a dynamic generator of hidden width {hidden} on {embed_dim}-d "
                          f"embeddings exceeds {MAX_GENERATOR_FLOATS} floats")
+    # Name -> (gain, fan-in) in drawing order, each drawn from N(0, gain^2 / fan-in); b3 is 0.
+    scales = {"w1": (1.0, 1), "b1": (0.5, 1), "b2": (0.5, 1), "w3": (output_scale, hidden),
+              "w2": (1.0, hidden), "wg": (1.0, embed_dim), "bg": (1.0, hidden)}
     rng = np.random.default_rng(seed)
-    params = AdvLNetParams(
-        variant=variant,
-        hidden=hidden,
-        embed_dim=embed_dim,
-        w1=rng.normal(0.0, 1.0, size=(hidden, 9)),
-        b1=rng.normal(0.0, 0.5, size=hidden),
-        b2=rng.normal(0.0, 0.5, size=hidden),
-        w3=rng.normal(0.0, output_scale / np.sqrt(hidden), size=(9, hidden)),
-        b3=np.zeros(9),
-        w2=rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(hidden, hidden))
-        if variant == "static" else None,
-        wg=rng.normal(0.0, 1.0 / np.sqrt(embed_dim), size=(hidden * hidden, embed_dim))
-        if variant == "dynamic" else None,
-        bg=rng.normal(0.0, 1.0 / np.sqrt(hidden), size=hidden * hidden)
-        if variant == "dynamic" else None,
-    )
-    return params
+    arrays = {name: rng.normal(0.0, gain / np.sqrt(fan_in), size=shapes[name])
+              for name, (gain, fan_in) in scales.items() if name in shapes}
+    return AdvLNetParams(variant, hidden, embed_dim, b3=np.zeros(9), **arrays)
 
 
 def forward_net(params: AdvLNetParams, light: np.ndarray, embedding: np.ndarray):
@@ -293,23 +280,10 @@ def load_params(path) -> AdvLNetParams:
             version = int(data["format_version"])
             if version != PARAMS_FORMAT_VERSION:
                 raise ValueError(f"unsupported parameter file version {version}")
-            variant = str(data["variant"])
-            fields = dict(
-                variant=variant,
-                hidden=int(data["hidden"]),
-                embed_dim=int(data["embed_dim"]),
-                w1=data["w1"],
-                b1=data["b1"],
-                b2=data["b2"],
-                w3=data["w3"],
-                b3=data["b3"],
-            )
-            if variant == "static":
-                fields["w2"] = data["w2"]
-            else:
-                fields["wg"] = data["wg"]
-                fields["bg"] = data["bg"]
-        return AdvLNetParams(**fields)
+            variant, hidden, embed_dim = (str(data["variant"]), int(data["hidden"]),
+                                          int(data["embed_dim"]))
+            arrays = {name: data[name] for name in _shapes(variant, hidden, embed_dim)}
+        return AdvLNetParams(variant, hidden, embed_dim, **arrays)
     except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
         raise ValueError(f"{path}: malformed parameter file: {exc}") from exc
 

@@ -36,8 +36,8 @@ class AttackConfig:
     step: float = field(init=False)
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+        if not 0 <= self.epsilon < np.inf:  # NaN fails both comparisons
+            raise ValueError("epsilon must be finite and non-negative")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         object.__setattr__(self, "step", self.epsilon / self.iterations)
@@ -106,7 +106,7 @@ def loss_gradient_fd(plan: RelightPlan, current_light, embedder, reference,
         raise ValueError("fd step must be positive")
     current = _light_coeffs(current_light)
     steps = np.kron(np.eye(9), [[h], [-h]])  # rows +h e_j, -h e_j for j = 0..8
-    images = [plan.relit_image(current + step) for step in steps]
+    images = [plan.relight(current + step).image for step in steps]
     embed_many = getattr(embedder, "embed_many", None)
     embeddings = embed_many(images) if embed_many else [embedder.embed(i) for i in images]
     losses = [_score(plan, image, embedding, reference, l1_weight)
@@ -124,7 +124,7 @@ def light_gradient(plan: RelightPlan, result: RelightResult, embedder, reference
     :func:`loss_gradient_fd`.
     """
     if not embedder.descriptor.differentiable:
-        return loss_gradient_fd(plan, result.new_light, embedder, reference, l1_weight=l1_weight)
+        return loss_gradient_fd(plan, result.new_coeffs, embedder, reference, l1_weight=l1_weight)
     grad_lum = embedder.input_gradient(result.image, reference)
     if l1_weight:
         diff = result.image.luminance - plan.image.luminance

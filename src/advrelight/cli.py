@@ -61,6 +61,13 @@ def _bounded(convert, valid, what: str):
     return parse
 
 
+#: Largest ``--iters``: every iteration relights, embeds and differentiates each target.
+MAX_ITERS = 1000
+
+_EPSILON = _bounded(float, lambda v: 0.0 <= v < np.inf, "epsilon must be finite and non-negative")
+_ITERS = _bounded(int, lambda v: 1 <= v <= MAX_ITERS, f"iterations must lie in [1, {MAX_ITERS}]")
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser() -> _Parser:
     """The command-line parser, built once per process (argparse parses statelessly)."""
@@ -88,8 +95,8 @@ def build_parser() -> _Parser:
     p.add_argument("--image", required=True)
     p.add_argument("--normals", required=True)
     p.add_argument("--light")
-    p.add_argument("--epsilon", type=float, default=0.4)
-    p.add_argument("--iters", type=int, default=10)
+    p.add_argument("--epsilon", default=0.4, type=_EPSILON)
+    p.add_argument("--iters", default=10, type=_ITERS)
     p.add_argument("--out-image")
     p.add_argument("--out-light")
     p.add_argument("--trace")
@@ -129,8 +136,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--manifest", help="dataset manifest; synthetic corpus when omitted")
     p.add_argument("--method", choices=harness.ATTACK_METHODS, default="none")
-    p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--iters", type=int, default=10)
+    p.add_argument("--epsilon", default=0.0, type=_EPSILON)
+    p.add_argument("--iters", default=10, type=_ITERS)
     p.add_argument("--params", help="predictor parameters (method ap)")
     p.add_argument("--eval-embedder", help="score with a different embedder (transfer)")
     p.add_argument("--out-dir", default=".")
@@ -314,6 +321,9 @@ def _cmd_phy_sim(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.method == "ap" and args.epsilon:
+        raise UsageError(f"advrelight eval: argument --epsilon: method ap applies no epsilon "
+                         f"ball, got {args.epsilon:g}")
     groups, k = _load_groups(args)
     params = attack_ap.load_params(args.params) if args.params else None
     with contextlib.ExitStack() as stack:
@@ -367,11 +377,10 @@ _COMMANDS = {
 def cli(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    try:
-        return _COMMANDS[args.command](args)
     except (AdvRelightError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

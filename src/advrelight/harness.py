@@ -171,7 +171,7 @@ def run_attack_suite(targets, method: str, embedder, *, epsilon: float = 0.0,
                 new_image, adv = image, light
             elif method == "random":
                 result = random_relight(plan, epsilon, seed=_per_image_seed(seed, idx))
-                new_image, adv = result.image, result.new_light
+                new_image, adv = result.image, SHLight(result.new_coeffs)
             elif method == "aq":
                 cfg = attack_aq.AttackConfig(epsilon=epsilon, iterations=iterations)
                 trace = attack_aq.attack(plan, embedder, cfg)

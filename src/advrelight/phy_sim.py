@@ -177,7 +177,7 @@ def recurrence_loop(target, start: PLSPose, scene: SceneModel,
     pose = start
     trace: list[tuple[PLSPose, NavFeedback]] = []
     for _ in range(max_iter + 1):
-        estimated = estimate_light(scene_photo(scene, pls_to_sh(pose)), scene.normals)
+        estimated = scene_light_estimate(scene, pose)
         feedback = map_feedback(
             lighting_map(estimated, map_resolution), target_map, tau, tolerances
         )

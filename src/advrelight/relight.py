@@ -93,16 +93,12 @@ class FaceImage:
 
 @dataclass(frozen=True)
 class RelightResult:
-    """A relit image; ``unclamped`` marks the masked pixels the [0, 1] clip left alone.
-    :attr:`new_light` is built from a copy of the new light's coefficients when first read."""
+    """A relit image, the read-only coefficients of its light, and ``unclamped``: the masked
+    pixels the [0, 1] clip left alone."""
 
     image: FaceImage
     new_coeffs: np.ndarray
     unclamped: np.ndarray
-
-    @cached_property
-    def new_light(self) -> SHLight:
-        return SHLight(self.new_coeffs)
 
     @property
     def clamp_fraction(self) -> float:
@@ -139,19 +135,6 @@ class RelightPlan:
         self.denom = np.maximum(f_old, DENOM_FLOOR)
         self.ratio = self.lum / self.denom
 
-    def _raw(self, new_light) -> np.ndarray:
-        """Unclamped relit luminance over the masked pixels."""
-        return self.lum * (self.basis @ (BAND_GAINS * _light_coeffs(new_light))) / self.denom
-
-    def relit_image(self, new_light, raw=None) -> FaceImage:
-        """The image :meth:`relight` returns, from its unclamped masked ``raw`` when given."""
-        lum = self.image.luminance.copy()
-        lum[self.mask] = self._raw(new_light) if raw is None else raw
-        if not np.isfinite(lum).all():  # as from a non-finite light
-            raise ValueError("relit luminance must be finite")
-        lum.clip(0.0, 1.0, out=lum)
-        return FaceImage(_freeze(lum), colors_of=self.image)
-
     def relight(self, new_light) -> RelightResult:
         """Relight via the shading quotient f(N, L') / f(N, L).
 
@@ -159,11 +142,17 @@ class RelightPlan:
         at ``DENOM_FLOOR``) and clamped to [0, 1]; unmasked pixels pass
         through.
         """
-        raw = self._raw(new_light)
+        coeffs = _light_coeffs(new_light)
+        raw = self.lum * (self.basis @ (BAND_GAINS * coeffs)) / self.denom
+        if not np.isfinite(raw).all():  # as from a non-finite light
+            raise ValueError("relit luminance must be finite")
+        clipped = raw.clip(0.0, 1.0)
+        lum = self.image.luminance.copy()
+        lum[self.mask] = clipped
         return RelightResult(
-            image=self.relit_image(new_light, raw),
-            new_coeffs=_light_coeffs(new_light).copy(),
-            unclamped=_freeze((raw >= 0.0) & (raw <= 1.0)),
+            image=FaceImage(_freeze(lum), colors_of=self.image),
+            new_coeffs=_freeze(coeffs.copy()),
+            unclamped=_freeze(clipped == raw),
         )
 
     def light_vjp(self, grad_lum, result: RelightResult) -> np.ndarray:
@@ -190,8 +179,8 @@ def estimate_light(image: FaceImage, normals: NormalMap) -> SHLight:
 
 def random_relight(plan: RelightPlan, epsilon: float, seed: int) -> RelightResult:
     """Baseline: relight by ``plan`` under L + u with u uniform in [-epsilon, epsilon]^9."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
+    if not 0 <= epsilon < np.inf:  # NaN fails both comparisons
+        raise ValueError("epsilon must be finite and non-negative")
     offset = np.random.default_rng(seed).uniform(-epsilon, epsilon, size=9)
     return plan.relight(plan.old_light.coeffs + offset)
 

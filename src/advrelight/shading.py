@@ -31,9 +31,6 @@ BAND_GAINS = np.array(
     [np.pi] + [2.0 * np.pi / 3.0] * 3 + [np.pi / 4.0] * 5, dtype=np.float64
 )
 
-#: Indices of the band-1 (odd-parity) basis entries.
-BAND1 = (1, 2, 3)
-
 _UNIT_TOL = 1e-6
 
 

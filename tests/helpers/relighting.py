@@ -1,14 +1,20 @@
-"""Recomputing forms of a relighting plan's clip mask, light VJP and Jacobian, as test oracles."""
+"""Recomputing forms of a relighting plan's raw luminance, clip mask, light VJP and Jacobian,
+as test oracles."""
 
 import numpy as np
 
-from advrelight.shading import BAND_GAINS
+from advrelight.shading import BAND_GAINS, _light_coeffs
+
+
+def raw(plan, new_light) -> np.ndarray:
+    """Unclamped relit luminance over the masked pixels, by the quotient formula."""
+    return plan.lum * (plan.basis @ (BAND_GAINS * _light_coeffs(new_light))) / plan.denom
 
 
 def unclamped(plan, new_light) -> np.ndarray:
     """Masked pixels whose raw relit luminance under ``new_light`` lies in [0, 1]."""
-    raw = plan._raw(new_light)
-    return (raw >= 0.0) & (raw <= 1.0)
+    values = raw(plan, new_light)
+    return (values >= 0.0) & (values <= 1.0)
 
 
 def light_vjp(plan, grad_lum, new_light) -> np.ndarray:

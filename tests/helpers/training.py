@@ -20,10 +20,10 @@ def dense_gradients(params, grads, embedding) -> dict:
 class EagerPlan(RelightPlan):
     """A plan whose relit images hold their source's chroma from the start."""
 
-    def relit_image(self, new_light, raw=None):
-        image = super().relit_image(new_light, raw)
-        vars(image)["chroma"] = self.image.chroma
-        return image
+    def relight(self, new_light):
+        result = super().relight(new_light)
+        vars(result.image)["chroma"] = self.image.chroma
+        return result
 
 
 def dense_train(corpus, embedder, config, variant="static", hidden=32, params=None):

@@ -23,6 +23,7 @@ from advrelight.relight import RelightPlan, estimate_light
 from advrelight.shading import NormalMap, sh_basis, sphere_normals
 
 from conftest import BlackBox, make_safe_light, make_scene, patch_every_binding
+from helpers import params as explicit
 from helpers.training import dense_gradients, dense_train
 
 
@@ -244,6 +245,43 @@ def test_params_file_roundtrip(tmp_path):
         assert back.variant == variant
         for name in params.trainable():
             assert np.array_equal(getattr(back, name), getattr(params, name))
+
+
+def assert_same_params(params, oracle):
+    assert (params.variant, params.hidden, params.embed_dim) == (
+        oracle.variant, oracle.hidden, oracle.embed_dim)
+    assert params.trainable() == explicit.trainable(oracle.variant)
+    for name in ("w1", "b1", "w2", "wg", "bg", "b2", "w3", "b3"):
+        got, want = getattr(params, name), getattr(oracle, name)
+        assert (got is None and want is None) or np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("variant", ["static", "dynamic"])
+def test_init_params_equals_the_explicit_oracle(variant):
+    for hidden in (1, 3, 8, 32):
+        for embed_dim in (2, 64, 128):
+            for seed in (0, 7):
+                for output_scale in (0.0, 0.3, 1.5):
+                    assert_same_params(
+                        init_params(variant, hidden, embed_dim, seed, output_scale),
+                        explicit.init_params(variant, hidden, embed_dim, seed, output_scale))
+
+
+@pytest.mark.parametrize("variant", ["static", "dynamic"])
+def test_params_files_equal_the_explicit_oracles(tmp_path, variant):
+    """A file in the explicit format loads as the explicit reader loads it, and ``save_params``
+    writes the explicit writer's arrays under the same names, in the same order."""
+    for hidden, embed_dim, seed in ((1, 2, 0), (8, 64, 3), (32, 128, 5)):
+        oracle = explicit.init_params(variant, hidden, embed_dim, seed)
+        old, new = tmp_path / "explicit.npz", tmp_path / "table.npz"
+        explicit.save_params(old, oracle)
+        save_params(new, oracle)
+        assert_same_params(load_params(old), explicit.load_params(old))
+        assert_same_params(load_params(new), oracle)
+        with np.load(old) as want, np.load(new) as got:
+            assert got.files == want.files
+            for key in want.files:
+                assert np.array_equal(got[key], want[key]) and got[key].dtype == want[key].dtype
 
 
 def test_loss_history_csv(tmp_path):

@@ -33,6 +33,12 @@ def test_config_validation():
         AttackConfig(epsilon=0.1, iterations=0)
 
 
+@pytest.mark.parametrize("epsilon", [np.inf, -np.inf, np.nan, -0.1])
+def test_config_refuses_a_non_finite_or_negative_epsilon(epsilon):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        AttackConfig(epsilon=epsilon)
+
+
 def test_jacobian_matches_fd(sphere64):
     rng = np.random.default_rng(0)
     for _ in range(5):

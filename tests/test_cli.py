@@ -10,7 +10,7 @@ import pytest
 
 import advrelight
 from advrelight import attack_ap, cli as cli_module, shading
-from advrelight.cli import MAX_HIDDEN, MAX_SCENARIO_RESOLUTION, cli
+from advrelight.cli import MAX_HIDDEN, MAX_ITERS, MAX_SCENARIO_RESOLUTION, cli
 from advrelight.corpus import synthetic_corpus
 from advrelight.relight import load_face_image, save_face_image
 from advrelight.shading import load_light, save_light, save_normal_map
@@ -371,6 +371,42 @@ def test_analyze_light_out_of_bound_flag_exits_1_before_allocating(tmp_path, cap
     err = capsys.readouterr().err
     assert f"argument {flag}:" in err and "usage" in err
     assert not out.exists()
+
+
+_MISSING = ["--image", "missing.png", "--normals", "missing.png"]
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["eval", "--method", "random", "--epsilon", "inf"], "--epsilon"),
+    (["eval", "--method", "random", "--epsilon", "nan"], "--epsilon"),
+    (["eval", "--method", "aq", "--epsilon", "nan"], "--epsilon"),
+    (["eval", "--method", "aq", "--epsilon", "-1"], "--epsilon"),
+    (["eval", "--method", "aq", "--iters", "0"], "--iters"),
+    (["eval", "--method", "aq", "--iters", str(MAX_ITERS + 1)], "--iters"),
+    (["eval", "--method", "ap", "--params", "missing.npz", "--epsilon", "0.4"], "--epsilon"),
+    (["attack-aq", *_MISSING, "--epsilon", "inf"], "--epsilon"),
+    (["attack-aq", *_MISSING, "--epsilon", "nan"], "--epsilon"),
+    (["attack-aq", *_MISSING, "--epsilon", "-1"], "--epsilon"),
+    (["attack-aq", *_MISSING, "--iters", "0"], "--iters"),
+    (["attack-aq", *_MISSING, "--iters", str(MAX_ITERS + 1)], "--iters"),
+])
+def test_attack_out_of_bound_flag_exits_1_before_reading_anything(capsys, monkeypatch, args, flag):
+    """Bad attack budgets are usage errors, found before a corpus, image or predictor is read."""
+    def synthetic_corpus():
+        raise AssertionError("built the corpus before the bound check")
+
+    monkeypatch.setattr(cli_module, "synthetic_corpus", synthetic_corpus)
+    assert cli(args) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err and "Traceback" not in err
+
+
+def test_unknown_embedder_exits_1(assets, capsys):
+    """An unknown ``--embedder`` is a usage error once the command reaches it, not a traceback."""
+    assert cli(["attack-aq", "--image", str(assets / "face.png"),
+                "--normals", str(assets / "normals.png"), "--embedder", "bogus"]) == 1
+    err = capsys.readouterr().err
+    assert "unknown embedder 'bogus'" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("module, args, code", [

@@ -13,7 +13,8 @@ from advrelight.relight import (
     random_relight,
     save_face_image,
 )
-from advrelight.shading import BAND_GAINS, NormalMap, SHLight, sh_basis, shade, sphere_normals
+from advrelight.shading import (BAND_GAINS, NormalMap, SHLight, _freeze, sh_basis, shade,
+                                sphere_normals)
 
 from conftest import make_safe_light, make_scene
 from helpers.training import EagerPlan
@@ -43,9 +44,8 @@ def eager_from_rgb(rgb):
 
 
 def relit_to(image, raw):
-    """``image`` relit to the raw luminance ``raw`` by a plan that masks every pixel."""
-    normals = NormalMap(np.broadcast_to([0.0, 0.0, 1.0], (*raw.shape, 3)), np.ones(raw.shape))
-    return RelightPlan(image, normals, SHLight.ambient()).relit_image(None, raw.ravel())
+    """``image`` relit to the raw luminance ``raw`` as ``RelightPlan.relight`` builds its image."""
+    return FaceImage(_freeze(np.clip(raw, 0.0, 1.0)), colors_of=image)
 
 
 def eager_relit(chroma, raw):
@@ -299,7 +299,14 @@ def test_random_relight_zero_epsilon(sphere64):
     image, light = make_scene(np.random.default_rng(6), sphere64)
     result = random_relight(RelightPlan(image, sphere64, light), 0.0, seed=1)
     assert np.abs(result.image.luminance - image.luminance).max() < 1e-6
-    assert np.array_equal(result.new_light.coeffs, light.coeffs)
+    assert np.array_equal(result.new_coeffs, light.coeffs)
+
+
+@pytest.mark.parametrize("epsilon", [np.inf, np.nan, -0.1])
+def test_random_relight_refuses_a_non_finite_or_negative_epsilon(sphere64, epsilon):
+    image, light = make_scene(np.random.default_rng(6), sphere64)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        random_relight(RelightPlan(image, sphere64, light), epsilon, seed=1)
 
 
 def test_random_relight_determinism(sphere64):
@@ -309,7 +316,7 @@ def test_random_relight_determinism(sphere64):
     second = random_relight(plan, 0.4, seed=11)
     other = random_relight(plan, 0.4, seed=12)
     assert np.array_equal(first.image.luminance, second.image.luminance)
-    assert not np.array_equal(first.new_light.coeffs, other.new_light.coeffs)
+    assert not np.array_equal(first.new_coeffs, other.new_coeffs)
 
 
 def test_random_relight_ball(sphere64):
@@ -317,7 +324,7 @@ def test_random_relight_ball(sphere64):
     plan = RelightPlan(image, sphere64, light)
     for seed in range(20):
         result = random_relight(plan, 0.8, seed=seed)
-        assert np.abs(result.new_light.coeffs - light.coeffs).max() <= 0.8
+        assert np.abs(result.new_coeffs - light.coeffs).max() <= 0.8
 
 
 def test_face_image_file_roundtrip(tmp_path, sphere64):

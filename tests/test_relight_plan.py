@@ -78,7 +78,7 @@ def test_result_mask_and_vjp_equal_recomputing_oracles(seed, tilt, gain):
     image, old, new, grad_lum = tilted_scene(seed, tilt, gain)
     plan = RelightPlan(image, SPHERE, old)
     result = plan.relight(new)
-    raw = plan._raw(new)
+    raw = relighting.raw(plan, new)
     assert np.array_equal(result.unclamped, (raw >= 0.0) & (raw <= 1.0))
     assert result.clamp_fraction == float(((raw < 0.0) | (raw > 1.0)).sum() / raw.size)
     assert np.array_equal(plan.light_vjp(grad_lum, result),
@@ -88,27 +88,27 @@ def test_result_mask_and_vjp_equal_recomputing_oracles(seed, tilt, gain):
 def test_relit_image_rejects_nan():
     image, old, new, _ = tilted_scene(0, tilt=0.3, gain=1.0)
     plan = RelightPlan(image, SPHERE, old)
-    raw = plan._raw(new)
-    for bad in (np.full_like(raw, np.nan), np.where(np.arange(raw.size) == raw.size // 2,
-                                                    np.nan, raw)):
-        with pytest.raises(ValueError):
-            plan.relit_image(new, bad)
+    lum = plan.lum
+    for bad in (np.full_like(lum, np.nan), np.where(np.arange(lum.size) == lum.size // 2,
+                                                    np.nan, lum)):
+        plan.lum = bad  # a NaN in the raw luminance, one pixel or every pixel
+        with pytest.raises(ValueError, match="finite"):
+            plan.relight(new)
+    plan.lum = lum
     with pytest.raises(ValueError):
         plan.relight(np.full(9, np.nan))
     with pytest.raises(ValueError):  # an infinite ambient term shades every pixel infinitely
         plan.relight(np.where(np.arange(9) == 0, np.inf, 0.0))
 
 
-def test_result_builds_its_new_light_on_first_read():
+def test_result_keeps_a_read_only_copy_of_the_new_coefficients():
     image, old, new, _ = tilted_scene(1, tilt=0.3, gain=1.0)
     given = new.copy()
     result = RelightPlan(image, SPHERE, old).relight(given)
-    assert "new_light" not in vars(result)
     given[:] = 0.0  # the result keeps its own copy of the coefficients
-    assert np.array_equal(result.new_light.coeffs, new)
-    assert result.new_light is result.new_light
+    assert np.array_equal(result.new_coeffs, new)
     with pytest.raises(ValueError, match="read-only"):
-        result.new_light.coeffs[0] = 1.0
+        result.new_coeffs[0] = 1.0
 
 
 @settings(max_examples=30, deadline=None)
