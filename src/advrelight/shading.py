@@ -137,7 +137,9 @@ class LightingMap:
 
     @property
     def mask(self) -> np.ndarray:
-        return sphere_normals(self.resolution).mask
+        mask = np.zeros(self.resolution * self.resolution, dtype=bool)
+        mask[self._flat] = True
+        return mask.reshape(self.resolution, self.resolution)
 
     @property
     def brightest(self) -> tuple[int, int]:
@@ -179,22 +181,23 @@ def sh_basis(normals) -> np.ndarray:
         raise NonUnitNormalError(
             f"input deviates from unit length by {dev.max():.3g}"
         )
-    return np.stack(_sh_terms(n[..., 0], n[..., 1], n[..., 2]), axis=-1)
+    out = np.empty(n.shape[:-1] + (9,))
+    for j, term in enumerate(_sh_terms(n[..., 0], n[..., 1], n[..., 2])):
+        out[..., j] = term
+    return out
 
 
-def _sh_terms(x, y, z) -> list[np.ndarray]:
-    """The 9 basis polynomials at coordinates ``x``, ``y``, ``z``, one array each."""
-    return [
-        np.full_like(x, SH_C0),
-        SH_C1 * y,
-        SH_C1 * z,
-        SH_C1 * x,
-        SH_C2 * x * y,
-        SH_C2 * y * z,
-        SH_C3 * (3.0 * z * z - 1.0),
-        SH_C2 * x * z,
-        0.5 * SH_C2 * (x * x - y * y),
-    ]
+def _sh_terms(x, y, z):
+    """The 9 basis polynomials at coordinates ``x``, ``y``, ``z``, one array at a time."""
+    yield np.full_like(x, SH_C0)
+    yield SH_C1 * y
+    yield SH_C1 * z
+    yield SH_C1 * x
+    yield SH_C2 * x * y
+    yield SH_C2 * y * z
+    yield SH_C3 * (3.0 * z * z - 1.0)
+    yield SH_C2 * x * z
+    yield 0.5 * SH_C2 * (x * x - y * y)
 
 
 def shade(normal_map: NormalMap, light) -> np.ndarray:
@@ -211,8 +214,6 @@ def sphere_normals(resolution: int) -> NormalMap:
     Pixel (row, col) maps to (x, y) in the unit square with y up; the mask
     is the inscribed disk and n = (x, y, sqrt(1 - x^2 - y^2)).
     """
-    if resolution < 8:
-        raise ValueError(f"resolution must be >= 8, got {resolution}")
     x, y = _pixel_grid(resolution)
     r2 = x * x + y * y
     mask = r2 <= 1.0
@@ -230,22 +231,26 @@ def lighting_map(light, resolution: int) -> LightingMap:
 
 def _pixel_grid(resolution: int):
     """Pixel-center coordinates in [-1, 1]^2, y up."""
+    if resolution < 8:
+        raise ValueError(f"resolution must be >= 8, got {resolution}")
     step = 2.0 / resolution
     xs = -1.0 + step * (np.arange(resolution) + 0.5)
-    x = np.broadcast_to(xs, (resolution, resolution)).copy()
-    y = np.broadcast_to(-xs[:, None], (resolution, resolution)).copy()
-    return x, y
+    return np.meshgrid(xs, -xs)
 
 
 @functools.lru_cache(maxsize=8)
 def _sphere_design(resolution: int):
-    """(9, n) band-gained basis of the disk pixels, one C-contiguous row per term, and
-    their row-major indices. ``coeffs @ design`` is a GEMV over 9 long rows, which
+    """(9, n) band-gained basis of the disk pixels, one C-contiguous row per term filled in
+    turn, and their row-major indices. ``coeffs @ design`` is a GEMV over 9 long rows, which
     BLAS runs about twice as fast as ``(n, 9) @ coeffs`` for the same bytes."""
-    normals = sphere_normals(resolution)
-    design = np.stack(_sh_terms(*normals.normals[normals.mask].T))
-    design *= BAND_GAINS[:, None]
-    return _freeze(design), _freeze(np.flatnonzero(normals.mask))
+    x, y = _pixel_grid(resolution)
+    z = x * x + y * y  # r^2 until the disk is known
+    flat = np.flatnonzero(z <= 1.0)
+    x, y, z = x.reshape(-1)[flat], y.reshape(-1)[flat], np.sqrt(1.0 - z.reshape(-1)[flat])
+    design = np.empty((9, flat.size))
+    for row, term, gain in zip(design, _sh_terms(x, y, z), BAND_GAINS):
+        np.multiply(term, gain, out=row)
+    return _freeze(design), _freeze(flat)
 
 
 def pixel_to_direction(row: int, col: int, resolution: int) -> tuple[float, float]:

@@ -1,6 +1,8 @@
-"""Dense square form of a lighting map, the oracle layout tests compare against."""
+"""Dense forms of the lighting-map layout, the oracles tests compare the masked forms against."""
 
 import numpy as np
+
+from advrelight.shading import BAND_GAINS, _sh_terms, sphere_normals
 
 
 def dense_values(lmap) -> np.ndarray:
@@ -8,3 +10,11 @@ def dense_values(lmap) -> np.ndarray:
     out = np.zeros((lmap.resolution, lmap.resolution), dtype=np.float64)
     out[lmap.mask] = lmap.masked
     return out
+
+
+def dense_design(resolution: int):
+    """The (9, n) design and the disk's row-major indices, built from the dense sphere: the
+    construction that the row-at-a-time build from disk coordinates replaced."""
+    sphere = sphere_normals(resolution)
+    design = np.stack(list(_sh_terms(*sphere.normals[sphere.mask].T))) * BAND_GAINS[:, None]
+    return design, np.flatnonzero(sphere.mask)

@@ -384,14 +384,21 @@ _MISSING = ["--image", "missing.png", "--normals", "missing.png"]
     (["eval", "--method", "aq", "--iters", "0"], "--iters"),
     (["eval", "--method", "aq", "--iters", str(MAX_ITERS + 1)], "--iters"),
     (["eval", "--method", "ap", "--params", "missing.npz", "--epsilon", "0.4"], "--epsilon"),
+    (["eval", "--method", "none", "--epsilon", "0.4"], "--epsilon"),
     (["attack-aq", *_MISSING, "--epsilon", "inf"], "--epsilon"),
     (["attack-aq", *_MISSING, "--epsilon", "nan"], "--epsilon"),
     (["attack-aq", *_MISSING, "--epsilon", "-1"], "--epsilon"),
     (["attack-aq", *_MISSING, "--iters", "0"], "--iters"),
     (["attack-aq", *_MISSING, "--iters", str(MAX_ITERS + 1)], "--iters"),
+    (["eval", "--embedder", "bogus"], "--embedder"),
+    (["eval", "--eval-embedder", "bogus"], "--eval-embedder"),
+    (["eval", "--method", "ap", "--params", "missing.npz", "--embedder", "bogus"], "--embedder"),
+    (["ap-train", "--out", "params.npz", "--embedder", "bogus"], "--embedder"),
+    (["attack-aq", *_MISSING, "--embedder", "bogus"], "--embedder"),
 ])
 def test_attack_out_of_bound_flag_exits_1_before_reading_anything(capsys, monkeypatch, args, flag):
-    """Bad attack budgets are usage errors, found before a corpus, image or predictor is read."""
+    """Bad attack budgets and embedder selectors are usage errors, found before a corpus,
+    image or predictor is read."""
     def synthetic_corpus():
         raise AssertionError("built the corpus before the bound check")
 
@@ -402,11 +409,12 @@ def test_attack_out_of_bound_flag_exits_1_before_reading_anything(capsys, monkey
 
 
 def test_unknown_embedder_exits_1(assets, capsys):
-    """An unknown ``--embedder`` is a usage error once the command reaches it, not a traceback."""
+    """An unknown ``--embedder`` is a usage error, not a traceback."""
     assert cli(["attack-aq", "--image", str(assets / "face.png"),
                 "--normals", str(assets / "normals.png"), "--embedder", "bogus"]) == 1
     err = capsys.readouterr().err
-    assert "unknown embedder 'bogus'" in err and "Traceback" not in err
+    assert "embedder must be builtin or external:<command>, got bogus" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("module, args, code", [

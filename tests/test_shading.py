@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from advrelight import shading
 from advrelight.errors import NonUnitNormalError
@@ -17,7 +17,8 @@ from advrelight.shading import (
     sphere_normals,
 )
 
-from helpers.lighting import dense_values
+from helpers.lighting import dense_design, dense_values
+from helpers.memory import traced_peak
 
 unit_vectors = st.tuples(
     st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)
@@ -88,6 +89,33 @@ def test_sphere_mask_area():
 def test_sphere_normals_rejects_tiny():
     with pytest.raises(ValueError):
         sphere_normals(4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(resolution=st.integers(8, 72))
+@example(resolution=512)
+def test_sphere_design_matches_dense_oracle(resolution):
+    """The design and disk indices built from disk coordinates are the dense sphere's, bit
+    for bit, and a lighting map's mask is the sphere's."""
+    design, flat = shading._sphere_design(resolution)
+    want_design, want_flat = dense_design(resolution)
+    assert (design.shape, flat.dtype) == (want_design.shape, want_flat.dtype)
+    assert design.tobytes() == want_design.tobytes() and flat.tobytes() == want_flat.tobytes()
+    mask = lighting_map(SHLight.ambient(0.5), resolution).mask
+    assert mask.dtype == bool and np.array_equal(mask, sphere_normals(resolution).mask)
+
+
+def test_sphere_design_builds_without_the_dense_sphere(monkeypatch):
+    """A fresh 512 px build peaks below 1.8x its outputs' bytes and never builds the dense
+    sphere, and neither does reading a lighting map's mask."""
+    def sphere_normals(resolution):
+        raise AssertionError("built the dense sphere")
+
+    monkeypatch.setattr(shading, "sphere_normals", sphere_normals)
+    (design, flat), peak = traced_peak(shading._sphere_design.__wrapped__, 512)
+    assert peak <= 1.8 * (design.nbytes + flat.nbytes)
+    lmap = lighting_map(SHLight.ambient(0.5), 41)
+    assert lmap.mask.sum() == lmap.masked.size
 
 
 def test_lighting_map_ambient_constant():
