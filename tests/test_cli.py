@@ -384,12 +384,12 @@ _MISSING = ["--image", "missing.png", "--normals", "missing.png"]
     (["eval", "--method", "aq", "--iters", "0"], "--iters"),
     (["eval", "--method", "aq", "--iters", str(MAX_ITERS + 1)], "--iters"),
     (["eval", "--method", "ap", "--params", "missing.npz", "--epsilon", "0.4"], "--epsilon"),
-    (["eval", "--method", "none", "--epsilon", "0.4"], "--epsilon"),
     (["attack-aq", *_MISSING, "--epsilon", "inf"], "--epsilon"),
     (["attack-aq", *_MISSING, "--epsilon", "nan"], "--epsilon"),
     (["attack-aq", *_MISSING, "--epsilon", "-1"], "--epsilon"),
     (["attack-aq", *_MISSING, "--iters", "0"], "--iters"),
     (["attack-aq", *_MISSING, "--iters", str(MAX_ITERS + 1)], "--iters"),
+    (["eval", "--method", "none", "--epsilon", "0.4"], "--epsilon"),
     (["eval", "--embedder", "bogus"], "--embedder"),
     (["eval", "--eval-embedder", "bogus"], "--eval-embedder"),
     (["eval", "--method", "ap", "--params", "missing.npz", "--embedder", "bogus"], "--embedder"),
