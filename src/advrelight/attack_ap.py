@@ -9,7 +9,8 @@ Training minimizes
 
 by stochastic gradient descent with momentum. Backpropagation is spelled
 out by hand: the network is three dense layers with two ReLUs, below the
-light gradient of :func:`attack_aq.relight_loss` that the AQ attack uses.
+light gradient of :func:`attack_aq.light_gradient`. The L1 term's gradient
+goes through the plan's light VJP for every embedder.
 
 The dynamic variant replaces the middle layer's weight matrix with one
 generated from the face embedding by an extra dense layer, letting the
@@ -185,13 +186,19 @@ def predict(plan: RelightPlan, params: AdvLNetParams, embedder):
 
 def sample_gradient(params: AdvLNetParams, plan: RelightPlan, embedder,
                     embedding: np.ndarray, l1_weight: float = 1.0):
-    """Loss and parameter gradients for one sample, relit by its ``plan``."""
+    """Loss and parameter gradients for one sample, relit by its ``plan``; the loss is the
+    similarity plus ``l1_weight`` times the mean absolute luminance change."""
     light = plan.old_light.coeffs
     delta, cache = forward_net(params, light, embedding)
     if not np.all(np.isfinite(delta)):
         raise FloatingPointError("network produced a non-finite light residual")
-    result, _, value = relight_loss(plan, light + delta, embedder, embedding, l1_weight)
-    d_delta = light_gradient(plan, result, embedder, embedding, l1_weight)
+    result, _, value = relight_loss(plan, light + delta, embedder, embedding)
+    cotangent = None
+    if l1_weight:
+        diff = result.image.luminance - plan.image.luminance
+        value += l1_weight * float(np.abs(diff).mean())
+        cotangent = (l1_weight / diff.size) * np.sign(diff)
+    d_delta = light_gradient(plan, result, embedder, embedding, cotangent)
     return value, backward_net(params, cache, d_delta)
 
 

@@ -5,12 +5,12 @@ relit and the original image by sign-gradient descent on the new light,
 projected after every step onto the L-infinity ball of radius epsilon
 around the original light. The step size is epsilon / iterations.
 
-:func:`relight_loss` and :func:`light_gradient` are the relighting loss
-and its light gradient for both attacks (AP training adds the L1 term).
+:func:`relight_loss` is the similarity alone and :func:`light_gradient` its
+light gradient, for both attacks (AP training passes its L1 term's gradient).
 The embedder's descriptor picks the gradient: a differentiable embedder's
 input gradient is pulled back through the relighting plan's light VJP;
 any other embedder gets a 9-dimensional central finite difference on the
-loss, at 18 embeddings per step. Both attacks take the target's
+similarity, at 18 embeddings per step. Both attacks take the target's
 :class:`RelightPlan`, which serves every relight and gradient.
 """
 
@@ -74,28 +74,17 @@ class AttackTrace:
         return float(self.similarities[-1])
 
 
-def relight_loss(plan: RelightPlan, light, embedder, reference,
-                 l1_weight: float = 0.0) -> tuple[RelightResult, np.ndarray, float]:
-    """Relight by ``plan`` under ``light`` and score the result: (result, embedding, loss).
-
-    The loss is sim(embed(relit), reference), plus ``l1_weight`` times the
-    mean absolute luminance change when that weight is nonzero.
-    """
+def relight_loss(plan: RelightPlan, light, embedder,
+                 reference) -> tuple[RelightResult, np.ndarray, float]:
+    """Relight by ``plan`` under ``light``: (result, embedding, sim(embedding, reference))."""
     result = plan.relight(light)
     embedding = embedder.embed(result.image)
-    return result, embedding, _score(plan, result.image, embedding, reference, l1_weight)
-
-
-def _score(plan: RelightPlan, image: FaceImage, embedding, reference, l1_weight: float) -> float:
-    value = cosine_similarity(embedding, reference)
-    if l1_weight:
-        value += l1_weight * float(np.abs(image.luminance - plan.image.luminance).mean())
-    return value
+    return result, embedding, cosine_similarity(embedding, reference)
 
 
 def loss_gradient_fd(plan: RelightPlan, current_light, embedder, reference,
-                     h: float = 1e-3, l1_weight: float = 0.0) -> np.ndarray:
-    """Central-difference gradient of :func:`relight_loss` over the 9 coefficients.
+                     h: float = 1e-3) -> np.ndarray:
+    """Central-difference gradient of :func:`relight_loss`'s similarity over the 9 coefficients.
 
     Every probe goes through the full relighting path (denominator floor and
     output clamp included), so this matches what any embedder actually sees.
@@ -109,26 +98,25 @@ def loss_gradient_fd(plan: RelightPlan, current_light, embedder, reference,
     images = [plan.relight(current + step).image for step in steps]
     embed_many = getattr(embedder, "embed_many", None)
     embeddings = embed_many(images) if embed_many else [embedder.embed(i) for i in images]
-    losses = [_score(plan, image, embedding, reference, l1_weight)
-              for image, embedding in zip(images, embeddings)]
-    plus, minus = np.array(losses).reshape(9, 2).T
+    sims = [cosine_similarity(embedding, reference) for embedding in embeddings]
+    plus, minus = np.array(sims).reshape(9, 2).T
     return (plus - minus) / (2.0 * h)
 
 
 def light_gradient(plan: RelightPlan, result: RelightResult, embedder, reference,
-                   l1_weight: float = 0.0) -> np.ndarray:
-    """d relight_loss / d L' at ``result``, a relight by ``plan``.
+                   lum_cotangent=None) -> np.ndarray:
+    """d sim / d L' at ``result``, a relight by ``plan``, plus the pullback of ``lum_cotangent``.
 
-    Chains a differentiable embedder's input gradient (plus the L1 term's
-    subgradient) through the plan's light VJP; for any other embedder it is
-    :func:`loss_gradient_fd`.
+    ``lum_cotangent`` is an optional gradient on the relit luminance. A differentiable
+    embedder's input gradient, the cotangent added, goes through the plan's light VJP; for
+    any other embedder it is :func:`loss_gradient_fd` plus the cotangent's light VJP.
     """
     if not embedder.descriptor.differentiable:
-        return loss_gradient_fd(plan, result.new_coeffs, embedder, reference, l1_weight=l1_weight)
+        grad = loss_gradient_fd(plan, result.new_coeffs, embedder, reference)
+        return grad if lum_cotangent is None else grad + plan.light_vjp(lum_cotangent, result)
     grad_lum = embedder.input_gradient(result.image, reference)
-    if l1_weight:
-        diff = result.image.luminance - plan.image.luminance
-        grad_lum = grad_lum + (l1_weight / diff.size) * np.sign(diff)
+    if lum_cotangent is not None:
+        grad_lum = grad_lum + lum_cotangent
     return plan.light_vjp(grad_lum, result)
 
 

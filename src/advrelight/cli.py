@@ -241,9 +241,6 @@ MAX_SCENARIO_RESOLUTION = 1024
 
 
 def _load_scenario(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-
     def resolution(cfg, key, default, name) -> int:
         """``cfg[key]`` (or ``default``) as a resolution in [8, MAX_SCENARIO_RESOLUTION]."""
         value = int(cfg.get(key, default))
@@ -260,6 +257,8 @@ def _load_scenario(path):
         return tuple(map(float, values))
 
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
         scene_cfg = data["scene"]
         if not isinstance(scene_cfg, dict):
             raise TypeError("scene must be an object")
@@ -282,14 +281,20 @@ def _load_scenario(path):
         tau = float(data.get("tau", 0.9))
         if not tau <= 1.0:  # above 1 (or NaN) no pixel reaches tau times the peak
             raise ValueError(f"tau must be a number no greater than 1, got {tau}")
+        max_iter = int(data.get("max_iterations", 100))
+        if max_iter < 0:
+            raise ValueError(f"max_iterations must be non-negative, got {max_iter}")
+        lo, hi = floats("distance_bounds", (0.05, 50.0), 2)
+        if not 0.0 < lo <= hi:
+            raise ValueError(f"distance_bounds must satisfy 0 < lo <= hi, got [{lo}, {hi}]")
         options = dict(
             gains=floats("gains", phy_sim.DEFAULT_GAINS, 3),
-            max_iter=int(data.get("max_iterations", 100)),
+            max_iter=max_iter,
             tau=tau,
             tolerances=floats("tolerances", phy_sim.DEFAULT_TOLERANCES, 3),
             map_resolution=resolution(data, "map_resolution", phy_sim.DEFAULT_MAP_RESOLUTION,
                                       "map_resolution"),
-            distance_bounds=floats("distance_bounds", (0.05, 50.0), 2),
+            distance_bounds=(lo, hi),
         )
         return target, start, scene, options
     except (KeyError, OverflowError, TypeError, ValueError) as exc:

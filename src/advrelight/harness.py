@@ -45,17 +45,23 @@ class DatasetManifest:
 
 
 def load_manifest(path) -> DatasetManifest:
-    """Read a JSON manifest mapping identities to image/normal paths."""
+    """Read a JSON manifest mapping identities to lists of image/normal paths; ``k`` is an int."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ManifestError(f"malformed manifest {path}: top level must be an object")
+
+    def names(entry, key) -> tuple[str, ...]:
+        if not (isinstance(entry[key], list) and all(isinstance(n, str) for n in entry[key])):
+            raise TypeError(f"{key} must be a list of file names")
+        return tuple(entry[key])
+
     try:
-        k = int(data.get("k", 8))
-        entries = tuple(
-            ManifestEntry(str(e["identity"]), tuple(e["images"]), tuple(e["normals"]))
-            for e in data["identities"]
-        )
+        k = data.get("k", 8)
+        if type(k) is not int:
+            raise TypeError(f"k must be an integer, got {k!r}")
+        entries = tuple(ManifestEntry(str(e["identity"]), names(e, "images"), names(e, "normals"))
+                        for e in data["identities"])
     except (KeyError, TypeError) as exc:
         raise ManifestError(f"malformed manifest {path}: {exc}") from exc
     manifest = DatasetManifest(entries, k)

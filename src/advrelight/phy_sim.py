@@ -79,10 +79,10 @@ class SceneModel:
             albedo = np.full(self.normals.mask.shape, float(albedo))
         if albedo.shape != self.normals.mask.shape:
             raise ValueError("albedo dimensions must match normals")
-        if albedo.min() < 0.0 or albedo.max() > 1.0:
+        if not (albedo.min() >= 0.0 and albedo.max() <= 1.0):  # NaN fails both
             raise ValueError("albedo must lie in [0, 1]")
-        if self.ambient < 0.0:
-            raise ValueError("ambient must be non-negative")
+        if not 0.0 <= self.ambient < np.inf:
+            raise ValueError("ambient must be finite and non-negative")
         object.__setattr__(self, "albedo", _freeze(albedo))
 
 

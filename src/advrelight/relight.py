@@ -133,7 +133,6 @@ class RelightPlan:
         if floored > 0.5 * n_masked:
             raise DegenerateLightError(f"denominator floored on {floored}/{n_masked} masked pixels")
         self.denom = np.maximum(f_old, DENOM_FLOOR)
-        self.ratio = self.lum / self.denom
 
     def relight(self, new_light) -> RelightResult:
         """Relight via the shading quotient f(N, L') / f(N, L).
@@ -158,7 +157,7 @@ class RelightPlan:
     def light_vjp(self, grad_lum, result: RelightResult) -> np.ndarray:
         """<grad_lum, d relit luminance / d L'> at this plan's ``result``; clipped pixels add 0."""
         g = np.asarray(grad_lum, dtype=np.float64)[self.mask]
-        return BAND_GAINS * (self.basis.T @ (g * self.ratio * result.unclamped))
+        return BAND_GAINS * (self.basis.T @ (g * (self.lum / self.denom) * result.unclamped))
 
 
 def estimate_light(image: FaceImage, normals: NormalMap) -> SHLight:

@@ -12,19 +12,31 @@ _MARGIN = 50.0
 _PLOT = 400.0
 
 
-def _header(width: float, height: float) -> str:
-    return (
+def _write(path, title: str, body: list[str], footer: str = "") -> None:
+    """Write a square page: plot frame, ``body``, ``title`` above the frame, ``footer`` below."""
+    size = _PLOT + 2 * _MARGIN
+    parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">\n'
-        f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>\n'
-    )
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" '
+        f'height="{size:.0f}" viewBox="0 0 {size:.0f} {size:.0f}">\n'
+        f'<rect width="{size:.0f}" height="{size:.0f}" fill="white"/>\n',
+        f'<rect x="{_MARGIN:.1f}" y="{_MARGIN:.1f}" width="{_PLOT:.1f}" '
+        f'height="{_PLOT:.1f}" fill="none" stroke="black"/>\n',
+        *body,
+        f'<text x="{size / 2:.1f}" y="{_MARGIN - 14:.1f}" font-size="14" '
+        f'text-anchor="middle">{title}</text>\n',
+    ]
+    if footer:
+        parts.append(f'<text x="{size / 2:.1f}" y="{size - 8:.1f}" font-size="12" '
+                     f'text-anchor="middle">{footer}</text>\n')
+    parts.append("</svg>\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(parts))
 
 
 def write_roc_svg(path, curves) -> None:
     """Plot (label, points) ROC curves, points an (n, 2) array, on the unit square."""
-    size = _PLOT + 2 * _MARGIN
-    parts = [_header(size, size)]
+    parts = []
     x0, y0 = _MARGIN, _MARGIN + _PLOT  # plot origin, y grows upward
 
     def px(fpr: float) -> float:
@@ -33,10 +45,6 @@ def write_roc_svg(path, curves) -> None:
     def py(tpr: float) -> float:
         return y0 - tpr * _PLOT
 
-    parts.append(
-        f'<rect x="{x0:.1f}" y="{_MARGIN:.1f}" width="{_PLOT:.1f}" '
-        f'height="{_PLOT:.1f}" fill="none" stroke="black"/>\n'
-    )
     for tick in (0.0, 0.25, 0.5, 0.75, 1.0):
         parts.append(
             f'<text x="{px(tick):.1f}" y="{y0 + 18:.1f}" font-size="11" '
@@ -65,34 +73,18 @@ def write_roc_svg(path, curves) -> None:
             f'<text x="{x0 + 10:.1f}" y="{_MARGIN + 16 + 14 * i:.1f}" font-size="12" '
             f'fill="{color}">{label}</text>\n'
         )
-    parts.append(
-        f'<text x="{size / 2:.1f}" y="{_MARGIN - 14:.1f}" font-size="14" '
-        'text-anchor="middle">ROC</text>\n'
-    )
-    parts.append(
-        f'<text x="{size / 2:.1f}" y="{size - 8:.1f}" font-size="12" '
-        'text-anchor="middle">false positive rate</text>\n'
-    )
-    parts.append("</svg>\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(parts))
+    _write(path, "ROC", parts, footer="false positive rate")
 
 
 def write_hexhist_svg(path, hist) -> None:
     """Draw hexagon cells shaded by count over the lighting-map square."""
     scale = _PLOT / hist.resolution
-    size = _PLOT + 2 * _MARGIN
-    parts = [_header(size, size)]
-    parts.append(
-        f'<rect x="{_MARGIN:.1f}" y="{_MARGIN:.1f}" width="{_PLOT:.1f}" '
-        f'height="{_PLOT:.1f}" fill="none" stroke="black"/>\n'
-    )
     center = _MARGIN + _PLOT / 2.0
     radius = _PLOT / 2.0
-    parts.append(
+    parts = [
         f'<circle cx="{center:.1f}" cy="{center:.1f}" r="{radius:.1f}" '
         'fill="none" stroke="#bbbbbb"/>\n'
-    )
+    ]
     peak = max(int(hist.counts.max()), 1) if hist.counts.size else 1
     for (cx, cy), count in zip(hist.centers, hist.counts):
         level = int(count) / peak
@@ -108,10 +100,4 @@ def write_hexhist_svg(path, hist) -> None:
             f'fill="rgb({shade},{shade},255)" stroke="#666666" stroke-width="0.5">'
             f'<title>{int(count)}</title></polygon>\n'
         )
-    parts.append(
-        f'<text x="{size / 2:.1f}" y="{_MARGIN - 14:.1f}" font-size="14" '
-        'text-anchor="middle">sensitive lighting positions</text>\n'
-    )
-    parts.append("</svg>\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(parts))
+    _write(path, "sensitive lighting positions", parts)

@@ -22,7 +22,8 @@ from advrelight.errors import DivergenceError
 from advrelight.relight import RelightPlan, estimate_light
 from advrelight.shading import NormalMap, sh_basis, sphere_normals
 
-from conftest import BlackBox, make_safe_light, make_scene, patch_every_binding
+from conftest import BlackBox, make_scene, patch_every_binding
+from helpers import l1_loss
 from helpers import params as explicit
 from helpers.training import dense_gradients, dense_train
 
@@ -78,7 +79,8 @@ def test_params_shape_validation():
 def test_loss_identity(builtin_embedder):
     image, normals = small_scene(3)
     light = estimate_light(image, normals)
-    _, _, value = relight_loss(RelightPlan(image, normals, light), light, builtin_embedder,
+    params = init_params("static", hidden=8, output_scale=0.0)
+    value, _ = sample_gradient(params, RelightPlan(image, normals, light), builtin_embedder,
                                builtin_embedder.embed(image), l1_weight=1.0)
     assert value == pytest.approx(1.0)
 
@@ -86,9 +88,12 @@ def test_loss_identity(builtin_embedder):
 def test_loss_matches_two_pass_oracle(builtin_embedder):
     image, normals = small_scene(4)
     plan = RelightPlan(image, normals, estimate_light(image, normals))
-    result, embedding, value = relight_loss(plan, make_safe_light(np.random.default_rng(99)),
-                                            builtin_embedder, builtin_embedder.embed(image),
-                                            l1_weight=1.0)
+    params = init_params("static", hidden=8, seed=5)
+    reference = builtin_embedder.embed(image)
+    delta, _ = forward_net(params, plan.old_light.coeffs, reference)
+    result, embedding, _ = relight_loss(plan, plan.old_light.coeffs + delta, builtin_embedder,
+                                        reference)
+    value, _ = sample_gradient(params, plan, builtin_embedder, reference, l1_weight=1.0)
     other = result.image
     assert np.array_equal(embedding, builtin_embedder.embed(other))
     sim = cosine_similarity(builtin_embedder.embed(other), builtin_embedder.embed(image))
@@ -289,6 +294,24 @@ def test_loss_history_csv(tmp_path):
     write_loss_history_csv(path, [1.0, 0.5])
     lines = path.read_text().strip().splitlines()
     assert lines == ["epoch,mean_loss", "0,1", "1,0.5"]
+
+
+@pytest.mark.parametrize("l1_weight", [1.0, 0.0])
+@pytest.mark.parametrize("variant", ["static", "dynamic"])
+def test_sample_gradient_equals_the_folded_loss_oracle(builtin_embedder, corpus, variant,
+                                                       l1_weight):
+    """AP's own L1 term gives the loss and gradients of the similarity-plus-L1 score."""
+    sample = corpus[0].samples[0]
+    plan = RelightPlan(sample.image, sample.normals)
+    params = init_params(variant, hidden=8, seed=7)
+    embedding = builtin_embedder.embed(sample.image)
+    value, grads = sample_gradient(params, plan, builtin_embedder, embedding, l1_weight)
+    want, want_grads = l1_loss.sample_gradient(params, plan, builtin_embedder, embedding,
+                                               l1_weight)
+    assert value == want
+    assert grads.keys() == want_grads.keys()
+    for name, grad in want_grads.items():
+        assert np.array_equal(grads[name], grad), name
 
 
 def test_fd_light_gradient_matches_analytic(builtin_embedder):

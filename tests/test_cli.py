@@ -186,6 +186,12 @@ _PARAMS_WITHOUT_W1 = _saved_bytes(np.savez, format_version=np.array(1), variant=
                                   hidden=np.array(8), embed_dim=np.array(128))
 
 
+def _manifest(k=1, images=("a.png", "b.png"), normals=("n.png", "n.png")):
+    """A one-identity manifest whose fields are as given; no file it names exists."""
+    return json.dumps({"k": k, "identities": [
+        {"identity": "a", "images": images, "normals": normals}]})
+
+
 @pytest.mark.parametrize("command, content, message", [
     (["analyze-light", "--lights"], "", "expected 19 columns, got 0"),
     (["eval", "--manifest"], "[]", "malformed manifest"),
@@ -194,14 +200,22 @@ _PARAMS_WITHOUT_W1 = _saved_bytes(np.savez, format_version=np.array(1), variant=
     (_EVAL_AP, b"PK\x03\x04 is not a zip archive", "input: malformed parameter file"),
     (_EVAL_AP, _saved_bytes(np.save, arr=np.zeros(9)), "input: malformed parameter file"),
     (_EVAL_AP, b"", "input: malformed parameter file"),
+    (["eval", "--manifest"], _manifest(images=[1, 2]), "images must be a list of file names"),
+    (["eval", "--manifest"], _manifest(normals=[None, None]),
+     "normals must be a list of file names"),
+    (["eval", "--manifest"], _manifest(images="ab"), "images must be a list of file names"),
+    (["eval", "--manifest"], _manifest(k=True), "k must be an integer, got True"),
+    (["phy-sim", "--scenario"], '{"scene": {', "malformed scenario"),
 ], ids=["empty_lights", "eval_manifest_list", "ap_train_manifest_list", "params_without_w1",
-        "params_bad_zip", "params_plain_npy", "params_empty"])
+        "params_bad_zip", "params_plain_npy", "params_empty", "manifest_number_images",
+        "manifest_null_normals", "manifest_string_images", "manifest_bool_k",
+        "scenario_json_syntax"])
 def test_malformed_input_file_exits_2(tmp_path, capsys, command, content, message):
     path = tmp_path / "input"
     path.write_bytes(content if isinstance(content, bytes) else content.encode())
     assert cli(command + [str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ") and message in err and str(path) in err
     assert "Traceback" not in err
 
 
@@ -313,6 +327,12 @@ _START = {"azimuth": 0.2, "polar": 0.3, "distance": 3.0, "intensity": 1.5}
     pytest.param(_START, _SCENE, {"distance_bounds": 5}, id="bounds_number"),
     pytest.param(_START, _SCENE, {"tau": 1.5}, id="tau_above_1"),
     pytest.param(_START, _SCENE, {"tau": float("nan")}, id="tau_nan"),
+    pytest.param(_START, {**_SCENE, "ambient": float("inf")}, {}, id="ambient_inf"),
+    pytest.param(_START, {**_SCENE, "ambient": float("nan")}, {}, id="ambient_nan"),
+    pytest.param(_START, {**_SCENE, "albedo": float("nan")}, {}, id="albedo_nan"),
+    pytest.param(_START, _SCENE, {"max_iterations": -5}, id="max_iterations_negative"),
+    pytest.param(_START, _SCENE, {"distance_bounds": [5, 1]}, id="bounds_reversed"),
+    pytest.param(_START, _SCENE, {"distance_bounds": [0, 1]}, id="bounds_zero"),
 ])
 def test_phy_sim_malformed_start_pose_exits_2(tmp_path, capsys, start_pose, scene, overrides):
     """Malformed start poses, scenes and scenario lists exit 2; a bad list names its key."""

@@ -47,6 +47,17 @@ def test_pose_validation():
         PLSPose(0.0, 0.3, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("albedo, ambient, message", [
+    (float("nan"), 0.25, "albedo must lie in"),
+    (np.where(np.eye(8, dtype=bool), np.nan, 0.5), 0.25, "albedo must lie in"),
+    (0.8, float("inf"), "ambient must be finite"),
+    (0.8, float("nan"), "ambient must be finite"),
+], ids=["albedo_nan", "albedo_map_nan", "ambient_inf", "ambient_nan"])
+def test_scene_rejects_non_finite_albedo_or_ambient(albedo, ambient, message):
+    with pytest.raises(ValueError, match=message):
+        SceneModel(normals=sphere_normals(8), albedo=albedo, ambient=ambient)
+
+
 def test_pls_toward_z_sparsity():
     light = pls_to_sh(PLSPose(0.0, 0.0, 1.0, 1.0))
     nonzero = np.nonzero(np.abs(light.coeffs) > 1e-12)[0]
