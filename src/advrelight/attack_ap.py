@@ -99,15 +99,14 @@ class TrainConfig:
                              "and positive")
 
 
-def init_params(variant: str, hidden: int = 32, embed_dim: int = 128, seed: int = 0,
-                output_scale: float = 0.3) -> AdvLNetParams:
+def init_params(variant: str, hidden: int = 32, embed_dim: int = 128,
+                seed: int = 0) -> AdvLNetParams:
     """Seeded initialization.
 
-    The output layer starts small but nonzero: the similarity term of the
-    training loss has an exact critical point at the identity relight
-    (cosine similarity is maximal there), so a zero residual would be an
-    SGD fixed point. Pass ``output_scale=0`` for the exact-identity
-    parameterization.
+    The output layer starts small but nonzero (gain 0.3): the similarity
+    term of the training loss has an exact critical point at the identity
+    relight (cosine similarity is maximal there), so a zero residual would
+    be an SGD fixed point. Zeroing ``w3`` gives the exact identity.
     """
     shapes = _shapes(variant, hidden, embed_dim)
     if hidden < 1:
@@ -116,7 +115,7 @@ def init_params(variant: str, hidden: int = 32, embed_dim: int = 128, seed: int 
         raise ValueError(f"a dynamic generator of hidden width {hidden} on {embed_dim}-d "
                          f"embeddings exceeds {MAX_GENERATOR_FLOATS} floats")
     # Name -> (gain, fan-in) in drawing order, each drawn from N(0, gain^2 / fan-in); b3 is 0.
-    scales = {"w1": (1.0, 1), "b1": (0.5, 1), "b2": (0.5, 1), "w3": (output_scale, hidden),
+    scales = {"w1": (1.0, 1), "b1": (0.5, 1), "b2": (0.5, 1), "w3": (0.3, hidden),
               "w2": (1.0, hidden), "wg": (1.0, embed_dim), "bg": (1.0, hidden)}
     rng = np.random.default_rng(seed)
     arrays = {name: rng.normal(0.0, gain / np.sqrt(fan_in), size=shapes[name])

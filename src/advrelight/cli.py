@@ -31,21 +31,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
-def make_embedder(selector: str):
+def open_embedder(selector: str | None):
+    """The selected embedder (none for ``None``) as a context that closes an endpoint."""
+    if selector is None:
+        return contextlib.nullcontext()
     if selector == "builtin":
-        return BuiltinEmbedder()
+        return contextlib.nullcontext(BuiltinEmbedder())
     return ExternalEmbedder(selector.removeprefix("external:"))
-
-
-@contextlib.contextmanager
-def _managed(embedder):
-    """Close endpoint subprocesses when a command finishes."""
-    try:
-        yield embedder
-    finally:
-        close = getattr(embedder, "close", None)
-        if close is not None:
-            close()
 
 
 def _bounded(convert, valid, what: str):
@@ -184,7 +176,7 @@ def _cmd_attack_aq(args) -> int:
     image = load_face_image(args.image)
     normals = load_normal_map(args.normals)
     plan = RelightPlan(image, normals, load_light(args.light) if args.light else None)
-    with _managed(make_embedder(args.embedder)) as embedder:
+    with open_embedder(args.embedder) as embedder:
         cfg = attack_aq.AttackConfig(epsilon=args.epsilon, iterations=args.iters)
         trace = attack_aq.attack(plan, embedder, cfg)
     if args.out_image:
@@ -204,7 +196,7 @@ def _cmd_ap_train(args) -> int:
     cfg = attack_ap.TrainConfig(learning_rate=args.lr, momentum=args.momentum,
                                 batch_size=args.batch_size, epochs=args.epochs,
                                 seed=args.seed)
-    with _managed(make_embedder(args.embedder)) as embedder:
+    with open_embedder(args.embedder) as embedder:
         params, history = attack_ap.train(samples, embedder, cfg,
                                           variant=args.variant, hidden=args.hidden)
     attack_ap.save_params(args.out, params)
@@ -219,7 +211,7 @@ def _cmd_ap_run(args) -> int:
     image = load_face_image(args.image)
     plan = RelightPlan(image, load_normal_map(args.normals))
     params = attack_ap.load_params(args.params)
-    with _managed(make_embedder(args.embedder)) as embedder:
+    with open_embedder(args.embedder) as embedder:
         relit, light = attack_ap.predict(plan, params, embedder)
         similarity = cosine_similarity(embedder.embed(relit), embedder.embed(image))
     if args.out_image:
@@ -239,13 +231,16 @@ MAX_HIDDEN = 256
 #: process (59 MB at 1024 px, 14.8 MB at 512 px); its build peaks at about 1.6x that.
 MAX_SCENARIO_RESOLUTION = 1024
 
+#: Largest scenario ``max_iterations``, ten times the default: every adjustment renders a map.
+MAX_SCENARIO_ITERATIONS = 1000
+
 
 def _load_scenario(path):
-    def resolution(cfg, key, default, name) -> int:
-        """``cfg[key]`` (or ``default``) as a resolution in [8, MAX_SCENARIO_RESOLUTION]."""
-        value = int(cfg.get(key, default))
-        if not 8 <= value <= MAX_SCENARIO_RESOLUTION:
-            raise ValueError(f"{name} must lie in [8, {MAX_SCENARIO_RESOLUTION}], got {value}")
+    def integer(cfg, key, default, name, lo, hi) -> int:
+        """``cfg[key]`` (or ``default``), a JSON integer in [lo, hi]."""
+        value = cfg.get(key, default)
+        if type(value) is not int or not lo <= value <= hi:
+            raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
         return value
 
     def floats(key, default, count) -> tuple[float, ...]:
@@ -265,8 +260,9 @@ def _load_scenario(path):
         if "normals" in scene_cfg:
             normals = load_normal_map(Path(path).parent / scene_cfg["normals"])
         else:
-            normals = sphere_normals(resolution(scene_cfg, "sphere_resolution", 64,
-                                                "scene.sphere_resolution"))
+            normals = sphere_normals(integer(scene_cfg, "sphere_resolution", 64,
+                                             "scene.sphere_resolution", 8,
+                                             MAX_SCENARIO_RESOLUTION))
         scene = phy_sim.SceneModel(normals=normals,
                                    albedo=scene_cfg.get("albedo", 0.8),
                                    ambient=float(scene_cfg.get("ambient", 0.25)))
@@ -281,19 +277,17 @@ def _load_scenario(path):
         tau = float(data.get("tau", 0.9))
         if not tau <= 1.0:  # above 1 (or NaN) no pixel reaches tau times the peak
             raise ValueError(f"tau must be a number no greater than 1, got {tau}")
-        max_iter = int(data.get("max_iterations", 100))
-        if max_iter < 0:
-            raise ValueError(f"max_iterations must be non-negative, got {max_iter}")
         lo, hi = floats("distance_bounds", (0.05, 50.0), 2)
         if not 0.0 < lo <= hi:
             raise ValueError(f"distance_bounds must satisfy 0 < lo <= hi, got [{lo}, {hi}]")
         options = dict(
             gains=floats("gains", phy_sim.DEFAULT_GAINS, 3),
-            max_iter=max_iter,
+            max_iter=integer(data, "max_iterations", 100, "max_iterations", 0,
+                             MAX_SCENARIO_ITERATIONS),
             tau=tau,
             tolerances=floats("tolerances", phy_sim.DEFAULT_TOLERANCES, 3),
-            map_resolution=resolution(data, "map_resolution", phy_sim.DEFAULT_MAP_RESOLUTION,
-                                      "map_resolution"),
+            map_resolution=integer(data, "map_resolution", phy_sim.DEFAULT_MAP_RESOLUTION,
+                                   "map_resolution", 8, MAX_SCENARIO_RESOLUTION),
             distance_bounds=(lo, hi),
         )
         return target, start, scene, options
@@ -333,11 +327,8 @@ def _cmd_eval(args) -> int:
                          f"no epsilon ball, got {args.epsilon:g}")
     groups, k = _load_groups(args)
     params = attack_ap.load_params(args.params) if args.params else None
-    with contextlib.ExitStack() as stack:
-        embedder = stack.enter_context(_managed(make_embedder(args.embedder)))
-        eval_embedder = None
-        if args.eval_embedder:
-            eval_embedder = stack.enter_context(_managed(make_embedder(args.eval_embedder)))
+    with (open_embedder(args.embedder) as embedder,
+          open_embedder(args.eval_embedder) as eval_embedder):
         report = harness.evaluate(groups, args.method, embedder, epsilon=args.epsilon,
                                   k=k, seed=args.seed, iterations=args.iters,
                                   eval_embedder=eval_embedder, params=params)

@@ -52,6 +52,10 @@ HANDSHAKE_TIMEOUT = 30.0
 #: meets the reply timeout rather than blocking a write.
 MAX_UNANSWERED_BYTES = 32 * 1024
 
+#: Longest reply line, HELLO included, before its newline: room for a 40k-value ``repr``
+#: vector, and a cap on what a newline-free reply can make the client buffer.
+MAX_LINE_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class EmbedderDescriptor:
@@ -76,14 +80,11 @@ def cosine_similarity(a, b) -> float:
 class BuiltinEmbedder:
     """Deterministic linear-then-normalize embedder over resized luminance."""
 
-    def __init__(self, dimension: int = DEFAULT_DIM, seed: int = 0):
-        if not 2 <= dimension <= PATCH * PATCH:
-            raise ValueError(f"dimension must be in [2, {PATCH * PATCH}]")
-        rng = np.random.default_rng(seed)
-        gauss = rng.standard_normal((PATCH * PATCH, dimension))
+    def __init__(self):
+        gauss = np.random.default_rng(0).standard_normal((PATCH * PATCH, DEFAULT_DIM))
         q, _ = np.linalg.qr(gauss)
         self._projection = q.T.copy()  # rows orthonormal, (dim, PATCH^2)
-        self.descriptor = EmbedderDescriptor("builtin", dimension, differentiable=True)
+        self.descriptor = EmbedderDescriptor("builtin", DEFAULT_DIM, differentiable=True)
         self._resize_plans: dict[tuple[int, int], tuple[tuple[np.ndarray, np.ndarray], ...]] = {}
         self._last = None  # (luminance, _project result) of the last projection
 
@@ -212,7 +213,7 @@ class ExternalEmbedder:
         A timeout, a lost connection or a bad reply header closes the adapter;
         a bad vector raises once every reply of the batch has been read.
         """
-        requests = [f"EMBED {image.width} {image.height}\n"
+        requests = [f"EMBED {image.luminance.shape[1]} {image.luminance.shape[0]}\n"
                     f"{base64.b64encode(luminance_bytes(image)).decode('ascii')}\n"
                     for image in images]
         with self._lock:
@@ -300,12 +301,16 @@ class ExternalEmbedder:
         timeout = self._timeout if timeout is None else timeout
         deadline = time.monotonic() + timeout
         fd = self._proc.stdout.fileno()
-        while b"\n" not in self._unread:
-            if not self._replies.select(max(deadline - time.monotonic(), 0.0)):
+        while b"\n" not in self._unread and len(self._unread) <= MAX_LINE_BYTES:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0.0 or not self._replies.select(remaining):
                 raise ProtocolTimeoutError(f"no response within {timeout:g} s")
             chunk = os.read(fd, 1 << 16)
             if not chunk:
                 raise ProtocolError("endpoint closed the connection")
             self._unread += chunk
-        line, _, self._unread = self._unread.partition(b"\n")
+        line, _, rest = self._unread.partition(b"\n")
+        if len(line) > MAX_LINE_BYTES:
+            raise ProtocolError(f"endpoint sent a line longer than {MAX_LINE_BYTES} bytes")
+        self._unread = rest
         return line.decode("utf-8", "replace")

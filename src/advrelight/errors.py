@@ -22,9 +22,9 @@ class DegenerateLightError(AdvRelightError, ValueError):
 class SingularFitError(AdvRelightError, ValueError):
     """Least-squares light estimation hit a rank-deficient system."""
 
-    def __init__(self, rank: int, message: str | None = None):
+    def __init__(self, rank: int):
         self.rank = rank
-        super().__init__(message or f"rank-deficient lighting system (rank {rank} < 9)")
+        super().__init__(f"rank-deficient lighting system (rank {rank} < 9)")
 
 
 class CapabilityError(AdvRelightError, RuntimeError):
@@ -55,9 +55,9 @@ class NoLightError(AdvRelightError, ValueError):
 class NonConvergenceError(AdvRelightError, RuntimeError):
     """The light-recurrence loop hit its iteration budget; carries the trace."""
 
-    def __init__(self, trace, message: str = "recurrence loop did not converge"):
+    def __init__(self, trace):
         self.trace = trace
-        super().__init__(f"{message} ({len(trace)} iterations recorded)")
+        super().__init__(f"recurrence loop did not converge ({len(trace)} iterations recorded)")
 
 
 class EvaluationError(AdvRelightError, RuntimeError):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from . import attack_ap, attack_aq
 from .corpus import IdentityGroup, Sample
 from .errors import AdvRelightError, DegenerateLabelsError, EvaluationError, ManifestError
 from .relight import RelightPlan, estimate_light, load_face_image, random_relight
-from .shading import NormalMap, SHLight, _sphere_design, lighting_map, load_normal_map, write_csv
+from .shading import LightingMap, NormalMap, SHLight, lighting_map, load_normal_map, write_csv
 
 ATTACK_METHODS = ("none", "random", "aq", "ap")
 
@@ -45,11 +46,11 @@ class DatasetManifest:
 
 
 def load_manifest(path) -> DatasetManifest:
-    """Read a JSON manifest mapping identities to lists of image/normal paths; ``k`` is an int."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ManifestError(f"malformed manifest {path}: top level must be an object")
+    """Read a JSON manifest of distinct named identities, their image/normal paths and ``k``."""
+    def identity(entry) -> str:
+        if not (isinstance(entry["identity"], str) and entry["identity"]):
+            raise TypeError(f"identity must be a non-empty string, got {entry['identity']!r}")
+        return entry["identity"]
 
     def names(entry, key) -> tuple[str, ...]:
         if not (isinstance(entry[key], list) and all(isinstance(n, str) for n in entry[key])):
@@ -57,15 +58,23 @@ def load_manifest(path) -> DatasetManifest:
         return tuple(entry[key])
 
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise TypeError("top level must be an object")
         k = data.get("k", 8)
         if type(k) is not int:
             raise TypeError(f"k must be an integer, got {k!r}")
-        entries = tuple(ManifestEntry(str(e["identity"]), names(e, "images"), names(e, "normals"))
+        entries = tuple(ManifestEntry(identity(e), names(e, "images"), names(e, "normals"))
                         for e in data["identities"])
-    except (KeyError, TypeError) as exc:
-        raise ManifestError(f"malformed manifest {path}: {exc}") from exc
-    manifest = DatasetManifest(entries, k)
-    _validate_manifest(manifest)
+        repeated = [name for name, n in Counter(e.identity for e in entries).items() if n > 1]
+        if repeated:
+            raise ValueError(f"identity {repeated[0]!r} appears more than once")
+        manifest = DatasetManifest(entries, k)
+        _validate_manifest(manifest)
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ManifestError(f"malformed manifest {path}: {detail}") from exc
     return manifest
 
 
@@ -139,7 +148,6 @@ def build_split(groups, k: int = 8, seed: int = 0) -> Split:
 @dataclass(frozen=True)
 class AttackedSample:
     identity: str
-    source_index: int
     image: object  # FaceImage
     original_light: SHLight | None
     adversarial_light: SHLight | None
@@ -185,12 +193,12 @@ def run_attack_suite(targets, method: str, embedder, *, epsilon: float = 0.0,
             else:  # ap
                 new_image, adv = attack_ap.predict(plan, params, embedder)
             change = float(np.abs(new_image.luminance - image.luminance).mean())
-            attacked.append(AttackedSample(tagged.identity, tagged.index, new_image,
-                                           light, adv, change, embedding=embedding))
+            attacked.append(AttackedSample(tagged.identity, new_image, light, adv, change,
+                                           embedding=embedding))
         except AdvRelightError as exc:
             failures.append((idx, str(exc)))
-            attacked.append(AttackedSample(tagged.identity, tagged.index, image,
-                                           None, None, 0.0, error=str(exc)))
+            attacked.append(AttackedSample(tagged.identity, image, None, None, 0.0,
+                                           error=str(exc)))
     return SuiteResult(method, epsilon, tuple(attacked), tuple(failures))
 
 
@@ -303,15 +311,14 @@ def sensitivity_analysis(pairs, resolution: int = 128, cell_size: float = 8.0) -
         raise ValueError("cell size must be positive")
     cells: dict[tuple[int, int], int] = {}
     skipped = 0
-    flat = _sphere_design(resolution)[1]  # row-major index of each disk pixel
     for old, new in pairs:
         # Off the disk both maps are 0, so the first disk maximum is the map's first maximum.
-        diff = np.abs(lighting_map(new, resolution).masked
-                      - lighting_map(old, resolution).masked)
-        if diff.max() == 0.0:
+        diff = LightingMap(np.abs(lighting_map(new, resolution).masked
+                                  - lighting_map(old, resolution).masked), resolution)
+        if diff.peak == 0.0:
             skipped += 1
             continue
-        row, col = divmod(int(flat[np.argmax(diff)]), resolution)
+        row, col = diff.brightest
         cell = _hex_cell(float(col), float(row), cell_size)
         cells[cell] = cells.get(cell, 0) + 1
     ordered = sorted(cells.items())

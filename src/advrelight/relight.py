@@ -82,14 +82,6 @@ class FaceImage:
         lum = self.luminance[:, :, None]
         return _freeze(np.where(lum > _CHROMA_EPS, self.rgb / np.maximum(lum, _CHROMA_EPS), 0.0))
 
-    @property
-    def height(self) -> int:
-        return self.luminance.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.luminance.shape[1]
-
 
 @dataclass(frozen=True)
 class RelightResult:

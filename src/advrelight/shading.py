@@ -60,9 +60,6 @@ class SHLight:
         c[0] = level / (BAND_GAINS[0] * SH_C0)
         return SHLight(c)
 
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.coeffs, dtype=dtype)
-
 
 @dataclass(frozen=True)
 class NormalMap:
@@ -134,12 +131,6 @@ class LightingMap:
     @property
     def _flat(self) -> np.ndarray:
         return _sphere_design(self.resolution)[1]  # row-major index of each disk pixel
-
-    @property
-    def mask(self) -> np.ndarray:
-        mask = np.zeros(self.resolution * self.resolution, dtype=bool)
-        mask[self._flat] = True
-        return mask.reshape(self.resolution, self.resolution)
 
     @property
     def brightest(self) -> tuple[int, int]:

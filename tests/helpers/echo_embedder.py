@@ -11,6 +11,7 @@ payload. Flags exercise the adapter's failure paths:
   --slow-first S  answer the first request only after S seconds
   --slow-hello S  send the handshake only after S seconds
   --bad-hello     send a malformed handshake
+  --flood N       answer with a vector line of N digits, then "flood sent" on stderr
 """
 
 import base64
@@ -30,6 +31,7 @@ def main() -> None:
     dim = flag_value("--dim", 16)
     norm_scale = flag_value("--norm-scale", 1.0)
     delay = flag_value("--slow-first", 0.0)
+    flood = flag_value("--flood", 0)
     time.sleep(flag_value("--slow-hello", 0.0))
 
     if "--bad-hello" in argv:
@@ -58,6 +60,14 @@ def main() -> None:
         if "--bad-dim" in argv:
             vec = vec[:-1]
         tokens = [f"{v:.9g}" for v in vec]
+        if flood:  # one token, written 64 KiB at a time, its newline only after all of it
+            sys.stdout.write("VEC\n")
+            for sent in range(0, flood, 1 << 16):
+                sys.stdout.write("0" * min(1 << 16, flood - sent))
+            sys.stdout.write("\n")
+            sys.stdout.flush()
+            print("flood sent", file=sys.stderr, flush=True)
+            continue
         if "--bad-token" in argv:
             tokens[-1] = "0.5x"
         sys.stdout.write("VEC\n" + " ".join(tokens) + "\n")

@@ -8,7 +8,7 @@ from advrelight.shading import BAND_GAINS, _sh_terms, sphere_normals
 def dense_values(lmap) -> np.ndarray:
     """``lmap``'s raw shading on its square grid: disk values in row-major order, 0 off the disk."""
     out = np.zeros((lmap.resolution, lmap.resolution), dtype=np.float64)
-    out[lmap.mask] = lmap.masked
+    out[sphere_normals(lmap.resolution).mask] = lmap.masked
     return out
 
 

@@ -17,7 +17,7 @@ def trainable(variant):
     return names
 
 
-def init_params(variant, hidden=32, embed_dim=128, seed=0, output_scale=0.3):
+def init_params(variant, hidden=32, embed_dim=128, seed=0):
     rng = np.random.default_rng(seed)
     return AdvLNetParams(
         variant=variant,
@@ -26,7 +26,7 @@ def init_params(variant, hidden=32, embed_dim=128, seed=0, output_scale=0.3):
         w1=rng.normal(0.0, 1.0, size=(hidden, 9)),
         b1=rng.normal(0.0, 0.5, size=hidden),
         b2=rng.normal(0.0, 0.5, size=hidden),
-        w3=rng.normal(0.0, output_scale / np.sqrt(hidden), size=(9, hidden)),
+        w3=rng.normal(0.0, 0.3 / np.sqrt(hidden), size=(9, hidden)),
         b3=np.zeros(9),
         w2=rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(hidden, hidden))
         if variant == "static" else None,

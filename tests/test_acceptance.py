@@ -60,7 +60,7 @@ def aq_sweep(corpus, embedder):
                            embedder, cfg)
             traces.append(trace)
             attacked.append(AttackedSample(
-                tagged.identity, tagged.index, trace.relit,
+                tagged.identity, trace.relit,
                 trace.origin_light, trace.adversarial_light,
                 float(np.abs(trace.relit.luminance
                              - tagged.sample.image.luminance).mean()),

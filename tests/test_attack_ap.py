@@ -36,7 +36,8 @@ def small_scene(seed=0, size=24):
 
 def test_zero_output_layer_is_identity(builtin_embedder):
     image, normals = small_scene(0)
-    params = init_params("static", hidden=8, output_scale=0.0)
+    params = init_params("static", hidden=8)
+    params.w3[...] = 0.0
     relit, adversarial = predict(RelightPlan(image, normals), params, builtin_embedder)
     light = estimate_light(image, normals)
     assert np.array_equal(adversarial.coeffs, light.coeffs)
@@ -79,7 +80,8 @@ def test_params_shape_validation():
 def test_loss_identity(builtin_embedder):
     image, normals = small_scene(3)
     light = estimate_light(image, normals)
-    params = init_params("static", hidden=8, output_scale=0.0)
+    params = init_params("static", hidden=8)
+    params.w3[...] = 0.0
     value, _ = sample_gradient(params, RelightPlan(image, normals, light), builtin_embedder,
                                builtin_embedder.embed(image), l1_weight=1.0)
     assert value == pytest.approx(1.0)
@@ -217,7 +219,8 @@ def test_training_reduces_similarity(builtin_embedder, corpus):
     held_out = [(s.image, s.normals) for g in corpus[4:6] for s in g.samples[:4]]
     params, history = train(train_samples, builtin_embedder,
                             TrainConfig(epochs=4, seed=0), variant="static")
-    baseline = init_params("static", output_scale=0.0)
+    baseline = init_params("static")
+    baseline.w3[...] = 0.0
 
     def mean_similarity(p):
         sims = []
@@ -266,10 +269,8 @@ def test_init_params_equals_the_explicit_oracle(variant):
     for hidden in (1, 3, 8, 32):
         for embed_dim in (2, 64, 128):
             for seed in (0, 7):
-                for output_scale in (0.0, 0.3, 1.5):
-                    assert_same_params(
-                        init_params(variant, hidden, embed_dim, seed, output_scale),
-                        explicit.init_params(variant, hidden, embed_dim, seed, output_scale))
+                assert_same_params(init_params(variant, hidden, embed_dim, seed),
+                                   explicit.init_params(variant, hidden, embed_dim, seed))
 
 
 @pytest.mark.parametrize("variant", ["static", "dynamic"])

@@ -10,7 +10,8 @@ import pytest
 
 import advrelight
 from advrelight import attack_ap, cli as cli_module, shading
-from advrelight.cli import MAX_HIDDEN, MAX_ITERS, MAX_SCENARIO_RESOLUTION, cli
+from advrelight.cli import (MAX_HIDDEN, MAX_ITERS, MAX_SCENARIO_ITERATIONS,
+                            MAX_SCENARIO_RESOLUTION, cli)
 from advrelight.corpus import synthetic_corpus
 from advrelight.relight import load_face_image, save_face_image
 from advrelight.shading import load_light, save_light, save_normal_map
@@ -186,10 +187,10 @@ _PARAMS_WITHOUT_W1 = _saved_bytes(np.savez, format_version=np.array(1), variant=
                                   hidden=np.array(8), embed_dim=np.array(128))
 
 
-def _manifest(k=1, images=("a.png", "b.png"), normals=("n.png", "n.png")):
-    """A one-identity manifest whose fields are as given; no file it names exists."""
+def _manifest(k=1, images=("a.png", "b.png"), normals=("n.png", "n.png"), identities=("a",)):
+    """A manifest of ``identities`` whose fields are as given; no file it names exists."""
     return json.dumps({"k": k, "identities": [
-        {"identity": "a", "images": images, "normals": normals}]})
+        {"identity": identity, "images": images, "normals": normals} for identity in identities]})
 
 
 @pytest.mark.parametrize("command, content, message", [
@@ -206,10 +207,25 @@ def _manifest(k=1, images=("a.png", "b.png"), normals=("n.png", "n.png")):
     (["eval", "--manifest"], _manifest(images="ab"), "images must be a list of file names"),
     (["eval", "--manifest"], _manifest(k=True), "k must be an integer, got True"),
     (["phy-sim", "--scenario"], '{"scene": {', "malformed scenario"),
+    (["eval", "--manifest"], _manifest(identities=("a", "a", "b")),
+     "identity 'a' appears more than once"),
+    (["ap-train", "--out", "params.npz", "--manifest"], _manifest(identities=("a", "a")),
+     "identity 'a' appears more than once"),
+    (["eval", "--manifest"], _manifest(identities=(None, "None")),
+     "identity must be a non-empty string, got None"),
+    (["eval", "--manifest"], _manifest(identities=("",)),
+     "identity must be a non-empty string, got ''"),
+    (["eval", "--manifest"], _manifest(identities=(3, "3")),
+     "identity must be a non-empty string, got 3"),
+    (["eval", "--manifest"], '{"k": 1, "identities": [{"images": [], "normals": []}]}',
+     "missing key 'identity'"),
+    (["eval", "--manifest"], '{"k": 1,', "malformed manifest"),
 ], ids=["empty_lights", "eval_manifest_list", "ap_train_manifest_list", "params_without_w1",
         "params_bad_zip", "params_plain_npy", "params_empty", "manifest_number_images",
         "manifest_null_normals", "manifest_string_images", "manifest_bool_k",
-        "scenario_json_syntax"])
+        "scenario_json_syntax", "manifest_repeated_identity", "ap_train_repeated_identity",
+        "manifest_null_identity", "manifest_empty_identity", "manifest_number_identity",
+        "manifest_missing_identity", "manifest_json_syntax"])
 def test_malformed_input_file_exits_2(tmp_path, capsys, command, content, message):
     path = tmp_path / "input"
     path.write_bytes(content if isinstance(content, bytes) else content.encode())
@@ -333,6 +349,14 @@ _START = {"azimuth": 0.2, "polar": 0.3, "distance": 3.0, "intensity": 1.5}
     pytest.param(_START, _SCENE, {"max_iterations": -5}, id="max_iterations_negative"),
     pytest.param(_START, _SCENE, {"distance_bounds": [5, 1]}, id="bounds_reversed"),
     pytest.param(_START, _SCENE, {"distance_bounds": [0, 1]}, id="bounds_zero"),
+    pytest.param(_START, _SCENE, {"max_iterations": MAX_SCENARIO_ITERATIONS + 1},
+                 id="max_iterations_above_bound"),
+    pytest.param(_START, _SCENE, {"max_iterations": 10.0}, id="max_iterations_float"),
+    pytest.param(_START, _SCENE, {"max_iterations": True}, id="max_iterations_bool"),
+    pytest.param(_START, _SCENE, {"map_resolution": 32.9}, id="map_resolution_float"),
+    pytest.param(_START, _SCENE, {"map_resolution": True}, id="map_resolution_bool"),
+    pytest.param(_START, {"sphere_resolution": 16.0}, {}, id="sphere_resolution_float"),
+    pytest.param(_START, {"sphere_resolution": "16"}, {}, id="sphere_resolution_string"),
 ])
 def test_phy_sim_malformed_start_pose_exits_2(tmp_path, capsys, start_pose, scene, overrides):
     """Malformed start poses, scenes and scenario lists exit 2; a bad list names its key."""
@@ -474,6 +498,22 @@ def test_eval_with_external_embedder(tmp_path):
     summary = (out / "summary.csv").read_text().strip().splitlines()[1]
     auc = float(summary.split(",")[2])
     assert 0.0 <= auc <= 1.0
+
+
+def test_eval_closes_the_first_endpoint_when_the_second_handshake_fails(monkeypatch, capsys):
+    opened = []
+
+    class Recorded(cli_module.ExternalEmbedder):
+        def __init__(self, command):
+            opened.append(self)
+            super().__init__(command)
+
+    monkeypatch.setattr(cli_module, "ExternalEmbedder", Recorded)
+    endpoint = f"{sys.executable} {Path(__file__).parent / 'helpers' / 'echo_embedder.py'}"
+    assert cli(["eval", "--embedder", f"external:{endpoint}",
+                "--eval-embedder", f"external:{endpoint} --bad-hello"]) == 2
+    assert "bad handshake" in capsys.readouterr().err
+    assert len(opened) == 2 and all(embedder.closed for embedder in opened)
 
 
 def test_relight_corrupt_png_exits_2(assets, tmp_path, capsys):

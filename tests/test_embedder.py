@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from advrelight.embedder import (
     DEFAULT_DIM,
+    MAX_LINE_BYTES,
     BuiltinEmbedder,
     EmbedderDescriptor,
     ExternalEmbedder,
@@ -233,6 +234,17 @@ def test_external_timeout():
     with ExternalEmbedder(ENDPOINT + ["--hang"], timeout=0.5) as emb:
         with pytest.raises(ProtocolTimeoutError, match=r"within 0\.5 s"):
             emb.embed(image)
+
+
+def test_reply_line_over_the_cap_fails_before_the_endpoint_has_sent_it(capfd):
+    """A 40 MiB newline-free reply is refused once it passes MAX_LINE_BYTES, and the adapter
+    closes the endpoint while most of the reply is still unsent."""
+    image = random_image(np.random.default_rng(17))
+    with ExternalEmbedder(ENDPOINT + ["--flood", str(40 * MAX_LINE_BYTES)]) as emb:
+        with pytest.raises(ProtocolError, match=f"longer than {MAX_LINE_BYTES} bytes"):
+            emb.embed(image)
+        assert emb.closed
+    assert "flood sent" not in capfd.readouterr().err
 
 
 def test_short_reply_timeout_waits_for_a_slow_handshake():

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from advrelight import harness
 from advrelight.attack_ap import init_params
 from advrelight.corpus import ellipsoid_normals, synthetic_corpus
-from advrelight.embedder import BuiltinEmbedder
+from advrelight.embedder import BuiltinEmbedder, ExternalEmbedder
 from advrelight.errors import DegenerateLabelsError, ManifestError
 from advrelight.harness import (
     _hex_cell,
@@ -27,6 +29,8 @@ from advrelight.shading import NormalMap, SHLight, lighting_map, save_normal_map
 
 from conftest import BlackBox, patch_every_binding
 from helpers.lighting import dense_values
+
+ECHO_ENDPOINT = [sys.executable, str(Path(__file__).parent / "helpers" / "echo_embedder.py")]
 
 
 def auc_pair_oracle(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -323,12 +327,12 @@ def test_hex_cells_partition_points(x, y):
 # ---------------------------------------------------------------------------
 
 def test_evaluate_transfer_embedder(small_groups, builtin_embedder):
-    other = BuiltinEmbedder(seed=99)
     white = harness.evaluate(small_groups, "aq", builtin_embedder,
                              epsilon=0.4, k=2, seed=0, iterations=5)
-    transfer = harness.evaluate(small_groups, "aq", builtin_embedder,
-                                epsilon=0.4, k=2, seed=0, iterations=5,
-                                eval_embedder=other)
+    with ExternalEmbedder(ECHO_ENDPOINT) as other:
+        transfer = harness.evaluate(small_groups, "aq", builtin_embedder,
+                                    epsilon=0.4, k=2, seed=0, iterations=5,
+                                    eval_embedder=other)
     assert white.auc != transfer.auc  # scored by different models
     assert 0.0 <= transfer.auc <= 1.0
 

@@ -203,7 +203,7 @@ def test_masked_maps_match_dense_oracle(current, target, resolution, tau):
     mask = sphere_normals(resolution).mask
     dense_now, dense_tgt = _dense_values(current, resolution), _dense_values(target, resolution)
     assert np.array_equal(dense_values(now), dense_now) and np.array_equal(dense_values(tgt), dense_tgt)
-    assert np.array_equal(now.mask, mask) and now.resolution == resolution
+    assert now.resolution == resolution
     try:
         expected = _dense_feedback(dense_now, dense_tgt, mask, tau)
     except NoLightError:
@@ -224,7 +224,7 @@ def _row_major_oracle(coeffs, resolution):
 
 def _masked_index(lmap):
     row, col = lmap.brightest
-    return int(np.searchsorted(np.flatnonzero(lmap.mask), row * lmap.resolution + col))
+    return int(np.searchsorted(np.flatnonzero(sphere_normals(lmap.resolution).mask), row * lmap.resolution + col))
 
 
 @settings(max_examples=150, deadline=None)

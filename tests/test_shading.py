@@ -96,41 +96,38 @@ def test_sphere_normals_rejects_tiny():
 @example(resolution=512)
 def test_sphere_design_matches_dense_oracle(resolution):
     """The design and disk indices built from disk coordinates are the dense sphere's, bit
-    for bit, and a lighting map's mask is the sphere's."""
+    for bit."""
     design, flat = shading._sphere_design(resolution)
     want_design, want_flat = dense_design(resolution)
     assert (design.shape, flat.dtype) == (want_design.shape, want_flat.dtype)
     assert design.tobytes() == want_design.tobytes() and flat.tobytes() == want_flat.tobytes()
-    mask = lighting_map(SHLight.ambient(0.5), resolution).mask
-    assert mask.dtype == bool and np.array_equal(mask, sphere_normals(resolution).mask)
 
 
 def test_sphere_design_builds_without_the_dense_sphere(monkeypatch):
     """A fresh 512 px build peaks below 1.8x its outputs' bytes and never builds the dense
-    sphere, and neither does reading a lighting map's mask."""
+    sphere, and neither does rendering a lighting map."""
     def sphere_normals(resolution):
         raise AssertionError("built the dense sphere")
 
     monkeypatch.setattr(shading, "sphere_normals", sphere_normals)
     (design, flat), peak = traced_peak(shading._sphere_design.__wrapped__, 512)
     assert peak <= 1.8 * (design.nbytes + flat.nbytes)
-    lmap = lighting_map(SHLight.ambient(0.5), 41)
-    assert lmap.mask.sum() == lmap.masked.size
+    assert lighting_map(SHLight.ambient(0.5), 41).masked.size == shading._sphere_design(41)[1].size
 
 
 def test_lighting_map_ambient_constant():
     lmap = lighting_map(SHLight.ambient(0.5), 32)
-    values = dense_values(lmap)
-    disk = values[lmap.mask]
-    assert np.allclose(disk, 0.5, atol=1e-9)
-    assert np.all(values[~lmap.mask] == 0.0)
+    values, mask = dense_values(lmap), sphere_normals(32).mask
+    assert np.allclose(values[mask], 0.5, atol=1e-9)
+    assert np.all(values[~mask] == 0.0)
 
 
 def test_lighting_map_brightest_at_source():
     from advrelight.phy_sim import PLSPose, pls_to_sh
 
     lmap = lighting_map(pls_to_sh(PLSPose(0.0, 0.0, 1.0, 1.0)), 65)
-    row, col = divmod(int(np.argmax(np.where(lmap.mask, dense_values(lmap), -np.inf))), 65)
+    disk = sphere_normals(65).mask
+    row, col = divmod(int(np.argmax(np.where(disk, dense_values(lmap), -np.inf))), 65)
     assert abs(row - 32) <= 1 and abs(col - 32) <= 1
 
 
@@ -144,7 +141,8 @@ def test_lighting_map_directional_consistency():
         pose = PLSPose(float(rng.uniform(0, 2 * np.pi)), float(rng.uniform(0, 1.4)),
                        10.0, 100.0)
         lmap = lighting_map(pls_to_sh(pose), res)
-        row, col = divmod(int(np.argmax(np.where(lmap.mask, dense_values(lmap), -np.inf))), res)
+        disk = sphere_normals(res).mask
+        row, col = divmod(int(np.argmax(np.where(disk, dense_values(lmap), -np.inf))), res)
         d = pose.direction()
         expected_col = (d[0] + 1.0) / 2.0 * res - 0.5
         expected_row = (1.0 - d[1]) / 2.0 * res - 0.5
