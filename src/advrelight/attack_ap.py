@@ -27,7 +27,7 @@ import numpy as np
 
 from .attack_aq import light_gradient, relight_loss
 from .relight import RelightPlan, estimate_light
-from .shading import SHLight, write_csv
+from .shading import write_csv
 from .errors import DivergenceError
 
 VARIANTS = ("static", "dynamic")
@@ -64,8 +64,8 @@ class AdvLNetParams:
     def __post_init__(self):
         for name, shape in _shapes(self.variant, self.hidden, self.embed_dim).items():
             arr = getattr(self, name)
-            if arr is None or arr.shape != shape:
-                raise ValueError(f"parameter {name} must have shape {shape}")
+            if arr is None or arr.shape != shape or not np.isfinite(arr).all():
+                raise ValueError(f"parameter {name} must have shape {shape} and finite values")
 
     def trainable(self) -> list[str]:
         return list(_shapes(self.variant, self.hidden, self.embed_dim))
@@ -175,19 +175,19 @@ def predict(plan: RelightPlan, params: AdvLNetParams, embedder):
 
     Returns (relit image, adversarial light).
     """
-    light = plan.old_light.coeffs
+    light = plan.old_light
     embedding = embedder.embed(plan.image)
     _check_embedding_dim(params, embedding.size)
     delta, _ = forward_net(params, light, embedding)
-    adversarial = SHLight(light + delta)
-    return plan.relight(adversarial).image, adversarial
+    result = plan.relight(light + delta)
+    return result.image, result.new_coeffs
 
 
 def sample_gradient(params: AdvLNetParams, plan: RelightPlan, embedder,
                     embedding: np.ndarray, l1_weight: float = 1.0):
     """Loss and parameter gradients for one sample, relit by its ``plan``; the loss is the
     similarity plus ``l1_weight`` times the mean absolute luminance change."""
-    light = plan.old_light.coeffs
+    light = plan.old_light
     delta, cache = forward_net(params, light, embedding)
     if not np.all(np.isfinite(delta)):
         raise FloatingPointError("network produced a non-finite light residual")

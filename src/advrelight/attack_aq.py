@@ -22,7 +22,7 @@ import numpy as np
 
 from .embedder import cosine_similarity
 from .relight import FaceImage, RelightPlan, RelightResult
-from .shading import SHLight, _light_coeffs, write_csv
+from .shading import as_light, write_csv
 
 _BALL_SLACK = 1e-9
 
@@ -50,16 +50,16 @@ class AttackTrace:
     lights: np.ndarray  # (iterations + 1, 9)
     similarities: np.ndarray  # (iterations + 1,)
     clamp_fractions: np.ndarray  # (iterations + 1,)
-    adversarial_light: SHLight
+    adversarial_light: np.ndarray
     relit: FaceImage
     embedding: np.ndarray  # the attack embedder's embedding of ``relit``
-    origin_light: SHLight
+    origin_light: np.ndarray
     epsilon: float
 
     def __post_init__(self):
         if self.lights.shape[0] != self.similarities.shape[0]:
             raise ValueError("trace arrays have inconsistent lengths")
-        drift = np.abs(self.lights - self.origin_light.coeffs).max()
+        drift = np.abs(self.lights - self.origin_light).max()
         if drift > self.epsilon + _BALL_SLACK:
             raise ValueError(
                 f"iterate left the epsilon ball: drift {drift:.3g} > {self.epsilon:.3g}"
@@ -93,7 +93,7 @@ def loss_gradient_fd(plan: RelightPlan, current_light, embedder, reference,
     """
     if h <= 0:
         raise ValueError("fd step must be positive")
-    current = _light_coeffs(current_light)
+    current = as_light(current_light)
     steps = np.kron(np.eye(9), [[h], [-h]])  # rows +h e_j, -h e_j for j = 0..8
     images = [plan.relight(current + step).image for step in steps]
     embed_many = getattr(embedder, "embed_many", None)
@@ -122,7 +122,7 @@ def light_gradient(plan: RelightPlan, result: RelightResult, embedder, reference
 
 def attack(plan: RelightPlan, embedder, config: AttackConfig) -> AttackTrace:
     """Run the sign-gradient attack from the plan's old light; return the full trace."""
-    origin = plan.old_light.coeffs
+    origin = plan.old_light
     reference = embedder.embed(plan.image)
     lo = origin - config.epsilon
     hi = origin + config.epsilon
@@ -145,7 +145,7 @@ def attack(plan: RelightPlan, embedder, config: AttackConfig) -> AttackTrace:
         lights=np.array(lights),
         similarities=np.array(sims),
         clamp_fractions=np.array(clamps),
-        adversarial_light=SHLight(current),
+        adversarial_light=result.new_coeffs,
         relit=result.image,
         embedding=embedding,
         origin_light=plan.old_light,

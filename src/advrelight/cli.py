@@ -19,7 +19,7 @@ from .corpus import synthetic_corpus
 from .embedder import BuiltinEmbedder, ExternalEmbedder, cosine_similarity
 from .errors import AdvRelightError, ScenarioError
 from .relight import RelightPlan, estimate_light, load_face_image, save_face_image
-from .shading import SHLight, load_light, load_normal_map, save_light, sphere_normals, write_csv
+from .shading import as_light, load_light, load_normal_map, save_light, sphere_normals, write_csv
 
 
 class UsageError(Exception):
@@ -168,7 +168,7 @@ def _cmd_relight(args) -> int:
 def _cmd_estimate_light(args) -> int:
     light = estimate_light(load_face_image(args.image), load_normal_map(args.normals))
     save_light(args.out, light)
-    print(" ".join(f"{c:.6g}" for c in light.coeffs))
+    print(" ".join(f"{c:.6g}" for c in light))
     return 0
 
 
@@ -257,23 +257,8 @@ def _load_scenario(path):
         scene_cfg = data["scene"]
         if not isinstance(scene_cfg, dict):
             raise TypeError("scene must be an object")
-        if "normals" in scene_cfg:
-            normals = load_normal_map(Path(path).parent / scene_cfg["normals"])
-        else:
-            normals = sphere_normals(integer(scene_cfg, "sphere_resolution", 64,
-                                             "scene.sphere_resolution", 8,
-                                             MAX_SCENARIO_RESOLUTION))
-        scene = phy_sim.SceneModel(normals=normals,
-                                   albedo=scene_cfg.get("albedo", 0.8),
-                                   ambient=float(scene_cfg.get("ambient", 0.25)))
+        # The loop's options and the start pose are checked before any normals are built.
         start = phy_sim.PLSPose(**data["start_pose"])
-        target_cfg = data["target"]
-        if "light_file" in target_cfg:
-            target = load_light(Path(path).parent / target_cfg["light_file"])
-        elif "coeffs" in target_cfg:
-            target = SHLight(np.asarray(target_cfg["coeffs"], dtype=float))
-        else:
-            target = phy_sim.scene_light_estimate(scene, phy_sim.PLSPose(**target_cfg["pose"]))
         tau = float(data.get("tau", 0.9))
         if not tau <= 1.0:  # above 1 (or NaN) no pixel reaches tau times the peak
             raise ValueError(f"tau must be a number no greater than 1, got {tau}")
@@ -290,6 +275,22 @@ def _load_scenario(path):
                                    "map_resolution", 8, MAX_SCENARIO_RESOLUTION),
             distance_bounds=(lo, hi),
         )
+        if "normals" in scene_cfg:
+            normals = load_normal_map(Path(path).parent / scene_cfg["normals"])
+        else:
+            normals = sphere_normals(integer(scene_cfg, "sphere_resolution", 64,
+                                             "scene.sphere_resolution", 8,
+                                             MAX_SCENARIO_RESOLUTION))
+        scene = phy_sim.SceneModel(normals=normals,
+                                   albedo=scene_cfg.get("albedo", 0.8),
+                                   ambient=float(scene_cfg.get("ambient", 0.25)))
+        target_cfg = data["target"]
+        if "light_file" in target_cfg:
+            target = load_light(Path(path).parent / target_cfg["light_file"])
+        elif "coeffs" in target_cfg:
+            target = as_light(target_cfg["coeffs"])
+        else:
+            target = phy_sim.scene_light_estimate(scene, phy_sim.PLSPose(**target_cfg["pose"]))
         return target, start, scene, options
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
@@ -325,8 +326,8 @@ def _cmd_eval(args) -> int:
     if args.method in ("none", "ap") and args.epsilon:
         raise UsageError(f"advrelight eval: argument --epsilon: method {args.method} applies "
                          f"no epsilon ball, got {args.epsilon:g}")
-    groups, k = _load_groups(args)
     params = attack_ap.load_params(args.params) if args.params else None
+    groups, k = _load_groups(args)
     with (open_embedder(args.embedder) as embedder,
           open_embedder(args.eval_embedder) as eval_embedder):
         report = harness.evaluate(groups, args.method, embedder, epsilon=args.epsilon,

@@ -70,7 +70,7 @@ def _render_lights(seed: int, identity: int, count: int) -> np.ndarray:
     lights, intensities, directions = np.zeros((count, 9)), [], []
     for j in range(count):
         rng = np.random.default_rng([seed, identity, j])
-        lights[j, 0] = rng.uniform(0.48, 0.62) / (BAND_GAINS[0] * SH_C0)  # SHLight.ambient
+        lights[j, 0] = rng.uniform(0.48, 0.62) / (BAND_GAINS[0] * SH_C0)  # an ambient light
         pose = PLSPose(azimuth=rng.uniform(0.0, 2.0 * math.pi), polar=rng.uniform(0.15, 1.05),
                        distance=1.0, intensity=rng.uniform(0.10, 0.34))
         intensities.append(pose.intensity)

@@ -23,7 +23,7 @@ from . import attack_ap, attack_aq
 from .corpus import IdentityGroup, Sample
 from .errors import AdvRelightError, DegenerateLabelsError, EvaluationError, ManifestError
 from .relight import RelightPlan, estimate_light, load_face_image, random_relight
-from .shading import LightingMap, NormalMap, SHLight, lighting_map, load_normal_map, write_csv
+from .shading import LightingMap, NormalMap, as_light, lighting_map, load_normal_map, write_csv
 
 ATTACK_METHODS = ("none", "random", "aq", "ap")
 
@@ -149,8 +149,8 @@ def build_split(groups, k: int = 8, seed: int = 0) -> Split:
 class AttackedSample:
     identity: str
     image: object  # FaceImage
-    original_light: SHLight | None
-    adversarial_light: SHLight | None
+    original_light: np.ndarray | None
+    adversarial_light: np.ndarray | None
     mean_abs_change: float
     error: str | None = None
     embedding: np.ndarray | None = None  # the attack embedder's, if the attack made one
@@ -185,7 +185,7 @@ def run_attack_suite(targets, method: str, embedder, *, epsilon: float = 0.0,
                 new_image, adv = image, light
             elif method == "random":
                 result = random_relight(plan, epsilon, seed=_per_image_seed(seed, idx))
-                new_image, adv = result.image, SHLight(result.new_coeffs)
+                new_image, adv = result.image, result.new_coeffs
             elif method == "aq":
                 cfg = attack_aq.AttackConfig(epsilon=epsilon, iterations=iterations)
                 trace = attack_aq.attack(plan, embedder, cfg)
@@ -366,7 +366,7 @@ class EvalReport:
     roc: ROCResult
     mean_abs_change: float
     suite: SuiteResult
-    light_pairs: tuple[tuple[SHLight, SHLight], ...]
+    light_pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 def evaluate(groups, method: str, embedder, *, epsilon: float = 0.0, k: int = 8,
@@ -417,20 +417,24 @@ def write_summary_csv(path, reports) -> None:
 
 def write_lights_csv(path, report: EvalReport) -> None:
     write_csv(path, ["index"] + [f"L{j}" for j in range(9)] + [f"Lhat{j}" for j in range(9)],
-              ([idx, *old.coeffs, *new.coeffs]
+              ([idx, *old, *new]
                for idx, (old, new) in enumerate(report.light_pairs)))
 
 
-def read_lights_csv(path) -> list[tuple[SHLight, SHLight]]:
+def read_lights_csv(path) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(old, new) light pairs; a malformed row's ValueError names ``path`` and row (header 1)."""
     pairs = []
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         if len(header) != 19:
             raise ValueError(f"{path}: expected 19 columns, got {len(header)}")
-        for row in reader:
-            values = [float(v) for v in row[1:]]
-            pairs.append((SHLight(values[:9]), SHLight(values[9:])))
+        for n, row in enumerate(reader, start=2):
+            try:
+                values = [float(v) for v in row[1:]]
+                pairs.append((as_light(values[:9]), as_light(values[9:])))
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {n}: {exc}") from exc
     return pairs
 
 

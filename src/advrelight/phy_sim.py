@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NoLightError, NonConvergenceError
 from .relight import FaceImage, estimate_light
-from .shading import LightingMap, NormalMap, SHLight, _freeze, _light_coeffs, lighting_map, pixel_to_direction, sh_basis, shade
+from .shading import LightingMap, NormalMap, _freeze, as_light, lighting_map, pixel_to_direction, sh_basis, shade
 
 TWO_PI = 2.0 * math.pi
 
@@ -96,10 +96,10 @@ class NavFeedback:
     converged: bool
 
 
-def pls_to_sh(pose: PLSPose) -> SHLight:
+def pls_to_sh(pose: PLSPose) -> np.ndarray:
     """Project a point light to SH: (intensity / distance^2) * basis(direction)."""
     scale = pose.intensity / (pose.distance * pose.distance)
-    return SHLight(scale * sh_basis(pose.direction()))
+    return as_light(scale * sh_basis(pose.direction()))
 
 
 def scene_photo(scene: SceneModel, light) -> FaceImage:
@@ -109,7 +109,7 @@ def scene_photo(scene: SceneModel, light) -> FaceImage:
     return FaceImage.from_luminance(lum)
 
 
-def scene_light_estimate(scene: SceneModel, pose: PLSPose) -> SHLight:
+def scene_light_estimate(scene: SceneModel, pose: PLSPose) -> np.ndarray:
     """The light the loop would estimate when photographing ``pose``.
 
     Use this to express pose-defined targets in the scene pipeline, which
@@ -168,7 +168,7 @@ def recurrence_loop(target, start: PLSPose, scene: SceneModel,
     polar and log-distance. Raises :class:`NonConvergenceError` (carrying
     the trace) after ``max_iter`` adjustments without convergence.
     """
-    target_map = lighting_map(_light_coeffs(target), map_resolution)
+    target_map = lighting_map(target, map_resolution)
     if target_map.peak <= 0.0:
         raise NoLightError("target light renders an empty lighting map")
     gain_az, gain_po, gain_di = gains

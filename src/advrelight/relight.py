@@ -16,7 +16,7 @@ import numpy as np
 
 from . import pngio
 from .errors import DegenerateLightError, EmptyMaskError, SingularFitError
-from .shading import BAND_GAINS, NormalMap, SHLight, _freeze, _light_coeffs
+from .shading import BAND_GAINS, NormalMap, _freeze, as_light
 
 #: Rec. 601 luma weights.
 LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114], dtype=np.float64)
@@ -119,8 +119,8 @@ class RelightPlan:
         if n_masked == 0:
             raise EmptyMaskError("relighting needs at least one masked pixel")
         self.old_light = (estimate_light(image, normals) if old_light is None
-                          else SHLight(_light_coeffs(old_light)))
-        f_old = self.basis @ (BAND_GAINS * self.old_light.coeffs)
+                          else as_light(old_light))
+        f_old = self.basis @ (BAND_GAINS * self.old_light)
         floored = int((f_old < DENOM_FLOOR).sum())
         if floored > 0.5 * n_masked:
             raise DegenerateLightError(f"denominator floored on {floored}/{n_masked} masked pixels")
@@ -133,16 +133,16 @@ class RelightPlan:
         at ``DENOM_FLOOR``) and clamped to [0, 1]; unmasked pixels pass
         through.
         """
-        coeffs = _light_coeffs(new_light)
+        coeffs = as_light(new_light)
         raw = self.lum * (self.basis @ (BAND_GAINS * coeffs)) / self.denom
-        if not np.isfinite(raw).all():  # as from a non-finite light
+        if not np.isfinite(raw).all():  # a finite light can still overflow
             raise ValueError("relit luminance must be finite")
         clipped = raw.clip(0.0, 1.0)
         lum = self.image.luminance.copy()
         lum[self.mask] = clipped
         return RelightResult(
             image=FaceImage(_freeze(lum), colors_of=self.image),
-            new_coeffs=_freeze(coeffs.copy()),
+            new_coeffs=coeffs,
             unclamped=_freeze(clipped == raw),
         )
 
@@ -152,7 +152,7 @@ class RelightPlan:
         return BAND_GAINS * (self.basis.T @ (g * (self.lum / self.denom) * result.unclamped))
 
 
-def estimate_light(image: FaceImage, normals: NormalMap) -> SHLight:
+def estimate_light(image: FaceImage, normals: NormalMap) -> np.ndarray:
     """Least-squares light from an image and its normals (uniform albedo).
 
     Solves luminance ~= sum_j A_j L_j b_j(n) over the masked pixels, on the map's basis, and
@@ -165,7 +165,7 @@ def estimate_light(image: FaceImage, normals: NormalMap) -> SHLight:
     solution, _, rank, _ = np.linalg.lstsq(normals.basis * BAND_GAINS, luminance, rcond=None)
     if rank < 9:
         raise SingularFitError(rank=int(rank))
-    return SHLight(solution)
+    return as_light(solution)
 
 
 def random_relight(plan: RelightPlan, epsilon: float, seed: int) -> RelightResult:
@@ -173,7 +173,7 @@ def random_relight(plan: RelightPlan, epsilon: float, seed: int) -> RelightResul
     if not 0 <= epsilon < np.inf:  # NaN fails both comparisons
         raise ValueError("epsilon must be finite and non-negative")
     offset = np.random.default_rng(seed).uniform(-epsilon, epsilon, size=9)
-    return plan.relight(plan.old_light.coeffs + offset)
+    return plan.relight(plan.old_light + offset)
 
 
 def save_face_image(path, image: FaceImage) -> None:

@@ -1,7 +1,8 @@
 """Second-order real spherical harmonics and Lambertian shading.
 
-The light is a vector of nine radiance coefficients ordered band-major:
-band 0, then band 1 (m = -1, 0, 1), then band 2 (m = -2..2). Shading of a
+A light is a read-only float64 array of nine finite radiance coefficients,
+made and checked by :func:`as_light`, ordered band-major: band 0, then
+band 1 (m = -1, 0, 1), then band 2 (m = -2..2). Shading of a
 unit normal n under a light L is
 
     f(n, L) = sum_j  A_l(j) * L[j] * b_j(n)
@@ -39,26 +40,15 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class SHLight:
-    """Nine spherical-harmonics radiance coefficients."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=np.float64).reshape(-1)
-        if c.shape != (9,):
-            raise ValueError(f"a light needs exactly 9 coefficients, got {c.shape}")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("light coefficients must be finite")
-        object.__setattr__(self, "coeffs", _freeze(c))
-
-    @staticmethod
-    def ambient(level: float = 1.0) -> "SHLight":
-        """Constant light whose shading equals ``level`` everywhere."""
-        c = np.zeros(9)
-        c[0] = level / (BAND_GAINS[0] * SH_C0)
-        return SHLight(c)
+def as_light(coeffs) -> np.ndarray:
+    """A light: a read-only float64 copy of ``coeffs``, flattened; ValueError unless it holds
+    exactly nine values, all finite."""
+    c = np.array(coeffs, dtype=np.float64).reshape(-1)
+    if c.shape != (9,):
+        raise ValueError(f"a light needs exactly 9 coefficients, got {c.shape}")
+    if not np.isfinite(c).all():
+        raise ValueError("light coefficients must be finite")
+    return _freeze(c)
 
 
 @dataclass(frozen=True)
@@ -148,15 +138,6 @@ class LightingMap:
         return self._iso_areas[tau]
 
 
-def _light_coeffs(light) -> np.ndarray:
-    if isinstance(light, SHLight):
-        return light.coeffs
-    c = np.asarray(light, dtype=np.float64).reshape(-1)
-    if c.shape != (9,):
-        raise ValueError(f"a light needs exactly 9 coefficients, got {c.shape}")
-    return c
-
-
 def sh_basis(normals) -> np.ndarray:
     """Evaluate the 9 real SH basis polynomials at unit vectors.
 
@@ -194,7 +175,7 @@ def _sh_terms(x, y, z):
 def shade(normal_map: NormalMap, light) -> np.ndarray:
     """Lambertian shading f(N, L): raw values, zero outside the mask."""
     out = np.zeros(normal_map.mask.shape, dtype=np.float64)
-    out[normal_map.mask] = normal_map.basis @ (BAND_GAINS * _light_coeffs(light))
+    out[normal_map.mask] = normal_map.basis @ (BAND_GAINS * as_light(light))
     return out
 
 
@@ -217,7 +198,7 @@ def sphere_normals(resolution: int) -> NormalMap:
 def lighting_map(light, resolution: int) -> LightingMap:
     """Render the shading a light produces on the reference sphere."""
     design = _sphere_design(resolution)[0]
-    return LightingMap._adopt(_light_coeffs(light) @ design, resolution)
+    return LightingMap._adopt(as_light(light) @ design, resolution)
 
 
 def _pixel_grid(resolution: int):
@@ -271,17 +252,16 @@ def write_csv(path, header, rows) -> None:
 
 def save_light(path, light) -> None:
     """Write a light as one whitespace-separated array of 9 decimals."""
-    coeffs = _light_coeffs(light)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(" ".join(f"{c:.17g}" for c in coeffs) + "\n")
+        fh.write(" ".join(f"{c:.17g}" for c in as_light(light)) + "\n")
 
 
-def load_light(path) -> SHLight:
+def load_light(path) -> np.ndarray:
     with open(path, "r", encoding="ascii") as fh:
         tokens = fh.read().split()
     if len(tokens) != 9:
         raise ValueError(f"{path}: expected 9 numbers, found {len(tokens)}")
-    return SHLight(np.array([float(t) for t in tokens]))
+    return as_light([float(t) for t in tokens])
 
 
 def save_normal_map(path, normal_map: NormalMap) -> None:

@@ -6,7 +6,7 @@ import pytest
 from advrelight.corpus import synthetic_corpus
 from advrelight.embedder import BuiltinEmbedder, EmbedderDescriptor
 from advrelight.relight import FaceImage
-from advrelight.shading import SHLight, shade, sphere_normals
+from advrelight.shading import as_light, shade, sphere_normals
 
 
 @pytest.fixture(scope="session")
@@ -50,7 +50,7 @@ def make_safe_light(rng, band_scale=0.08):
     coeffs = np.zeros(9)
     coeffs[0] = rng.uniform(0.45, 0.7) / 0.8862269254527579  # pi * c0
     coeffs[1:] = rng.uniform(-band_scale, band_scale, size=8)
-    return SHLight(coeffs)
+    return as_light(coeffs)
 
 
 def make_scene(rng, normals, band_scale=0.08):

@@ -7,19 +7,21 @@ import numpy as np
 from advrelight import corpus
 from advrelight.phy_sim import PLSPose, pls_to_sh
 from advrelight.relight import FaceImage
-from advrelight.shading import SHLight, shade
+from advrelight.shading import as_light, shade
+
+from helpers.lighting import ambient_light
 
 
-def render_light(rng: np.random.Generator) -> SHLight:
+def render_light(rng: np.random.Generator) -> np.ndarray:
     """Ambient-dominant light with a random directional component."""
-    ambient = SHLight.ambient(rng.uniform(0.48, 0.62)).coeffs
+    ambient = ambient_light(rng.uniform(0.48, 0.62))
     pose = PLSPose(
         azimuth=rng.uniform(0.0, 2.0 * math.pi),
         polar=rng.uniform(0.15, 1.05),
         distance=1.0,
         intensity=rng.uniform(0.10, 0.34),
     )
-    return SHLight(ambient + pls_to_sh(pose).coeffs)
+    return as_light(ambient + pls_to_sh(pose))
 
 
 def per_sample_corpus(identities, per_identity, size, seed) -> list[list[tuple]]:

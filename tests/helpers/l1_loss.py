@@ -9,7 +9,7 @@ import numpy as np
 
 from advrelight.attack_ap import backward_net, forward_net
 from advrelight.embedder import cosine_similarity
-from advrelight.shading import _light_coeffs
+from advrelight.shading import as_light
 
 
 def score(plan, image, embedding, reference, l1_weight) -> float:
@@ -28,7 +28,7 @@ def relight_loss(plan, light, embedder, reference, l1_weight=0.0):
 
 def loss_gradient_fd(plan, current_light, embedder, reference, h=1e-3, l1_weight=0.0):
     """Central differences of :func:`score` over the 9 coefficients, 18 probes."""
-    current = _light_coeffs(current_light)
+    current = as_light(current_light)
     steps = np.kron(np.eye(9), [[h], [-h]])
     images = [plan.relight(current + step).image for step in steps]
     embed_many = getattr(embedder, "embed_many", None)
@@ -52,7 +52,7 @@ def light_gradient(plan, result, embedder, reference, l1_weight=0.0):
 
 def sample_gradient(params, plan, embedder, embedding, l1_weight=1.0):
     """``attack_ap.sample_gradient`` on the folded score and its gradient."""
-    light = plan.old_light.coeffs
+    light = plan.old_light
     delta, cache = forward_net(params, light, embedding)
     result, _, value = relight_loss(plan, light + delta, embedder, embedding, l1_weight)
     d_delta = light_gradient(plan, result, embedder, embedding, l1_weight)

@@ -1,8 +1,16 @@
-"""Dense forms of the lighting-map layout, the oracles tests compare the masked forms against."""
+"""Dense forms of the lighting-map layout, the oracles tests compare the masked forms against,
+and the constant light tests relight with."""
 
 import numpy as np
 
-from advrelight.shading import BAND_GAINS, _sh_terms, sphere_normals
+from advrelight.shading import BAND_GAINS, SH_C0, _sh_terms, as_light, sphere_normals
+
+
+def ambient_light(level: float = 1.0) -> np.ndarray:
+    """The constant light whose shading equals ``level`` everywhere."""
+    coeffs = np.zeros(9)
+    coeffs[0] = level / (BAND_GAINS[0] * SH_C0)
+    return as_light(coeffs)
 
 
 def dense_values(lmap) -> np.ndarray:

@@ -3,12 +3,12 @@ as test oracles."""
 
 import numpy as np
 
-from advrelight.shading import BAND_GAINS, _light_coeffs
+from advrelight.shading import BAND_GAINS, as_light
 
 
 def raw(plan, new_light) -> np.ndarray:
     """Unclamped relit luminance over the masked pixels, by the quotient formula."""
-    return plan.lum * (plan.basis @ (BAND_GAINS * _light_coeffs(new_light))) / plan.denom
+    return plan.lum * (plan.basis @ (BAND_GAINS * as_light(new_light))) / plan.denom
 
 
 def unclamped(plan, new_light) -> np.ndarray:

@@ -20,9 +20,9 @@ from advrelight.embedder import BuiltinEmbedder, cosine_similarity
 from advrelight.harness import AttackedSample, build_split, roc_auc, sensitivity_analysis
 from advrelight.phy_sim import PLSPose, SceneModel, pls_to_sh, recurrence_loop, scene_light_estimate
 from advrelight.relight import DENOM_FLOOR, FaceImage, RelightPlan, estimate_light
-from advrelight.shading import SHLight, lighting_map, shade, sphere_normals
+from advrelight.shading import as_light, lighting_map, shade, sphere_normals
 
-from helpers.lighting import dense_values
+from helpers.lighting import ambient_light, dense_values
 from helpers.relighting import jacobian
 from helpers.training import dense_gradients
 
@@ -78,7 +78,7 @@ def scene_lights(rng, n, directional=0.25):
         coeffs = np.zeros(9)
         coeffs[0] = rng.uniform(0.4, 0.7) / 0.8862269254527579
         coeffs[1:] = rng.uniform(-directional, directional, 8)
-        lights.append(SHLight(coeffs))
+        lights.append(as_light(coeffs))
     return lights
 
 
@@ -119,11 +119,11 @@ def test_criterion_2_linearity_and_jacobian():
         lum = np.clip(0.6 * np.clip(shade(normals, old), 0, 1), 0.02, 0.98)
         image = FaceImage.from_luminance(lum)
         plan = RelightPlan(image, normals, old)
-        assert plan.relight(new.coeffs).clamp_fraction == 0.0
-        jac = jacobian(plan, new.coeffs)
+        assert plan.relight(new).clamp_fraction == 0.0
+        jac = jacobian(plan, new)
         h = 1e-4
         j = int(rng.integers(0, 9))
-        plus, minus = new.coeffs.copy(), new.coeffs.copy()
+        plus, minus = new.copy(), new.copy()
         plus[j] += h
         minus[j] -= h
         fd = (plan.relight(plus).image.luminance
@@ -150,7 +150,7 @@ def test_criterion_3_light_estimation_roundtrip():
         rendered = shade(normals, coeffs)
         assert rendered.min() >= 0.0 and rendered.max() <= 1.0
         estimated = estimate_light(FaceImage.from_luminance(rendered), normals)
-        worst = max(worst, np.abs(estimated.coeffs - coeffs).max())
+        worst = max(worst, np.abs(estimated - coeffs).max())
     elapsed = time.monotonic() - start
     report(3, worst < 1e-3 and elapsed < 10.0,
            f"max coefficient error {worst:.2e} over 100 lights in {elapsed:.2f}s")
@@ -204,7 +204,7 @@ def test_criterion_6_ball_constraint(aq_sweep):
     total = violations = 0
     for epsilon, (_, traces) in sweep_results.items():
         for trace in traces:
-            drift = np.abs(trace.lights - trace.origin_light.coeffs).max(axis=1)
+            drift = np.abs(trace.lights - trace.origin_light).max(axis=1)
             total += drift.size
             violations += int((drift > epsilon + 1e-9).sum())
     report(6, violations == 0,
@@ -233,13 +233,13 @@ def test_criterion_7_predictor_training(corpus, embedder):
             for k in range(flat.size):
                 original = flat[k]
                 flat[k] = original + h
-                d, _ = forward_net(params, light.coeffs, embedding)
-                relit = plan.relight(light.coeffs + d).image
+                d, _ = forward_net(params, light, embedding)
+                relit = plan.relight(light + d).image
                 plus = (cosine_similarity(embedder.embed(relit), embedding)
                         + np.abs(relit.luminance - image.luminance).mean())
                 flat[k] = original - h
-                d, _ = forward_net(params, light.coeffs, embedding)
-                relit = plan.relight(light.coeffs + d).image
+                d, _ = forward_net(params, light, embedding)
+                relit = plan.relight(light + d).image
                 minus = (cosine_similarity(embedder.embed(relit), embedding)
                          + np.abs(relit.luminance - image.luminance).mean())
                 flat[k] = original
@@ -306,18 +306,18 @@ def test_criterion_9_sensitivity_histogram():
     resolution, cell = 128, 8.0
     pairs = []
     for _ in range(50):
-        base = SHLight.ambient(float(rng.uniform(0.45, 0.6)))
+        base = ambient_light(float(rng.uniform(0.45, 0.6)))
         pose = PLSPose((math.pi / 4 + rng.normal(0, 0.05)) % (2 * math.pi),
                        0.8 + float(rng.normal(0, 0.05)), 1.0, 0.4)
-        pairs.append((base, SHLight(base.coeffs + pls_to_sh(pose).coeffs)))
-    pairs.append((SHLight.ambient(0.5), SHLight.ambient(0.5)))
+        pairs.append((base, as_light(base + pls_to_sh(pose))))
+    pairs.append((ambient_light(0.5), ambient_light(0.5)))
     hist = sensitivity_analysis(pairs, resolution=resolution, cell_size=cell)
     mass_ok = hist.counts.sum() == hist.total == 50 and hist.skipped == 1
 
-    base = SHLight.ambient(0.5)
+    base = ambient_light(0.5)
     oracle_pose = PLSPose(math.pi / 4, 0.8, 1.0, 0.4)
     diff = np.abs(
-        dense_values(lighting_map(SHLight(base.coeffs + pls_to_sh(oracle_pose).coeffs),
+        dense_values(lighting_map(as_light(base + pls_to_sh(oracle_pose)),
                                   resolution))
         - dense_values(lighting_map(base, resolution)))
     row, col = divmod(int(np.argmax(diff)), resolution)

@@ -40,7 +40,7 @@ def test_zero_output_layer_is_identity(builtin_embedder):
     params.w3[...] = 0.0
     relit, adversarial = predict(RelightPlan(image, normals), params, builtin_embedder)
     light = estimate_light(image, normals)
-    assert np.array_equal(adversarial.coeffs, light.coeffs)
+    assert np.array_equal(adversarial, light)
     assert np.abs(relit.luminance - image.luminance).max() < 1e-9
 
 
@@ -49,7 +49,7 @@ def test_variants_output_shape(builtin_embedder):
     for variant in ("static", "dynamic"):
         params = init_params(variant, hidden=8)
         _, adversarial = predict(RelightPlan(image, normals), params, builtin_embedder)
-        assert adversarial.coeffs.shape == (9,)
+        assert adversarial.shape == (9,)
 
 
 def test_dynamic_contains_static():
@@ -92,8 +92,8 @@ def test_loss_matches_two_pass_oracle(builtin_embedder):
     plan = RelightPlan(image, normals, estimate_light(image, normals))
     params = init_params("static", hidden=8, seed=5)
     reference = builtin_embedder.embed(image)
-    delta, _ = forward_net(params, plan.old_light.coeffs, reference)
-    result, embedding, _ = relight_loss(plan, plan.old_light.coeffs + delta, builtin_embedder,
+    delta, _ = forward_net(params, plan.old_light, reference)
+    result, embedding, _ = relight_loss(plan, plan.old_light + delta, builtin_embedder,
                                         reference)
     value, _ = sample_gradient(params, plan, builtin_embedder, reference, l1_weight=1.0)
     other = result.image
@@ -120,8 +120,8 @@ def test_backprop_matches_fd(builtin_embedder, variant):
 
     # the loss is only differentiable away from the clamp and the L1 kink;
     # check the scene leaves all probes a comfortable margin
-    delta, cache = forward_net(params, light.coeffs, embedding)
-    probe = plan.relight(light.coeffs + delta)
+    delta, cache = forward_net(params, light, embedding)
+    probe = plan.relight(light + delta)
     assert probe.clamp_fraction == 0.0
     diff = probe.image.luminance - image.luminance
     assert np.abs(diff[normals.mask]).min() > 50 * h
@@ -131,8 +131,8 @@ def test_backprop_matches_fd(builtin_embedder, variant):
     grads = dense_gradients(params, grads, embedding)
 
     def loss_at(p):
-        d, _ = forward_net(p, light.coeffs, embedding)
-        relit = plan.relight(light.coeffs + d).image
+        d, _ = forward_net(p, light, embedding)
+        relit = plan.relight(light + d).image
         sim = cosine_similarity(builtin_embedder.embed(relit), embedding)
         return sim + np.abs(relit.luminance - image.luminance).mean()
 

@@ -14,7 +14,7 @@ from advrelight.attack_aq import (
 )
 from advrelight.embedder import ExternalEmbedder, cosine_similarity
 from advrelight.relight import RelightPlan, estimate_light, random_relight
-from advrelight.shading import SHLight
+from advrelight.shading import as_light
 
 from conftest import BlackBox, make_safe_light, make_scene
 from helpers import l1_loss
@@ -48,11 +48,11 @@ def test_jacobian_matches_fd(sphere64):
         plan = RelightPlan(image, sphere64, old)
         jac = jacobian(plan, new)
         h = 1e-4
-        assert plan.relight(new.coeffs).clamp_fraction == 0.0
+        assert plan.relight(new).clamp_fraction == 0.0
         for j in rng.choice(9, size=4, replace=False):
-            plus = new.coeffs.copy()
+            plus = new.copy()
             plus[j] += h
-            minus = new.coeffs.copy()
+            minus = new.copy()
             minus[j] -= h
             fd = (plan.relight(plus).image.luminance
                   - plan.relight(minus).image.luminance) / (2 * h)
@@ -78,7 +78,7 @@ def test_jacobian_zero_rows(sphere64):
     jac = jacobian(plan, old)
     assert np.all(jac[~sphere64.mask] == 0.0)
     # force heavy clamping with a hugely amplified light
-    blown = 10.0 * old.coeffs
+    blown = 10.0 * old
     jac = jacobian(plan, blown)
     assert plan.relight(blown).clamp_fraction > 0.0
     lum = image.luminance * 10.0  # exact pre-clamp value for a scaled light
@@ -89,7 +89,7 @@ def test_jacobian_zero_rows(sphere64):
 def test_fd_gradient_agrees_with_analytic(builtin_embedder, sphere64):
     rng = np.random.default_rng(3)
     image, old = make_scene(rng, sphere64)
-    current = old.coeffs + rng.uniform(-0.05, 0.05, 9)
+    current = old + rng.uniform(-0.05, 0.05, 9)
     plan = RelightPlan(image, sphere64, old)
     reference = builtin_embedder.embed(image)
     result = plan.relight(current)
@@ -110,7 +110,7 @@ def test_fd_gradient_constant_landscape(sphere64):
 
     image, old = make_scene(np.random.default_rng(4), sphere64)
     embedder = ConstantEmbedder()
-    grad = loss_gradient_fd(RelightPlan(image, sphere64, old), old.coeffs, embedder,
+    grad = loss_gradient_fd(RelightPlan(image, sphere64, old), old, embedder,
                             embedder.embed(image), h=1e-3)
     assert np.all(grad == 0.0)
 
@@ -119,7 +119,7 @@ def test_fd_gradient_pipelined_matches_sequential_probes(sphere64):
     """One ``embed_many`` batch gives the gradient of 18 one-at-a-time relight losses."""
     rng = np.random.default_rng(6)
     image, old = make_scene(rng, sphere64)
-    current = old.coeffs + rng.uniform(-0.05, 0.05, 9)
+    current = old + rng.uniform(-0.05, 0.05, 9)
     plan = RelightPlan(image, sphere64, old)
     endpoint = [sys.executable, str(Path(__file__).parent / "helpers" / "echo_embedder.py")]
     h = 1e-2
@@ -144,7 +144,7 @@ def test_black_box_light_gradient_adds_the_cotangent_pullback(builtin_embedder, 
     rng = np.random.default_rng(8)
     image, old = make_scene(rng, sphere64)
     plan = RelightPlan(image, sphere64, old)
-    result = plan.relight(old.coeffs + rng.uniform(-0.05, 0.05, 9))
+    result = plan.relight(old + rng.uniform(-0.05, 0.05, 9))
     blackbox = BlackBox(builtin_embedder)
     reference = builtin_embedder.embed(image)
     cotangent = rng.standard_normal(image.luminance.shape)
@@ -158,7 +158,7 @@ def test_fd_gradient_richardson(builtin_embedder, sphere64):
     """Halving h shrinks the truncation error roughly fourfold (O(h^2))."""
     rng = np.random.default_rng(5)
     image, old = make_scene(rng, sphere64)
-    current = old.coeffs + rng.uniform(-0.05, 0.05, 9)
+    current = old + rng.uniform(-0.05, 0.05, 9)
     plan = RelightPlan(image, sphere64, old)
     reference = builtin_embedder.embed(image)
     exact = light_gradient(plan, plan.relight(current), builtin_embedder, reference)
@@ -176,7 +176,7 @@ def test_attack_zero_epsilon(builtin_embedder, sphere64):
     image, light = make_scene(np.random.default_rng(6), sphere64)
     trace = attack(RelightPlan(image, sphere64, light), builtin_embedder,
                    AttackConfig(epsilon=0.0, iterations=3))
-    assert np.array_equal(trace.adversarial_light.coeffs, light.coeffs)
+    assert np.array_equal(trace.adversarial_light, light)
     assert np.abs(trace.relit.luminance - image.luminance).max() < 1e-6
     assert trace.final_similarity == pytest.approx(trace.initial_similarity, abs=1e-9)
 
@@ -188,7 +188,7 @@ def test_attack_ball_and_determinism(builtin_embedder, sphere64):
     second = attack(RelightPlan(image, sphere64, light), builtin_embedder, cfg)
     assert np.array_equal(first.lights, second.lights)
     assert np.array_equal(first.similarities, second.similarities)
-    assert np.abs(first.lights - light.coeffs).max() <= 0.4 + 1e-9
+    assert np.abs(first.lights - light).max() <= 0.4 + 1e-9
     assert first.lights.shape == (11, 9)
     assert first.final_similarity < first.initial_similarity
 
@@ -198,7 +198,7 @@ def test_attack_estimates_missing_light(builtin_embedder, sphere64):
     image, _ = make_scene(np.random.default_rng(8), sphere64)
     trace = attack(RelightPlan(image, sphere64), builtin_embedder,
                    AttackConfig(epsilon=0.2, iterations=5))
-    assert np.array_equal(trace.lights[0], estimate_light(image, sphere64).coeffs)
+    assert np.array_equal(trace.lights[0], estimate_light(image, sphere64))
     assert trace.final_similarity < trace.initial_similarity
 
 
@@ -213,7 +213,7 @@ def test_attack_fd_mode(builtin_embedder, sphere64):
     # sign-step numerically arbitrary in either mode
     assert fd.final_similarity < fd.initial_similarity
     assert analytic.final_similarity < analytic.initial_similarity
-    assert np.abs(fd.lights - light.coeffs).max() <= 0.2 + 1e-9
+    assert np.abs(fd.lights - light).max() <= 0.2 + 1e-9
 
 
 @pytest.mark.parametrize("epsilon", [0.2, 0.4, 0.8])
@@ -259,10 +259,10 @@ def test_trace_rejects_ball_violation(sphere64):
     image, light = make_scene(np.random.default_rng(11), sphere64)
     with pytest.raises(ValueError):
         AttackTrace(
-            lights=np.stack([light.coeffs, light.coeffs + 1.0]),
+            lights=np.stack([light, light + 1.0]),
             similarities=np.zeros(2),
             clamp_fractions=np.zeros(2),
-            adversarial_light=SHLight(light.coeffs),
+            adversarial_light=as_light(light),
             relit=image,
             embedding=np.ones(128) / np.sqrt(128),
             origin_light=light,

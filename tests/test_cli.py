@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import advrelight
-from advrelight import attack_ap, cli as cli_module, shading
+from advrelight import attack_ap, cli as cli_module, phy_sim, shading
 from advrelight.cli import (MAX_HIDDEN, MAX_ITERS, MAX_SCENARIO_ITERATIONS,
                             MAX_SCENARIO_RESOLUTION, cli)
 from advrelight.corpus import synthetic_corpus
@@ -89,7 +89,7 @@ def test_estimate_light(assets, tmp_path):
                 "--normals", str(assets / "normals.png"), "--out", str(out)]) == 0
     stored = load_light(assets / "light.txt")
     estimated = load_light(out)
-    assert np.abs(estimated.coeffs - stored.coeffs).max() < 0.02
+    assert np.abs(estimated - stored).max() < 0.02
 
 
 def test_attack_aq_epsilon_zero(assets, tmp_path, capsys):
@@ -187,6 +187,18 @@ _PARAMS_WITHOUT_W1 = _saved_bytes(np.savez, format_version=np.array(1), variant=
                                   hidden=np.array(8), embed_dim=np.array(128))
 
 
+def _params_with_nan_w3() -> bytes:
+    params = attack_ap.init_params("static", hidden=8)
+    params.w3[0, 0] = np.nan
+    return _saved_bytes(attack_ap.save_params, params=params)
+
+
+def _lights_csv(bad_row: str) -> str:
+    """A lights file whose row 2 (the header is row 1) is well formed and row 3 is ``bad_row``."""
+    header = ",".join(["index"] + [f"L{j}" for j in range(9)] + [f"Lhat{j}" for j in range(9)])
+    return f"{header}\n0,{','.join(['0.5'] * 18)}\n{bad_row}\n"
+
+
 def _manifest(k=1, images=("a.png", "b.png"), normals=("n.png", "n.png"), identities=("a",)):
     """A manifest of ``identities`` whose fields are as given; no file it names exists."""
     return json.dumps({"k": k, "identities": [
@@ -220,13 +232,29 @@ def _manifest(k=1, images=("a.png", "b.png"), normals=("n.png", "n.png"), identi
     (["eval", "--manifest"], '{"k": 1, "identities": [{"images": [], "normals": []}]}',
      "missing key 'identity'"),
     (["eval", "--manifest"], '{"k": 1,', "malformed manifest"),
+    (_EVAL_AP, _params_with_nan_w3(),
+     "input: malformed parameter file: parameter w3 must have shape (9, 8) and finite values"),
+    (["analyze-light", "--lights"], _lights_csv("1," + ",".join(["0.5"] * 17)),
+     "input: row 3: a light needs exactly 9 coefficients, got (8,)"),
+    (["analyze-light", "--lights"], _lights_csv("1," + ",".join(["0.5"] * 19)),
+     "input: row 3: a light needs exactly 9 coefficients, got (10,)"),
+    (["analyze-light", "--lights"], _lights_csv("1," + ",".join(["0.5"] * 17 + ["nan"])),
+     "input: row 3: light coefficients must be finite"),
+    (["analyze-light", "--lights"], _lights_csv("1,x," + ",".join(["0.5"] * 17)),
+     "input: row 3: could not convert string to float: 'x'"),
 ], ids=["empty_lights", "eval_manifest_list", "ap_train_manifest_list", "params_without_w1",
         "params_bad_zip", "params_plain_npy", "params_empty", "manifest_number_images",
         "manifest_null_normals", "manifest_string_images", "manifest_bool_k",
         "scenario_json_syntax", "manifest_repeated_identity", "ap_train_repeated_identity",
         "manifest_null_identity", "manifest_empty_identity", "manifest_number_identity",
-        "manifest_missing_identity", "manifest_json_syntax"])
-def test_malformed_input_file_exits_2(tmp_path, capsys, command, content, message):
+        "manifest_missing_identity", "manifest_json_syntax", "params_nan_w3",
+        "lights_17_values", "lights_19_values", "lights_nan", "lights_not_a_number"])
+def test_malformed_input_file_exits_2(tmp_path, capsys, monkeypatch, command, content, message):
+    """A malformed input file exits 2 naming the file, before the bundled corpus is built."""
+    def synthetic_corpus(*args, **kwargs):
+        raise AssertionError("built the corpus before reading the input")
+
+    monkeypatch.setattr(cli_module, "synthetic_corpus", synthetic_corpus)
     path = tmp_path / "input"
     path.write_bytes(content if isinstance(content, bytes) else content.encode())
     assert cli(command + [str(path)]) == 2
@@ -370,6 +398,32 @@ def test_phy_sim_malformed_start_pose_exits_2(tmp_path, capsys, start_pose, scen
     assert err.startswith("error: malformed scenario")
     assert all(key in err for key in overrides)
     assert "Traceback" not in err
+
+
+def test_phy_sim_checks_scenario_scalars_before_building_the_scene(tmp_path, capsys,
+                                                                   monkeypatch):
+    """A bad scalar is refused before a 1024 px sphere is built or a pose target is fitted."""
+    calls = {"sphere_normals": 0, "scene_light_estimate": 0}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(cli_module, "sphere_normals")
+    count(phy_sim, "scene_light_estimate")
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        "scene": {"sphere_resolution": 1024}, "start_pose": _START,
+        "target": {"pose": {"azimuth": 1.0, "polar": 0.6, "distance": 2.0, "intensity": 1.5}},
+        "map_resolution": 32.9}))
+    assert cli(["phy-sim", "--scenario", str(scenario)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed scenario") and "map_resolution" in err
+    assert calls == {"sphere_normals": 0, "scene_light_estimate": 0}
 
 
 @pytest.mark.parametrize("scene, overrides, key", [

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from advrelight import attack_ap, attack_aq, cli, harness
-from advrelight.shading import SHLight, write_csv
+from advrelight.shading import as_light, write_csv
 
 #: Floats whose text is easy to get wrong: signed zero, exponents, non-finite values.
 SPECIAL = [-0.0, 1e-5, 1e16, float("nan"), float("inf"), -float("inf"), 0.1234565, 1234567.0,
@@ -64,11 +64,11 @@ def test_summary_csv_holds_method_names(tmp_path):
 
 def test_lights_csv(tmp_path):
     rng = np.random.default_rng(3)
-    pairs = [(SHLight(a), SHLight(b)) for a, b in rng.standard_normal((5, 2, 9))]
-    pairs[1] = (SHLight([-0.0, 1e-5, 1e16, 0, 0, 0, 0, 0, 1.0]), pairs[1][1])
+    pairs = [(as_light(a), as_light(b)) for a, b in rng.standard_normal((5, 2, 9))]
+    pairs[1] = (as_light([-0.0, 1e-5, 1e16, 0, 0, 0, 0, 0, 1.0]), pairs[1][1])
     harness.write_lights_csv(tmp_path / "lights.csv", SimpleNamespace(light_pairs=pairs))
     header = ["index"] + [f"L{j}" for j in range(9)] + [f"Lhat{j}" for j in range(9)]
-    expected = oracle(header, [[i, *a.coeffs, *b.coeffs] for i, (a, b) in enumerate(pairs)])
+    expected = oracle(header, [[i, *a, *b] for i, (a, b) in enumerate(pairs)])
     assert (tmp_path / "lights.csv").read_bytes() == expected
 
 

@@ -25,10 +25,11 @@ from advrelight.harness import (
 )
 from advrelight.phy_sim import PLSPose, pls_to_sh
 from advrelight.relight import FaceImage, save_face_image
-from advrelight.shading import NormalMap, SHLight, lighting_map, save_normal_map, sh_basis, sphere_normals
+from advrelight.shading import (NormalMap, as_light, lighting_map, save_normal_map, sh_basis,
+                               sphere_normals)
 
 from conftest import BlackBox, patch_every_binding
-from helpers.lighting import dense_values
+from helpers.lighting import ambient_light, dense_values
 
 ECHO_ENDPOINT = [sys.executable, str(Path(__file__).parent / "helpers" / "echo_embedder.py")]
 
@@ -139,8 +140,7 @@ def test_suite_none_is_identity(small_groups, builtin_embedder):
     for tagged, attacked in zip(split.target, suite.attacked):
         assert np.array_equal(attacked.image.luminance, tagged.sample.image.luminance)
         assert attacked.mean_abs_change == 0.0
-        assert np.array_equal(attacked.original_light.coeffs,
-                              attacked.adversarial_light.coeffs)
+        assert np.array_equal(attacked.original_light, attacked.adversarial_light)
     assert suite.failures == ()
 
 
@@ -151,7 +151,7 @@ def test_suite_random_and_aq(small_groups, builtin_embedder):
                           iterations=5, seed=1)
     for sample in rnd.attacked + aq.attacked:
         assert sample.error is None
-        drift = np.abs(sample.adversarial_light.coeffs - sample.original_light.coeffs)
+        drift = np.abs(sample.adversarial_light - sample.original_light)
         assert drift.max() <= 0.4 + 1e-9
         assert sample.mean_abs_change > 0.0
 
@@ -263,8 +263,8 @@ def test_roc_points_cover_thresholds():
 # ---------------------------------------------------------------------------
 
 def test_sensitivity_single_pair():
-    base = SHLight.ambient(0.5)
-    shifted = SHLight(base.coeffs + pls_to_sh(PLSPose(0.7, 0.8, 1.0, 0.3)).coeffs)
+    base = ambient_light(0.5)
+    shifted = as_light(base + pls_to_sh(PLSPose(0.7, 0.8, 1.0, 0.3)))
     hist = sensitivity_analysis([(base, shifted)], resolution=64, cell_size=6.0)
     assert hist.total == 1
     assert hist.counts.tolist() == [1]
@@ -275,12 +275,12 @@ def test_sensitivity_mass_conservation():
     rng = np.random.default_rng(2)
     pairs = []
     for _ in range(30):
-        base = SHLight.ambient(rng.uniform(0.4, 0.6))
+        base = ambient_light(rng.uniform(0.4, 0.6))
         pose = PLSPose(float(rng.uniform(0, 2 * math.pi)),
                        float(rng.uniform(0.1, 1.2)), 1.0,
                        float(rng.uniform(0.1, 0.5)))
-        pairs.append((base, SHLight(base.coeffs + pls_to_sh(pose).coeffs)))
-    pairs.append((SHLight.ambient(0.5), SHLight.ambient(0.5)))  # zero diff, skipped
+        pairs.append((base, as_light(base + pls_to_sh(pose))))
+    pairs.append((ambient_light(0.5), ambient_light(0.5)))  # zero diff, skipped
     hist = sensitivity_analysis(pairs, resolution=64, cell_size=5.0)
     assert hist.total == 30
     assert hist.counts.sum() == 30
@@ -294,16 +294,16 @@ def test_sensitivity_clustered_modal_cell():
     cluster = dict(azimuth=math.pi / 4, polar=0.8)
     pairs = []
     for _ in range(40):
-        base = SHLight.ambient(0.5)
+        base = ambient_light(0.5)
         pose = PLSPose((cluster["azimuth"] + rng.normal(0, 0.05)) % (2 * math.pi),
                        cluster["polar"] + rng.normal(0, 0.05), 1.0, 0.4)
-        pairs.append((base, SHLight(base.coeffs + pls_to_sh(pose).coeffs)))
+        pairs.append((base, as_light(base + pls_to_sh(pose))))
     hist = sensitivity_analysis(pairs, resolution=resolution, cell_size=cell)
     modal = hist.centers[int(np.argmax(hist.counts))]
 
     center_pose = PLSPose(cluster["azimuth"], cluster["polar"], 1.0, 0.4)
-    base = SHLight.ambient(0.5)
-    diff = np.abs(dense_values(lighting_map(SHLight(base.coeffs + pls_to_sh(center_pose).coeffs),
+    base = ambient_light(0.5)
+    diff = np.abs(dense_values(lighting_map(as_light(base + pls_to_sh(center_pose)),
                                             resolution))
                   - dense_values(lighting_map(base, resolution)))
     row, col = divmod(int(np.argmax(diff)), resolution)
@@ -344,8 +344,8 @@ def test_evaluate_csv_roundtrip(tmp_path, small_groups, builtin_embedder):
     pairs = harness.read_lights_csv(tmp_path / "lights.csv")
     assert len(pairs) == len(report.light_pairs)
     first_old, first_new = pairs[0]
-    assert np.allclose(first_old.coeffs, report.light_pairs[0][0].coeffs, atol=1e-5)
-    assert np.allclose(first_new.coeffs, report.light_pairs[0][1].coeffs, atol=1e-5)
+    assert np.allclose(first_old, report.light_pairs[0][0], atol=1e-5)
+    assert np.allclose(first_new, report.light_pairs[0][1], atol=1e-5)
 
 
 class CountingEmbedder(BuiltinEmbedder):
@@ -414,5 +414,5 @@ def test_suite_black_box_uses_fd(small_groups, builtin_embedder):
                              iterations=2, seed=0)
     assert suite.failures == ()
     for sample in suite.attacked:
-        drift = np.abs(sample.adversarial_light.coeffs - sample.original_light.coeffs)
+        drift = np.abs(sample.adversarial_light - sample.original_light)
         assert drift.max() <= 0.2 + 1e-9

@@ -21,7 +21,7 @@ from advrelight.phy_sim import (
 from advrelight.relight import FaceImage, estimate_light
 from advrelight.shading import (
     NormalMap,
-    SHLight,
+    as_light,
     lighting_map,
     pixel_to_direction,
     sh_basis,
@@ -30,7 +30,7 @@ from advrelight.shading import (
 )
 
 from conftest import patch_every_binding
-from helpers.lighting import dense_values
+from helpers.lighting import ambient_light, dense_values
 
 
 @pytest.fixture(scope="module")
@@ -60,28 +60,28 @@ def test_scene_rejects_non_finite_albedo_or_ambient(albedo, ambient, message):
 
 def test_pls_toward_z_sparsity():
     light = pls_to_sh(PLSPose(0.0, 0.0, 1.0, 1.0))
-    nonzero = np.nonzero(np.abs(light.coeffs) > 1e-12)[0]
+    nonzero = np.nonzero(np.abs(light) > 1e-12)[0]
     assert set(nonzero.tolist()) == {0, 2, 6}
 
 
 def test_pls_inverse_square():
     near = pls_to_sh(PLSPose(1.0, 0.7, 1.0, 1.0))
     far = pls_to_sh(PLSPose(1.0, 0.7, 2.0, 1.0))
-    assert np.allclose(far.coeffs, near.coeffs / 4.0)
+    assert np.allclose(far, near / 4.0)
 
 
 def test_pls_intensity_linearity():
     base = pls_to_sh(PLSPose(0.4, 0.9, 1.5, 1.0))
     scaled = pls_to_sh(PLSPose(0.4, 0.9, 1.5, 3.5))
-    assert np.allclose(scaled.coeffs, 3.5 * base.coeffs)
+    assert np.allclose(scaled, 3.5 * base)
 
 
 def test_pls_azimuth_parity():
     """Rotating the source by pi flips exactly the entries odd under (x,y) -> (-x,-y)."""
     pose = PLSPose(0.7, 0.8, 1.0, 1.0)
     rotated = PLSPose((0.7 + math.pi) % (2 * math.pi), 0.8, 1.0, 1.0)
-    a = pls_to_sh(pose).coeffs
-    b = pls_to_sh(rotated).coeffs
+    a = pls_to_sh(pose)
+    b = pls_to_sh(rotated)
     # oracle: evaluate the basis parity directly at the two directions
     expected = sh_basis(rotated.direction()) / np.where(
         np.abs(sh_basis(pose.direction())) > 1e-15, sh_basis(pose.direction()), 1.0
@@ -183,19 +183,19 @@ def _dense_feedback(current, target, mask, tau, tolerances=DEFAULT_TOLERANCES):
 
 lights = st.one_of(
     st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9).map(np.array),
-    st.floats(-1.0, 1.0).map(lambda level: SHLight.ambient(level).coeffs),  # constant map: ties
+    st.floats(-1.0, 1.0).map(ambient_light),  # constant map: ties
 )
 
 
 @settings(max_examples=150, deadline=None)
 @given(current=lights, target=lights, resolution=st.integers(8, 72), tau=st.floats(-0.5, 1.0))
-@example(current=SHLight.ambient(0.5).coeffs, target=pls_to_sh(PLSPose(1.0, 0.6, 2.0, 1.5)).coeffs,
+@example(current=ambient_light(0.5), target=pls_to_sh(PLSPose(1.0, 0.6, 2.0, 1.5)),
          resolution=33, tau=0.9)
-@example(current=-SHLight.ambient(0.5).coeffs, target=SHLight.ambient(0.5).coeffs,
+@example(current=-ambient_light(0.5), target=ambient_light(0.5),
          resolution=32, tau=0.9)
-@example(current=SHLight.ambient(0.5).coeffs, target=pls_to_sh(PLSPose(2.0, 0.3, 1.0, 1.0)).coeffs,
+@example(current=ambient_light(0.5), target=pls_to_sh(PLSPose(2.0, 0.3, 1.0, 1.0)),
          resolution=17, tau=1.0)
-@example(current=pls_to_sh(PLSPose(1.0, 0.6, 2.0, 1.5)).coeffs, target=np.zeros(9),
+@example(current=pls_to_sh(PLSPose(1.0, 0.6, 2.0, 1.5)), target=np.zeros(9),
          resolution=64, tau=0.0)
 def test_masked_maps_match_dense_oracle(current, target, resolution, tau):
     """Masked maps give the dense values and the dense feedback, bit for bit."""
@@ -251,9 +251,9 @@ def _single(index, value):
 
 @pytest.mark.parametrize("resolution", [8, 33, 64, 512])
 @pytest.mark.parametrize("light, exact", [
-    pytest.param(SHLight.ambient(0.5).coeffs, True, id="ambient"),
-    pytest.param(-SHLight.ambient(0.5).coeffs, True, id="negative_ambient"),
-    pytest.param(pls_to_sh(PLSPose(0.0, 0.0, 1.0, 1.0)).coeffs, False, id="zenith_source"),
+    pytest.param(ambient_light(0.5), True, id="ambient"),
+    pytest.param(-ambient_light(0.5), True, id="negative_ambient"),
+    pytest.param(pls_to_sh(PLSPose(0.0, 0.0, 1.0, 1.0)), False, id="zenith_source"),
     *(pytest.param(_single(j, v), True, id=f"single_{j}_{v:g}") for j in range(9) for v in (1.0, -0.5)),
 ])
 def test_lighting_map_ties_match_row_major_oracle(light, exact, resolution):
@@ -318,8 +318,8 @@ def test_scene_basis_matches_shade_and_estimate_light(normals):
         assert np.array_equal(photo.luminance,
                               FaceImage.from_luminance(np.clip(lum, 0.0, 1.0)).luminance)
         fresh = NormalMap(normals.normals, normals.mask)  # evaluates a basis of its own
-        assert np.array_equal(scene_light_estimate(scene, pose).coeffs,
-                              estimate_light(photo, fresh).coeffs)
+        assert np.array_equal(scene_light_estimate(scene, pose),
+                              estimate_light(photo, fresh))
 
 
 def test_scene_basis_is_evaluated_once_per_scene(monkeypatch):
@@ -413,4 +413,4 @@ def test_recurrence_unreachable_target(scene):
 
 def test_recurrence_rejects_dark_target(scene):
     with pytest.raises(NoLightError):
-        recurrence_loop(SHLight(np.zeros(9)), PLSPose(1.0, 0.6, 2.0, 1.5), scene)
+        recurrence_loop(as_light(np.zeros(9)), PLSPose(1.0, 0.6, 2.0, 1.5), scene)

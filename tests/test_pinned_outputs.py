@@ -1,12 +1,12 @@
-"""Seed 0 of three benchmark workloads reproduces its pinned outputs, bit for bit.
+"""Seed 0 of every benchmark workload reproduces its pinned outputs, bit for bit.
 
 ``perfbench/expected.json`` pins each workload's quality figures and the
-SHA-256 of its output files per seed. This test replays one pass of
-aq_analytic, ap_train and phy_lightmap at seed 0 through the benchmark's own
-``run.run_pass`` and ``run.output_checks``, in a fresh process with one BLAS
-thread as ``perfbench/run.py`` runs them. It writes only under ``tmp_path``;
-it never runs ``pin.py``, which rewrites ``expected.json``. A re-pin updates
-this test through ``expected.json`` alone.
+SHA-256 of its output files per seed. This test replays one pass of every
+workload (aq_analytic, aq_blackbox, ap_train, phy_lightmap) at seed 0 through
+the benchmark's own ``run.run_pass`` and ``run.output_checks``, in a fresh
+process with one BLAS thread as ``perfbench/run.py`` runs them. It writes
+only under ``tmp_path``; it never runs ``pin.py``, which rewrites
+``expected.json``. A re-pin updates this test through ``expected.json`` alone.
 """
 
 import json
@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("aq_analytic", "ap_train", "phy_lightmap")
+WORKLOADS = ("aq_analytic", "aq_blackbox", "ap_train", "phy_lightmap")
 SEED = 0
 
 REPLAY = """

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from advrelight import shading
 from advrelight.errors import NonUnitNormalError
 from advrelight.shading import (
-    SHLight,
+    as_light,
     lighting_map,
     load_light,
     load_normal_map,
@@ -17,7 +17,7 @@ from advrelight.shading import (
     sphere_normals,
 )
 
-from helpers.lighting import dense_design, dense_values
+from helpers.lighting import ambient_light, dense_design, dense_values
 from helpers.memory import traced_peak
 
 unit_vectors = st.tuples(
@@ -112,11 +112,11 @@ def test_sphere_design_builds_without_the_dense_sphere(monkeypatch):
     monkeypatch.setattr(shading, "sphere_normals", sphere_normals)
     (design, flat), peak = traced_peak(shading._sphere_design.__wrapped__, 512)
     assert peak <= 1.8 * (design.nbytes + flat.nbytes)
-    assert lighting_map(SHLight.ambient(0.5), 41).masked.size == shading._sphere_design(41)[1].size
+    assert lighting_map(ambient_light(0.5), 41).masked.size == shading._sphere_design(41)[1].size
 
 
 def test_lighting_map_ambient_constant():
-    lmap = lighting_map(SHLight.ambient(0.5), 32)
+    lmap = lighting_map(ambient_light(0.5), 32)
     values, mask = dense_values(lmap), sphere_normals(32).mask
     assert np.allclose(values[mask], 0.5, atol=1e-9)
     assert np.all(values[~mask] == 0.0)
@@ -160,10 +160,10 @@ def test_pixel_to_direction_roundtrip():
 
 
 def test_light_file_roundtrip(tmp_path):
-    light = SHLight(np.linspace(-0.7, 0.9, 9))
+    light = as_light(np.linspace(-0.7, 0.9, 9))
     path = tmp_path / "light.txt"
     save_light(path, light)
-    assert np.array_equal(load_light(path).coeffs, light.coeffs)
+    assert np.array_equal(load_light(path), light)
 
 
 def test_light_file_rejects_wrong_count(tmp_path):
@@ -185,11 +185,26 @@ def test_normal_map_roundtrip(tmp_path):
     assert np.abs(norms - 1.0).max() < 1e-6
 
 
-def test_shlight_validation():
-    with pytest.raises(ValueError):
-        SHLight(np.zeros(8))
-    with pytest.raises(ValueError):
-        SHLight([np.nan] * 9)
+@pytest.mark.parametrize("coeffs, message", [
+    pytest.param(np.zeros(8), r"a light needs exactly 9 coefficients, got \(8,\)",
+                 id="eight_values"),
+    pytest.param([np.nan] * 9, "light coefficients must be finite", id="nan"),
+    pytest.param(np.zeros(10), r"a light needs exactly 9 coefficients, got \(10,\)",
+                 id="ten_values"),
+    pytest.param([0.0] * 8 + [np.inf], "light coefficients must be finite", id="inf"),
+    pytest.param([-np.inf] + [0.0] * 8, "light coefficients must be finite", id="minus_inf"),
+    pytest.param(np.linspace(-0.7, 0.9, 9).reshape(3, 3), None, id="three_by_three"),
+    pytest.param(list(range(9)), None, id="list_of_nine"),
+])
+def test_as_light_copies_nine_finite_values_read_only(coeffs, message):
+    if message is not None:
+        with pytest.raises(ValueError, match=message):
+            as_light(coeffs)
+        return
+    light = as_light(coeffs)
+    assert light.shape == (9,) and light.dtype == np.float64 and not light.flags.writeable
+    assert np.array_equal(light, np.ravel(coeffs))
+    assert not np.shares_memory(light, coeffs)
 
 
 def test_normal_map_rejects_non_unit():

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 
 from advrelight.harness import sensitivity_analysis
-from advrelight.shading import SHLight
+from advrelight.shading import as_light
 from advrelight.svgplot import write_hexhist_svg, write_roc_svg
 
 
@@ -23,7 +23,7 @@ def test_roc_svg_bytes_are_pinned(tmp_path):
 def test_hexhist_svg_bytes_are_pinned(tmp_path):
     """A histogram of 40 seeded light pairs, cells of unequal counts, gives the pinned bytes."""
     rng = np.random.default_rng(12)
-    pairs = [(SHLight(old), SHLight(old + rng.uniform(-0.3, 0.3, 9)))
+    pairs = [(as_light(old), as_light(old + rng.uniform(-0.3, 0.3, 9)))
              for old in rng.normal(0.0, 0.5, (40, 9))]
     hist = sensitivity_analysis(pairs, resolution=64, cell_size=6.0)
     assert hist.counts.size > 1 and hist.counts.min() < hist.counts.max()
