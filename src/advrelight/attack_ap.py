@@ -20,6 +20,7 @@ static middle weights reproduces the static computation exactly.
 
 from __future__ import annotations
 
+import math
 import zipfile
 from dataclasses import dataclass
 
@@ -34,9 +35,9 @@ VARIANTS = ("static", "dynamic")
 
 PARAMS_FORMAT_VERSION = 1
 
-#: Largest dynamic generator ``init_params`` builds, in floats (hidden^2 x embedding
-#: dimension). Training holds the generator, its velocity and its batch sum, each 64 MB
-#: at the cap, which hidden width 256 on 128-d embeddings reaches.
+#: Largest parameter array a predictor may hold, in floats. The dynamic generator
+#: (hidden^2 x embedding dimension) is the largest; training holds it, its velocity and
+#: its batch sum, each 64 MB at the cap, which hidden width 256 on 128-d embeddings reaches.
 MAX_GENERATOR_FLOATS = 2 ** 23
 
 
@@ -72,7 +73,8 @@ class AdvLNetParams:
 
 
 def _shapes(variant: str, hidden: int, embed_dim: int) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every trainable parameter of ``variant``, in ``trainable()`` order."""
+    """Name -> shape of every trainable parameter of ``variant``, in ``trainable()`` order;
+    ValueError unless ``hidden`` >= 1 and every array is within MAX_GENERATOR_FLOATS."""
     h = hidden
     if variant == "static":
         middle = {"w2": (h, h)}
@@ -80,7 +82,14 @@ def _shapes(variant: str, hidden: int, embed_dim: int) -> dict[str, tuple[int, .
         middle = {"wg": (h * h, embed_dim), "bg": (h * h,)}
     else:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    return {"w1": (h, 9), "b1": (h,), **middle, "b2": (h,), "w3": (9, h), "b3": (9,)}
+    if hidden < 1:
+        raise ValueError(f"hidden width must be at least 1, got {hidden}")
+    shapes = {"w1": (h, 9), "b1": (h,), **middle, "b2": (h,), "w3": (9, h), "b3": (9,)}
+    for name, shape in shapes.items():
+        if math.prod(shape) > MAX_GENERATOR_FLOATS:
+            raise ValueError(f"parameter {name} of shape {shape} exceeds "
+                             f"{MAX_GENERATOR_FLOATS} floats")
+    return shapes
 
 
 @dataclass(frozen=True)
@@ -109,11 +118,6 @@ def init_params(variant: str, hidden: int = 32, embed_dim: int = 128,
     be an SGD fixed point. Zeroing ``w3`` gives the exact identity.
     """
     shapes = _shapes(variant, hidden, embed_dim)
-    if hidden < 1:
-        raise ValueError(f"hidden width must be at least 1, got {hidden}")
-    if variant == "dynamic" and hidden * hidden * embed_dim > MAX_GENERATOR_FLOATS:
-        raise ValueError(f"a dynamic generator of hidden width {hidden} on {embed_dim}-d "
-                         f"embeddings exceeds {MAX_GENERATOR_FLOATS} floats")
     # Name -> (gain, fan-in) in drawing order, each drawn from N(0, gain^2 / fan-in); b3 is 0.
     scales = {"w1": (1.0, 1), "b1": (0.5, 1), "b2": (0.5, 1), "w3": (0.3, hidden),
               "w2": (1.0, hidden), "wg": (1.0, embed_dim), "bg": (1.0, hidden)}
@@ -288,10 +292,25 @@ def load_params(path) -> AdvLNetParams:
                 raise ValueError(f"unsupported parameter file version {version}")
             variant, hidden, embed_dim = (str(data["variant"]), int(data["hidden"]),
                                           int(data["embed_dim"]))
-            arrays = {name: data[name] for name in _shapes(variant, hidden, embed_dim)}
+            shapes = _shapes(variant, hidden, embed_dim)
+            for name, shape in shapes.items():  # before any array is read
+                _check_stored_shape(data, name, shape)
+            arrays = {name: data[name] for name in shapes}
         return AdvLNetParams(variant, hidden, embed_dim, **arrays)
     except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
         raise ValueError(f"{path}: malformed parameter file: {exc}") from exc
+
+
+def _check_stored_shape(data, name: str, shape: tuple[int, ...]) -> None:
+    """ValueError unless ``data``'s member ``name`` declares ``shape`` in float64 in its header."""
+    if name not in data.files:
+        raise KeyError(f"{name} is not a file in the archive")
+    with data.zip.open(f"{name}.npy") as member:
+        fmt = np.lib.format
+        v1 = fmt.read_magic(member) == (1, 0)
+        stored, _, dtype = (fmt.read_array_header_1_0 if v1 else fmt.read_array_header_2_0)(member)
+    if stored != shape or dtype != np.float64:
+        raise ValueError(f"parameter {name} is stored as {dtype} {stored}, expected float64 {shape}")
 
 
 def write_loss_history_csv(path, history) -> None:

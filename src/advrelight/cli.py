@@ -148,17 +148,16 @@ def build_parser() -> _Parser:
 
 def _load_groups(args):
     if getattr(args, "manifest", None):
-        manifest = harness.load_manifest(args.manifest)
-        return harness.load_groups(manifest, Path(args.manifest).parent), manifest.k
+        return harness.load_groups(args.manifest)
     # The bundled corpus is fixed; --seed only drives splits and attacks.
     return synthetic_corpus(), 8
 
 
 def _cmd_relight(args) -> int:
-    image = load_face_image(args.image)
-    normals = load_normal_map(args.normals)
-    plan = RelightPlan(image, normals, load_light(args.light) if args.light else None)
-    result = plan.relight(load_light(args.new_light))
+    old_light = load_light(args.light) if args.light else None
+    new_light = load_light(args.new_light)
+    plan = RelightPlan(load_face_image(args.image), load_normal_map(args.normals), old_light)
+    result = plan.relight(new_light)
     save_face_image(args.out, result.image)
     print(f"relit {args.image} -> {args.out} "
           f"(clamp fraction {result.clamp_fraction:.6g})")
@@ -173,9 +172,8 @@ def _cmd_estimate_light(args) -> int:
 
 
 def _cmd_attack_aq(args) -> int:
-    image = load_face_image(args.image)
-    normals = load_normal_map(args.normals)
-    plan = RelightPlan(image, normals, load_light(args.light) if args.light else None)
+    light = load_light(args.light) if args.light else None
+    plan = RelightPlan(load_face_image(args.image), load_normal_map(args.normals), light)
     with open_embedder(args.embedder) as embedder:
         cfg = attack_aq.AttackConfig(epsilon=args.epsilon, iterations=args.iters)
         trace = attack_aq.attack(plan, embedder, cfg)
@@ -208,9 +206,9 @@ def _cmd_ap_train(args) -> int:
 
 
 def _cmd_ap_run(args) -> int:
+    params = attack_ap.load_params(args.params)
     image = load_face_image(args.image)
     plan = RelightPlan(image, load_normal_map(args.normals))
-    params = attack_ap.load_params(args.params)
     with open_embedder(args.embedder) as embedder:
         relit, light = attack_ap.predict(plan, params, embedder)
         similarity = cosine_similarity(embedder.embed(relit), embedder.embed(image))
@@ -257,7 +255,7 @@ def _load_scenario(path):
         scene_cfg = data["scene"]
         if not isinstance(scene_cfg, dict):
             raise TypeError("scene must be an object")
-        # The loop's options and the start pose are checked before any normals are built.
+        # Loop options, start pose, albedo and ambient are checked before any normals are built.
         start = phy_sim.PLSPose(**data["start_pose"])
         tau = float(data.get("tau", 0.9))
         if not tau <= 1.0:  # above 1 (or NaN) no pixel reaches tau times the peak
@@ -275,15 +273,15 @@ def _load_scenario(path):
                                    "map_resolution", 8, MAX_SCENARIO_RESOLUTION),
             distance_bounds=(lo, hi),
         )
+        ambient = float(scene_cfg.get("ambient", 0.25))
+        albedo = phy_sim.check_scene_values(scene_cfg.get("albedo", 0.8), ambient)
         if "normals" in scene_cfg:
             normals = load_normal_map(Path(path).parent / scene_cfg["normals"])
         else:
             normals = sphere_normals(integer(scene_cfg, "sphere_resolution", 64,
                                              "scene.sphere_resolution", 8,
                                              MAX_SCENARIO_RESOLUTION))
-        scene = phy_sim.SceneModel(normals=normals,
-                                   albedo=scene_cfg.get("albedo", 0.8),
-                                   ambient=float(scene_cfg.get("ambient", 0.25)))
+        scene = phy_sim.SceneModel(normals=normals, albedo=albedo, ambient=ambient)
         target_cfg = data["target"]
         if "light_file" in target_cfg:
             target = load_light(Path(path).parent / target_cfg["light_file"])

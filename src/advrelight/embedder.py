@@ -194,7 +194,8 @@ class ExternalEmbedder:
             if len(hello) != 3 or hello[0] != "HELLO":
                 raise ProtocolError(f"bad handshake: {' '.join(hello)!r}")
             try:
-                dimension = int(hello[2])
+                if (dimension := int(hello[2])) < 2:
+                    raise ValueError
             except ValueError:
                 raise ProtocolError(f"bad handshake dimension: {hello[2]!r}") from None
             self.descriptor = EmbedderDescriptor(hello[1], dimension,

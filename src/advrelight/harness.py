@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,30 +31,18 @@ ATTACK_METHODS = ("none", "random", "aq", "ap")
 # Manifests and splits
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ManifestEntry:
-    identity: str
-    images: tuple[str, ...]
-    normals: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class DatasetManifest:
-    identities: tuple[ManifestEntry, ...]
-    k: int = 8
-
-
-def load_manifest(path) -> DatasetManifest:
-    """Read a JSON manifest of distinct named identities, their image/normal paths and ``k``."""
-    def identity(entry) -> str:
-        if not (isinstance(entry["identity"], str) and entry["identity"]):
-            raise TypeError(f"identity must be a non-empty string, got {entry['identity']!r}")
-        return entry["identity"]
-
-    def names(entry, key) -> tuple[str, ...]:
-        if not (isinstance(entry[key], list) and all(isinstance(n, str) for n in entry[key])):
+def load_groups(path) -> tuple[list[IdentityGroup], int]:
+    """The groups and ``k`` of a JSON manifest of distinct identities, each naming 2k images
+    and normal maps relative to it. It is checked whole before any PNG is read (ManifestError
+    naming ``path``); normal maps of equal content load as one object, sharing one basis."""
+    def names(entry, key) -> list[str]:
+        value = entry[key]
+        if not (isinstance(value, list) and all(isinstance(n, str) for n in value)):
             raise TypeError(f"{key} must be a list of file names")
-        return tuple(entry[key])
+        if len(value) != 2 * k:
+            raise ValueError(f"identity {entry['identity']} supplies {len(value)} {key}, "
+                             f"expected {2 * k}")
+        return value
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -65,50 +52,32 @@ def load_manifest(path) -> DatasetManifest:
         k = data.get("k", 8)
         if type(k) is not int:
             raise TypeError(f"k must be an integer, got {k!r}")
-        entries = tuple(ManifestEntry(identity(e), names(e, "images"), names(e, "normals"))
-                        for e in data["identities"])
-        repeated = [name for name, n in Counter(e.identity for e in entries).items() if n > 1]
-        if repeated:
-            raise ValueError(f"identity {repeated[0]!r} appears more than once")
-        manifest = DatasetManifest(entries, k)
-        _validate_manifest(manifest)
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        entries = {}
+        for entry in data["identities"]:
+            identity = entry["identity"]
+            if not (isinstance(identity, str) and identity):
+                raise TypeError(f"identity must be a non-empty string, got {identity!r}")
+            if identity in entries:
+                raise ValueError(f"identity {identity!r} appears more than once")
+            entries[identity] = names(entry, "images"), names(entry, "normals")
     except (KeyError, TypeError, ValueError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ManifestError(f"malformed manifest {path}: {detail}") from exc
-    return manifest
 
-
-def _validate_manifest(manifest: DatasetManifest) -> None:
-    if manifest.k < 1:
-        raise ManifestError("k must be >= 1")
-    for entry in manifest.identities:
-        if len(entry.images) != 2 * manifest.k:
-            raise ManifestError(
-                f"identity {entry.identity} supplies {len(entry.images)} images, "
-                f"expected {2 * manifest.k}"
-            )
-        if len(entry.normals) != len(entry.images):
-            raise ManifestError(
-                f"identity {entry.identity}: normals do not align 1:1 with images"
-            )
-
-
-def load_groups(manifest: DatasetManifest, base_dir=".") -> list[IdentityGroup]:
-    """Load every sample; normal maps of equal content become one object, sharing one basis."""
-    base = Path(base_dir)
+    base = Path(path).parent
     maps: dict[tuple, NormalMap] = {}
 
-    def normal_map(path) -> NormalMap:
-        loaded = load_normal_map(base / path)
+    def normal_map(name) -> NormalMap:
+        loaded = load_normal_map(base / name)
         key = (loaded.normals.shape, loaded.normals.tobytes(), loaded.mask.tobytes())
         return maps.setdefault(key, loaded)
 
-    groups = []
-    for entry in manifest.identities:
-        samples = tuple(Sample(load_face_image(base / img), normal_map(nrm))
-                        for img, nrm in zip(entry.images, entry.normals))
-        groups.append(IdentityGroup(entry.identity, samples))
-    return groups
+    groups = [IdentityGroup(identity, tuple(Sample(load_face_image(base / img), normal_map(nrm))
+                                            for img, nrm in zip(images, normals)))
+              for identity, (images, normals) in entries.items()]
+    return groups, k
 
 
 @dataclass(frozen=True)

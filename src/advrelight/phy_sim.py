@@ -61,6 +61,16 @@ class PLSPose:
         )
 
 
+def check_scene_values(albedo, ambient: float) -> np.ndarray:
+    """``albedo`` as float64; ValueError unless it lies in [0, 1] and ``ambient`` >= 0 is finite."""
+    albedo = np.array(albedo, dtype=np.float64)
+    if not ((albedo >= 0.0) & (albedo <= 1.0)).all():  # NaN fails both
+        raise ValueError("albedo must lie in [0, 1]")
+    if not 0.0 <= ambient < np.inf:
+        raise ValueError("ambient must be finite and non-negative")
+    return albedo
+
+
 @dataclass(frozen=True)
 class SceneModel:
     """Normals, per-pixel albedo and a constant ambient term.
@@ -74,15 +84,11 @@ class SceneModel:
     ambient: float = 0.0
 
     def __post_init__(self):
-        albedo = np.array(self.albedo, dtype=np.float64)
+        albedo = check_scene_values(self.albedo, self.ambient)
         if albedo.shape == ():
             albedo = np.full(self.normals.mask.shape, float(albedo))
         if albedo.shape != self.normals.mask.shape:
             raise ValueError("albedo dimensions must match normals")
-        if not (albedo.min() >= 0.0 and albedo.max() <= 1.0):  # NaN fails both
-            raise ValueError("albedo must lie in [0, 1]")
-        if not 0.0 <= self.ambient < np.inf:
-            raise ValueError("ambient must be finite and non-negative")
         object.__setattr__(self, "albedo", _freeze(albedo))
 
 

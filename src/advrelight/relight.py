@@ -181,10 +181,14 @@ def save_face_image(path, image: FaceImage) -> None:
 
 
 def load_face_image(path) -> FaceImage:
+    """Read a grey, RGB or RGBA PNG; any other raises ValueError naming ``path``."""
     arr = pngio.read_png(path)
     if arr.ndim == 2:
         arr = np.repeat(arr[:, :, None], 3, axis=2)
     if arr.shape[2] == 4:
         arr = arr[:, :, :3]
     scale = 65535.0 if arr.dtype == np.uint16 else 255.0
-    return FaceImage.from_rgb(arr.astype(np.float64) / scale)
+    try:
+        return FaceImage.from_rgb(arr.astype(np.float64) / scale)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

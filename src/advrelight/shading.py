@@ -257,11 +257,13 @@ def save_light(path, light) -> None:
 
 
 def load_light(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
-    if len(tokens) != 9:
-        raise ValueError(f"{path}: expected 9 numbers, found {len(tokens)}")
-    return as_light([float(t) for t in tokens])
+    """Read a :func:`save_light` file; a malformed one raises ValueError naming ``path``."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            tokens = fh.read().split()
+        return as_light([float(t) for t in tokens])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_normal_map(path, normal_map: NormalMap) -> None:

@@ -407,6 +407,15 @@ def test_init_params_refuses_before_allocating(monkeypatch, variant, hidden, emb
         init_params(variant, hidden=hidden, embed_dim=embed_dim)
 
 
+def test_parameters_refuse_any_array_over_the_bound_before_reading_it():
+    """The bound holds for every array of either variant, checked before any is looked at."""
+    hidden = 2897  # a static middle layer of hidden^2 = 8392609 floats
+    with pytest.raises(ValueError, match=r"parameter w2 of shape \(2897, 2897\) exceeds 8388608"):
+        AdvLNetParams("static", hidden, 128, w1=None, b1=None, b2=None, w3=None, b3=None)
+    with pytest.raises(ValueError, match="exceeds 8388608 floats"):
+        init_params("static", hidden=hidden)
+
+
 @pytest.mark.parametrize("field", ["learning_rate", "momentum"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
 def test_train_config_refuses_non_finite_and_non_positive_values(field, value):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,26 @@ def _params_with_nan_w3() -> bytes:
     return _saved_bytes(attack_ap.save_params, params=params)
 
 
+def _header_only_params(variant: str, hidden: int, shapes) -> bytes:
+    """A parameter file of valid scalars whose arrays are ``.npy`` headers declaring ``shapes``
+    in float64, with no values behind them."""
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        for name, value in [("format_version", 1), ("variant", variant), ("hidden", hidden),
+                            ("embed_dim", 128)]:
+            archive.writestr(f"{name}.npy", _saved_bytes(np.save, arr=np.array(value)))
+        for name, shape in shapes.items():
+            header = io.BytesIO()
+            np.lib.format.write_array_header_1_0(
+                header, {"descr": "<f8", "fortran_order": False, "shape": shape})
+            archive.writestr(f"{name}.npy", header.getvalue())
+    return buffer.getvalue()
+
+
+_MISSING_PNGS = ["--image", "missing-face.png", "--normals", "missing-normals.png"]
+_RELIGHT = ["relight", *_MISSING_PNGS, "--out", "relit.png"]
+
+
 def _lights_csv(bad_row: str) -> str:
     """A lights file whose row 2 (the header is row 1) is well formed and row 3 is ``bad_row``."""
     header = ",".join(["index"] + [f"L{j}" for j in range(9)] + [f"Lhat{j}" for j in range(9)])
@@ -242,13 +263,27 @@ def _manifest(k=1, images=("a.png", "b.png"), normals=("n.png", "n.png"), identi
      "input: row 3: light coefficients must be finite"),
     (["analyze-light", "--lights"], _lights_csv("1,x," + ",".join(["0.5"] * 17)),
      "input: row 3: could not convert string to float: 'x'"),
+    (_EVAL_AP, _header_only_params("static", 8, {"w1": (10 ** 11,)}),
+     "input: malformed parameter file: parameter w1 is stored as float64 (100000000000,), "
+     "expected float64 (8, 9)"),
+    (_EVAL_AP, _header_only_params("dynamic", 10 ** 5, {
+        "w1": (10 ** 5, 9), "b1": (10 ** 5,), "wg": (10 ** 10, 128), "bg": (10 ** 10,),
+        "b2": (10 ** 5,), "w3": (9, 10 ** 5), "b3": (9,)}),
+     "input: malformed parameter file: parameter wg of shape (10000000000, 128) exceeds "
+     "8388608 floats"),
+    (_RELIGHT + ["--new-light"], "nan 0 0 0 0 0 0 0 0", "input: light coefficients must be finite"),
+    (_RELIGHT + ["--new-light", "missing-light.txt", "--light"], "x 0 0 0 0 0 0 0 0",
+     "input: could not convert string to float: 'x'"),
+    (["ap-run", *_MISSING_PNGS, "--params"], b"", "input: malformed parameter file"),
 ], ids=["empty_lights", "eval_manifest_list", "ap_train_manifest_list", "params_without_w1",
         "params_bad_zip", "params_plain_npy", "params_empty", "manifest_number_images",
         "manifest_null_normals", "manifest_string_images", "manifest_bool_k",
         "scenario_json_syntax", "manifest_repeated_identity", "ap_train_repeated_identity",
         "manifest_null_identity", "manifest_empty_identity", "manifest_number_identity",
         "manifest_missing_identity", "manifest_json_syntax", "params_nan_w3",
-        "lights_17_values", "lights_19_values", "lights_nan", "lights_not_a_number"])
+        "lights_17_values", "lights_19_values", "lights_nan", "lights_not_a_number",
+        "params_header_lies", "params_generator_over_bound", "relight_new_light_nan",
+        "relight_light_not_a_number", "ap_run_params_empty"])
 def test_malformed_input_file_exits_2(tmp_path, capsys, monkeypatch, command, content, message):
     """A malformed input file exits 2 naming the file, before the bundled corpus is built."""
     def synthetic_corpus(*args, **kwargs):
@@ -402,7 +437,9 @@ def test_phy_sim_malformed_start_pose_exits_2(tmp_path, capsys, start_pose, scen
 
 def test_phy_sim_checks_scenario_scalars_before_building_the_scene(tmp_path, capsys,
                                                                    monkeypatch):
-    """A bad scalar is refused before a 1024 px sphere is built or a pose target is fitted."""
+    """A bad scalar is refused before a 1024 px sphere is built or a pose target is fitted.
+
+    The cases share one test, so the original map_resolution case keeps its id."""
     calls = {"sphere_normals": 0, "scene_light_estimate": 0}
 
     def count(module, name):
@@ -416,14 +453,18 @@ def test_phy_sim_checks_scenario_scalars_before_building_the_scene(tmp_path, cap
     count(cli_module, "sphere_normals")
     count(phy_sim, "scene_light_estimate")
     scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps({
-        "scene": {"sphere_resolution": 1024}, "start_pose": _START,
-        "target": {"pose": {"azimuth": 1.0, "polar": 0.6, "distance": 2.0, "intensity": 1.5}},
-        "map_resolution": 32.9}))
-    assert cli(["phy-sim", "--scenario", str(scenario)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: malformed scenario") and "map_resolution" in err
-    assert calls == {"sphere_normals": 0, "scene_light_estimate": 0}
+    for scene, overrides, message in [
+            ({}, {"map_resolution": 32.9}, "map_resolution"),
+            ({"ambient": float("nan")}, {}, "ambient must be finite"),
+            ({"albedo": float("nan")}, {}, "albedo must lie in [0, 1]")]:
+        scenario.write_text(json.dumps({
+            "scene": {"sphere_resolution": 1024, **scene}, "start_pose": _START,
+            "target": {"pose": {"azimuth": 1.0, "polar": 0.6, "distance": 2.0, "intensity": 1.5}},
+            **overrides}))
+        assert cli(["phy-sim", "--scenario", str(scenario)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed scenario") and message in err
+        assert calls == {"sphere_normals": 0, "scene_light_estimate": 0}, message
 
 
 @pytest.mark.parametrize("scene, overrides, key", [

@@ -330,24 +330,30 @@ def test_external_no_gradient():
 
 
 def test_bad_handshake_terminates_endpoint():
-    """A failed handshake must not leave the endpoint process running."""
+    """A failed handshake, a dimension below 2 included, must not leave the endpoint running.
+
+    The cases share one test, so the original NOPE case keeps its id."""
     import subprocess
     import time as _time
 
-    script = ("import sys, time\n"
-              "sys.stdout.write('NOPE\\n'); sys.stdout.flush()\n"
-              "time.sleep(3600)\n")
-    with pytest.raises(ProtocolError):
-        ExternalEmbedder([sys.executable, "-c", script], timeout=5.0)
-    # the constructor closed the child; give termination a moment
-    deadline = _time.monotonic() + 5.0
-    alive = True
-    while _time.monotonic() < deadline:
-        leftovers = subprocess.run(
-            ["pgrep", "-f", "time.sleep(3600)"], capture_output=True, text=True
-        ).stdout.strip()
-        alive = bool(leftovers)
-        if not alive:
-            break
-        _time.sleep(0.1)
-    assert not alive
+    for hello, message in [("NOPE", "bad handshake"),
+                           ("HELLO x 1", "bad handshake dimension: '1'"),
+                           ("HELLO x 0", "bad handshake dimension: '0'"),
+                           ("HELLO x -3", "bad handshake dimension: '-3'")]:
+        script = ("import sys, time\n"
+                  f"sys.stdout.write({hello!r} + '\\n'); sys.stdout.flush()\n"
+                  "time.sleep(3600)\n")
+        with pytest.raises(ProtocolError, match=message):
+            ExternalEmbedder([sys.executable, "-c", script], timeout=5.0)
+        # the constructor closed the child; give termination a moment
+        deadline = _time.monotonic() + 5.0
+        alive = True
+        while _time.monotonic() < deadline:
+            leftovers = subprocess.run(
+                ["pgrep", "-f", "time.sleep(3600)"], capture_output=True, text=True
+            ).stdout.strip()
+            alive = bool(leftovers)
+            if not alive:
+                break
+            _time.sleep(0.1)
+        assert not alive, hello

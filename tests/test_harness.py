@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from advrelight import harness
+from advrelight import harness, pngio
 from advrelight.attack_ap import init_params
 from advrelight.corpus import ellipsoid_normals, synthetic_corpus
 from advrelight.embedder import BuiltinEmbedder, ExternalEmbedder
@@ -17,7 +17,6 @@ from advrelight.harness import (
     _hex_center,
     build_split,
     ground_truth,
-    load_manifest,
     roc_auc,
     run_attack_suite,
     sensitivity_analysis,
@@ -75,7 +74,7 @@ def test_split_rejects_wrong_count(corpus):
         build_split(corpus, k=5, seed=0)
 
 
-def test_manifest_validation(tmp_path):
+def test_manifest_validation(tmp_path, monkeypatch):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps({
         "k": 2,
@@ -84,8 +83,13 @@ def test_manifest_validation(tmp_path):
             {"identity": "b", "images": ["1.png"] * 3, "normals": ["n.png"] * 3},
         ],
     }))
-    with pytest.raises(ManifestError):
-        load_manifest(path)
+
+    def read_png(path):
+        raise AssertionError("read a PNG before the manifest was checked")
+
+    monkeypatch.setattr(pngio, "read_png", read_png)
+    with pytest.raises(ManifestError, match="identity b supplies 3 images, expected 4"):
+        harness.load_groups(path)
 
 
 def test_manifest_roundtrip(tmp_path):
@@ -96,9 +100,12 @@ def test_manifest_roundtrip(tmp_path):
             {"identity": "a", "images": ["1.png"] * 4, "normals": ["n.png"] * 4},
         ],
     }))
-    manifest = load_manifest(path)
-    assert manifest.k == 2
-    assert manifest.identities[0].identity == "a"
+    save_face_image(tmp_path / "1.png", FaceImage.from_luminance(np.full((16, 16), 0.5)))
+    save_normal_map(tmp_path / "n.png", sphere_normals(16))
+    groups, k = harness.load_groups(path)
+    assert k == 2
+    assert groups[0].identity == "a"
+    assert len(groups) == 1 and len(groups[0].samples) == 4
 
 
 def test_load_groups_interns_normal_maps_of_equal_content(tmp_path):
@@ -112,11 +119,15 @@ def test_load_groups_interns_normal_maps_of_equal_content(tmp_path):
     for name, normals in maps.items():
         save_normal_map(tmp_path / name, normals)
     save_face_image(tmp_path / "face.png", FaceImage.from_luminance(np.full((16, 16), 0.5)))
-    manifest = harness.DatasetManifest((
-        harness.ManifestEntry("x", ("face.png",) * 4, ("a.png", "b.png", "wide.png", "a_copy.png")),
-        harness.ManifestEntry("y", ("face.png",) * 4, ("a_copy.png", "tall.png", "b.png", "a.png")),
-    ), k=2)
-    x, y = ([s.normals for s in g.samples] for g in harness.load_groups(manifest, tmp_path))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"k": 2, "identities": [
+        {"identity": "x", "images": ["face.png"] * 4,
+         "normals": ["a.png", "b.png", "wide.png", "a_copy.png"]},
+        {"identity": "y", "images": ["face.png"] * 4,
+         "normals": ["a_copy.png", "tall.png", "b.png", "a.png"]},
+    ]}))
+    groups, _ = harness.load_groups(manifest)
+    x, y = ([s.normals for s in g.samples] for g in groups)
     assert x[0] is x[3] is y[0] is y[3]
     assert x[1] is y[2] and x[1] is not x[0]
     assert x[2].normals.tobytes() == y[1].normals.tobytes()

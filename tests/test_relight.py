@@ -334,3 +334,11 @@ def test_face_image_file_roundtrip(tmp_path, sphere64):
     back = load_face_image(path)
     assert back.rgb.shape == image.rgb.shape
     assert np.abs(back.rgb - image.rgb).max() <= 0.5 / 255.0 + 1e-9
+
+
+def test_face_image_file_of_grey_and_alpha_names_the_file(tmp_path):
+    path = tmp_path / "face.png"
+    pngio.write_png(path, np.zeros((8, 8, 2), dtype=np.uint8))
+    with pytest.raises(ValueError) as info:
+        load_face_image(path)
+    assert str(info.value) == f"{path}: rgb must be HxWx3, got (8, 8, 2)"

@@ -173,6 +173,20 @@ def test_light_file_rejects_wrong_count(tmp_path):
         load_light(path)
 
 
+@pytest.mark.parametrize("content, message", [
+    ("1 2 3\n", "a light needs exactly 9 coefficients, got (3,)"),
+    ("nan 0 0 0 0 0 0 0 0\n", "light coefficients must be finite"),
+    ("x 0 0 0 0 0 0 0 0\n", "could not convert string to float: 'x'"),
+    ("\u00e9 0 0 0 0 0 0 0 0\n", "'ascii' codec can't decode byte 0xc3"),
+], ids=["wrong_count", "nan", "not_a_number", "not_ascii"])
+def test_light_file_errors_name_the_file(tmp_path, content, message):
+    path = tmp_path / "light.txt"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_light(path)
+    assert str(info.value).startswith(f"{path}: {message}")
+
+
 def test_normal_map_roundtrip(tmp_path):
     nm = sphere_normals(48)
     path = tmp_path / "normals.png"
