@@ -242,11 +242,11 @@ def _load_scenario(path):
         return value
 
     def floats(key, default, count) -> tuple[float, ...]:
-        """``data[key]``, or ``default`` when absent, as a tuple of ``count`` floats."""
+        """``data[key]``, or ``default`` when absent, as a tuple of ``count`` finite floats."""
         values = data.get(key, default)
         if not (isinstance(values, (list, tuple)) and len(values) == count
-                and all(type(v) in (int, float) for v in values)):
-            raise TypeError(f"{key} must be a list of {count} numbers")
+                and all(type(v) in (int, float) and -np.inf < v < np.inf for v in values)):
+            raise TypeError(f"{key} must be a list of {count} finite numbers")
         return tuple(map(float, values))
 
     try:
@@ -255,7 +255,7 @@ def _load_scenario(path):
         scene_cfg = data["scene"]
         if not isinstance(scene_cfg, dict):
             raise TypeError("scene must be an object")
-        # Loop options, start pose, albedo and ambient are checked before any normals are built.
+        # Options, start pose, albedo, ambient and target are checked before any normals are built.
         start = phy_sim.PLSPose(**data["start_pose"])
         tau = float(data.get("tau", 0.9))
         if not tau <= 1.0:  # above 1 (or NaN) no pixel reaches tau times the peak
@@ -275,6 +275,13 @@ def _load_scenario(path):
         )
         ambient = float(scene_cfg.get("ambient", 0.25))
         albedo = phy_sim.check_scene_values(scene_cfg.get("albedo", 0.8), ambient)
+        target_cfg = data["target"]
+        if "light_file" in target_cfg:
+            target = load_light(Path(path).parent / target_cfg["light_file"])
+        elif "coeffs" in target_cfg:
+            target = as_light(target_cfg["coeffs"])
+        else:
+            target = phy_sim.PLSPose(**target_cfg["pose"])
         if "normals" in scene_cfg:
             normals = load_normal_map(Path(path).parent / scene_cfg["normals"])
         else:
@@ -282,13 +289,8 @@ def _load_scenario(path):
                                              "scene.sphere_resolution", 8,
                                              MAX_SCENARIO_RESOLUTION))
         scene = phy_sim.SceneModel(normals=normals, albedo=albedo, ambient=ambient)
-        target_cfg = data["target"]
-        if "light_file" in target_cfg:
-            target = load_light(Path(path).parent / target_cfg["light_file"])
-        elif "coeffs" in target_cfg:
-            target = as_light(target_cfg["coeffs"])
-        else:
-            target = phy_sim.scene_light_estimate(scene, phy_sim.PLSPose(**target_cfg["pose"]))
+        if isinstance(target, phy_sim.PLSPose):  # only a pose target is fitted on the scene
+            target = phy_sim.scene_light_estimate(scene, target)
         return target, start, scene, options
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
@@ -311,6 +313,8 @@ def _cmd_phy_sim(args) -> int:
         if args.trace:
             _write_phy_trace(args.trace, exc.trace)
         raise
+    except ValueError as exc:  # the loop reads only the scenario, so its faults are the file's
+        raise ScenarioError(f"malformed scenario {args.scenario}: {exc}") from exc
     if args.trace:
         _write_phy_trace(args.trace, result.trace)
     pose = result.final_pose

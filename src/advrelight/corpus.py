@@ -16,7 +16,7 @@ import numpy as np
 
 from .phy_sim import PLSPose
 from .relight import FaceImage
-from .shading import BAND_GAINS, SH_C0, NormalMap, _pixel_grid, sh_basis
+from .shading import BAND_GAINS, SH_C0, NormalMap, _pixel_grid, sh_basis, shade
 
 DEFAULT_IDENTITIES = 8
 DEFAULT_PER_IDENTITY = 16
@@ -76,8 +76,6 @@ def _render_lights(seed: int, identity: int, count: int) -> np.ndarray:
         intensities.append(pose.intensity)
         directions.append(pose.direction())
     lights += np.array(intensities)[:, None] * sh_basis(np.reshape(directions, (count, 3)))
-    if not np.all(np.isfinite(lights)):
-        raise ValueError("light coefficients must be finite")
     return lights
 
 
@@ -86,8 +84,7 @@ def synthetic_corpus(identities: int = DEFAULT_IDENTITIES,
                      size: int = DEFAULT_SIZE,
                      seed: int = 0) -> list[IdentityGroup]:
     """Generate the fixed verification corpus; deterministic in ``seed``. Each identity's
-    images share its normal map and are rendered together on that map's basis, one shading
-    product per light."""
+    images share its normal map and are shaded by :func:`shade`, one light at a time."""
     groups = []
     for i in range(identities):
         id_rng = np.random.default_rng([seed, i])
@@ -97,9 +94,8 @@ def synthetic_corpus(identities: int = DEFAULT_IDENTITIES,
         texture = _texture(size, id_rng)
         tint = id_rng.uniform(0.72, 1.0, size=3)
         tint /= tint.max()
-        shading = np.zeros((per_identity, size, size))
-        for shaded, light in zip(shading, _render_lights(seed, i, per_identity)):
-            shaded[normals.mask] = normals.basis @ (BAND_GAINS * light)
+        shading = np.array([shade(normals, light) for light in _render_lights(
+            seed, i, per_identity)]).reshape(per_identity, size, size)
         lum = np.clip(np.multiply(texture, shading, out=shading), 0.0, 1.0, out=shading)
         np.copyto(lum, _BACKGROUND, where=~normals.mask)
         rgb = np.empty((*lum.shape, 3))

@@ -51,8 +51,8 @@ class PLSPose:
             raise ValueError("azimuth must lie in [0, 2*pi)")
         if not 0.0 <= self.polar <= math.pi / 2.0:
             raise ValueError("polar must lie in [0, pi/2]")
-        if self.distance <= 0 or self.intensity <= 0:
-            raise ValueError("distance and intensity must be positive")
+        if not (0 < self.distance < math.inf and 0 < self.intensity < math.inf):  # NaN fails
+            raise ValueError("distance and intensity must be positive and finite")
 
     def direction(self) -> np.ndarray:
         sp = math.sin(self.polar)

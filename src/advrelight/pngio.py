@@ -3,18 +3,21 @@
 Supports greyscale, grey+alpha, RGB and RGBA at 8 or 16 bits per sample,
 which covers every image container this package needs (8-bit face crops,
 16-bit normal maps with an alpha mask, 16-bit lighting maps). Palette and
-interlaced files are rejected.
+interlaced files are rejected, and so, before any data is inflated, is a
+header that declares more than ``MAX_PNG_PIXELS`` pixels.
 """
 
 from __future__ import annotations
 
 import struct
-import sys
 import zlib
 
 import numpy as np
 
 _SIGNATURE = b"\x89PNG\r\n\x1a\n"
+
+#: Most pixels a PNG may declare: the 1024 px square, the largest resolution a command renders.
+MAX_PNG_PIXELS = 1024 * 1024
 
 # color type -> channel count
 _CHANNELS = {0: 1, 2: 3, 4: 2, 6: 4}
@@ -101,8 +104,9 @@ def read_png(path) -> np.ndarray:
     stride = width * channels * sample_bytes
 
     expected = height * (stride + 1)
-    if width == 0 or height == 0 or expected > sys.maxsize:
-        raise ValueError(f"{path}: unsupported image size {width}x{height}")
+    if width == 0 or height == 0 or width * height > MAX_PNG_PIXELS:
+        raise ValueError(f"{path}: unsupported image size {width}x{height} "
+                         f"(at most {MAX_PNG_PIXELS} pixels)")
     inflater = zlib.decompressobj()
     try:
         decompressed = inflater.decompress(bytes(idat), expected)
@@ -118,6 +122,8 @@ def read_png(path) -> np.ndarray:
     for row in range(height):
         offset = row * (stride + 1)
         ftype = decompressed[offset]
+        if ftype > 4:
+            raise ValueError(f"{path}: unknown PNG filter type {ftype} in row {row}")
         line = bytearray(decompressed[offset + 1:offset + 1 + stride])
         _unfilter(line, prev, ftype, bpp)
         out[row * stride:(row + 1) * stride] = line
@@ -139,6 +145,7 @@ def _write_chunk(fh, ctype: bytes, data: bytes) -> None:
 
 
 def _unfilter(line: bytearray, prev: bytearray, ftype: int, bpp: int) -> None:
+    """Undo filter type ``ftype`` (0-4, which :func:`read_png` checks) on ``line`` in place."""
     if ftype == 0:
         return
     n = len(line)
@@ -166,5 +173,3 @@ def _unfilter(line: bytearray, prev: bytearray, ftype: int, bpp: int) -> None:
             else:
                 pred = upleft
             line[i] = (line[i] + pred) & 0xFF
-    else:
-        raise ValueError(f"unknown PNG filter type {ftype}")

@@ -27,27 +27,21 @@ DENOM_FLOOR = 1e-4
 _CHROMA_EPS = 1e-12
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class FaceImage:
     """A face crop held as its luminance channel plus its colors.
 
     ``luminance`` is what shading operations act on; ``chroma`` is the
     per-channel ratio rgb / luminance, so that a relit luminance can be
-    reattached to the original colors. An image built from rgb derives its
-    chroma on first read. A relit image shares its source's colors: its first
-    read of ``chroma`` (or of ``rgb``, which it builds only when saved) reads the
-    source's ``chroma``. All three arrays are read-only. Build instances with
-    :meth:`from_rgb` or :meth:`from_luminance`.
+    reattached to the original colors. ``colors`` is an original's rgb array,
+    whose chroma is derived on first read, or, for a relit image, the image it
+    was relit from: its ``chroma`` is the source's ``chroma`` object, and its
+    ``rgb`` is built only when read (on save). All arrays are read-only. Build
+    originals with :meth:`from_rgb` or :meth:`from_luminance`.
     """
 
     luminance: np.ndarray
-
-    def __init__(self, luminance: np.ndarray, rgb: np.ndarray | None = None,
-                 colors_of: FaceImage | None = None):
-        """Take ``luminance`` and either ``rgb`` or ``colors_of``, the image whose chroma this
-        one shares; the arrays must be checked and frozen."""
-        held = {"rgb": rgb} if colors_of is None else {"_colors_of": colors_of}
-        vars(self).update(luminance=luminance, **held)
+    colors: np.ndarray | FaceImage
 
     @classmethod
     def from_rgb(cls, rgb) -> "FaceImage":
@@ -56,7 +50,7 @@ class FaceImage:
             raise ValueError(f"rgb must be HxWx3, got {rgb.shape}")
         if not np.all(np.isfinite(rgb)):
             raise ValueError("rgb must be finite")
-        return cls(_freeze(rgb @ LUMA_WEIGHTS), rgb=_freeze(rgb))
+        return cls(_freeze(rgb @ LUMA_WEIGHTS), _freeze(rgb))
 
     @classmethod
     def from_luminance(cls, luminance) -> "FaceImage":
@@ -66,19 +60,19 @@ class FaceImage:
             raise ValueError(f"luminance must be HxW, got {lum.shape}")
         if not np.all(np.isfinite(lum)):
             raise ValueError("luminance must be finite")
-        rgb = np.empty((*lum.shape, 3), dtype=np.float64)
-        rgb[...] = lum[:, :, None]
-        return cls(_freeze(rgb @ LUMA_WEIGHTS), rgb=_freeze(rgb))
+        rgb = np.repeat(lum[:, :, None], 3, axis=2)
+        return cls(_freeze(rgb @ LUMA_WEIGHTS), _freeze(rgb))
 
     @cached_property
     def rgb(self) -> np.ndarray:
+        if isinstance(self.colors, np.ndarray):
+            return self.colors
         return _freeze(np.clip(self.chroma * self.luminance[:, :, None], 0.0, 1.0))
 
     @cached_property
     def chroma(self) -> np.ndarray:
-        source = vars(self).get("_colors_of")
-        if source is not None:
-            return source.chroma
+        if isinstance(self.colors, FaceImage):
+            return self.colors.chroma
         lum = self.luminance[:, :, None]
         return _freeze(np.where(lum > _CHROMA_EPS, self.rgb / np.maximum(lum, _CHROMA_EPS), 0.0))
 
@@ -141,7 +135,7 @@ class RelightPlan:
         lum = self.image.luminance.copy()
         lum[self.mask] = clipped
         return RelightResult(
-            image=FaceImage(_freeze(lum), colors_of=self.image),
+            image=FaceImage(_freeze(lum), self.image),
             new_coeffs=coeffs,
             unclamped=_freeze(clipped == raw),
         )

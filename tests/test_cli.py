@@ -18,6 +18,7 @@ from advrelight.relight import load_face_image, save_face_image
 from advrelight.shading import load_light, save_light, save_normal_map
 
 from conftest import make_scene
+from helpers.png import png_with_idat
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +213,8 @@ def _header_only_params(variant: str, hidden: int, shapes) -> bytes:
 
 _MISSING_PNGS = ["--image", "missing-face.png", "--normals", "missing-normals.png"]
 _RELIGHT = ["relight", *_MISSING_PNGS, "--out", "relit.png"]
+_ESTIMATE_LIGHT = ["estimate-light", "--normals", "missing-normals.png", "--out", "light.txt",
+                   "--image"]
 
 
 def _lights_csv(bad_row: str) -> str:
@@ -275,6 +278,10 @@ def _manifest(k=1, images=("a.png", "b.png"), normals=("n.png", "n.png"), identi
     (_RELIGHT + ["--new-light", "missing-light.txt", "--light"], "x 0 0 0 0 0 0 0 0",
      "input: could not convert string to float: 'x'"),
     (["ap-run", *_MISSING_PNGS, "--params"], b"", "input: malformed parameter file"),
+    (_ESTIMATE_LIGHT, png_with_idat(1025, 1024, b""),
+     "input: unsupported image size 1025x1024 (at most 1048576 pixels)"),
+    (_ESTIMATE_LIGHT, png_with_idat(4096, 4096, b""),
+     "input: unsupported image size 4096x4096 (at most 1048576 pixels)"),
 ], ids=["empty_lights", "eval_manifest_list", "ap_train_manifest_list", "params_without_w1",
         "params_bad_zip", "params_plain_npy", "params_empty", "manifest_number_images",
         "manifest_null_normals", "manifest_string_images", "manifest_bool_k",
@@ -283,7 +290,8 @@ def _manifest(k=1, images=("a.png", "b.png"), normals=("n.png", "n.png"), identi
         "manifest_missing_identity", "manifest_json_syntax", "params_nan_w3",
         "lights_17_values", "lights_19_values", "lights_nan", "lights_not_a_number",
         "params_header_lies", "params_generator_over_bound", "relight_new_light_nan",
-        "relight_light_not_a_number", "ap_run_params_empty"])
+        "relight_light_not_a_number", "ap_run_params_empty", "png_over_pixel_cap",
+        "png_4096_square"])
 def test_malformed_input_file_exits_2(tmp_path, capsys, monkeypatch, command, content, message):
     """A malformed input file exits 2 naming the file, before the bundled corpus is built."""
     def synthetic_corpus(*args, **kwargs):
@@ -420,6 +428,11 @@ _START = {"azimuth": 0.2, "polar": 0.3, "distance": 3.0, "intensity": 1.5}
     pytest.param(_START, _SCENE, {"map_resolution": True}, id="map_resolution_bool"),
     pytest.param(_START, {"sphere_resolution": 16.0}, {}, id="sphere_resolution_float"),
     pytest.param(_START, {"sphere_resolution": "16"}, {}, id="sphere_resolution_string"),
+    pytest.param({**_START, "distance": float("nan")}, _SCENE, {}, id="start_distance_nan"),
+    pytest.param({**_START, "distance": 0.05, "intensity": 1e308}, _SCENE, {},
+                 id="start_intensity_overflows"),
+    pytest.param(_START, _SCENE, {"gains": [float("nan"), 0.5, 0.5]}, id="gains_nan"),
+    pytest.param(_START, _SCENE, {"tolerances": [0.1, float("nan"), 0.1]}, id="tolerances_nan"),
 ])
 def test_phy_sim_malformed_start_pose_exits_2(tmp_path, capsys, start_pose, scene, overrides):
     """Malformed start poses, scenes and scenario lists exit 2; a bad list names its key."""
@@ -437,7 +450,8 @@ def test_phy_sim_malformed_start_pose_exits_2(tmp_path, capsys, start_pose, scen
 
 def test_phy_sim_checks_scenario_scalars_before_building_the_scene(tmp_path, capsys,
                                                                    monkeypatch):
-    """A bad scalar is refused before a 1024 px sphere is built or a pose target is fitted.
+    """A bad scalar or target is refused before a 1024 px sphere is built or a pose target is
+    fitted.
 
     The cases share one test, so the original map_resolution case keeps its id."""
     calls = {"sphere_normals": 0, "scene_light_estimate": 0}
@@ -453,10 +467,15 @@ def test_phy_sim_checks_scenario_scalars_before_building_the_scene(tmp_path, cap
     count(cli_module, "sphere_normals")
     count(phy_sim, "scene_light_estimate")
     scenario = tmp_path / "scenario.json"
+    (tmp_path / "nan.txt").write_text("nan 0 0 0 0 0 0 0 0")
+    bad_pose = {"azimuth": 1.0, "polar": 3.0, "distance": 2.0, "intensity": 1.5}
     for scene, overrides, message in [
             ({}, {"map_resolution": 32.9}, "map_resolution"),
             ({"ambient": float("nan")}, {}, "ambient must be finite"),
-            ({"albedo": float("nan")}, {}, "albedo must lie in [0, 1]")]:
+            ({"albedo": float("nan")}, {}, "albedo must lie in [0, 1]"),
+            ({}, {"target": {"light_file": "nan.txt"}}, "light coefficients must be finite"),
+            ({}, {"target": {"coeffs": [0.5] * 8}}, "a light needs exactly 9 coefficients"),
+            ({}, {"target": {"pose": bad_pose}}, "polar must lie in [0, pi/2]")]:
         scenario.write_text(json.dumps({
             "scene": {"sphere_resolution": 1024, **scene}, "start_pose": _START,
             "target": {"pose": {"azimuth": 1.0, "polar": 0.6, "distance": 2.0, "intensity": 1.5}},

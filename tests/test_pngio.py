@@ -1,4 +1,4 @@
-import struct
+import re
 import tracemalloc
 import zlib
 
@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from advrelight import pngio
+
+from helpers.png import png_with_idat
 
 
 @pytest.mark.parametrize("dtype,peak", [(np.uint8, 255), (np.uint16, 65535)])
@@ -51,17 +53,6 @@ def png_bytes(tmp_path, arr):
     return path.read_bytes()
 
 
-def png_with_idat(width, height, idat):
-    """An 8-bit greyscale PNG of the given size whose single IDAT is ``idat``."""
-    def chunk(ctype, data):
-        crc = zlib.crc32(ctype + data) & 0xFFFFFFFF
-        return struct.pack(">I", len(data)) + ctype + data + struct.pack(">I", crc)
-
-    header = struct.pack(">IIBBBBB", width, height, 8, 0, 0, 0, 0)
-    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", header) + chunk(b"IDAT", idat)
-            + chunk(b"IEND", b""))
-
-
 def test_deflate_bomb_is_rejected_without_inflating_it(tmp_path):
     inflated = 64 * 2**20
     block = bytes(2**20)
@@ -77,6 +68,31 @@ def test_deflate_bomb_is_rejected_without_inflating_it(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < inflated / 16
+
+
+def test_declared_size_over_the_pixel_cap_is_refused_before_inflating(tmp_path, monkeypatch):
+    path = tmp_path / "big.png"
+    path.write_bytes(png_with_idat(1024, 1024, zlib.compress(bytes(1024 * 1025))))
+    assert pngio.read_png(path).shape == (1024, 1024)
+
+    def decompressobj(*args, **kwargs):
+        raise AssertionError("inflated the data of a PNG over the pixel cap")
+
+    monkeypatch.setattr(pngio.zlib, "decompressobj", decompressobj)
+    for width, height in [(1025, 1024), (1024, 1025), (4096, 4096), (2**31 - 1, 2**31 - 1)]:
+        path.write_bytes(png_with_idat(width, height, b""))
+        message = f"{path}: unsupported image size {width}x{height} (at most 1048576 pixels)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pngio.read_png(path)
+
+
+def test_unknown_filter_type_names_the_file(tmp_path):
+    path = tmp_path / "filter.png"
+    rows = bytearray(8 * 9)  # 8 rows of filter byte 0 plus 8 zero pixels
+    rows[3 * 9] = 5
+    path.write_bytes(png_with_idat(8, 8, zlib.compress(bytes(rows))))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: unknown PNG filter type 5 in row 3")):
+        pngio.read_png(path)
 
 
 def test_short_and_trailing_idat_are_rejected(tmp_path):

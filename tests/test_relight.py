@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,7 +47,7 @@ def eager_from_rgb(rgb):
 
 def relit_to(image, raw):
     """``image`` relit to the raw luminance ``raw`` as ``RelightPlan.relight`` builds its image."""
-    return FaceImage(_freeze(np.clip(raw, 0.0, 1.0)), colors_of=image)
+    return FaceImage(_freeze(np.clip(raw, 0.0, 1.0)), image)
 
 
 def eager_relit(chroma, raw):
@@ -105,6 +107,20 @@ def test_face_image_arrays_are_read_only_and_relights_share_chroma(tmp_path, sph
     eager = np.clip(colored.chroma * relit.luminance[:, :, None], 0.0, 1.0)
     pngio.write_png(tmp_path / "eager.png", np.round(eager * 255.0).astype(np.uint8))
     assert (tmp_path / "relit.png").read_bytes() == (tmp_path / "eager.png").read_bytes()
+
+
+def test_face_image_is_its_luminance_and_its_colors(sphere64):
+    """An original's colors are its rgb array; a relit image's are the image it was relit from."""
+    rng = np.random.default_rng(14)
+    image, light = make_scene(rng, sphere64)
+    with pytest.raises(TypeError):
+        FaceImage(image.luminance)
+    assert [field.name for field in dataclasses.fields(FaceImage)] == ["luminance", "colors"]
+    for original in (FaceImage.from_rgb(image.rgb), FaceImage.from_luminance(image.luminance)):
+        assert original.rgb is original.colors
+        relit = RelightPlan(original, sphere64, light).relight(make_safe_light(rng)).image
+        assert relit.colors is original
+        assert relit.chroma is original.chroma
 
 
 def test_relit_image_reads_its_sources_colors_on_first_read(sphere64):
