@@ -283,22 +283,28 @@ def save_params(path, params: AdvLNetParams) -> None:
 
 
 def load_params(path) -> AdvLNetParams:
-    """Read a :func:`save_params` file; a malformed one raises ValueError naming ``path``."""
-    try:
-        # np.load leaves its own handle open when a zip header is malformed.
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
-            version = int(data["format_version"])
-            if version != PARAMS_FORMAT_VERSION:
-                raise ValueError(f"unsupported parameter file version {version}")
-            variant, hidden, embed_dim = (str(data["variant"]), int(data["hidden"]),
-                                          int(data["embed_dim"]))
-            shapes = _shapes(variant, hidden, embed_dim)
-            for name, shape in shapes.items():  # before any array is read
-                _check_stored_shape(data, name, shape)
-            arrays = {name: data[name] for name in shapes}
-        return AdvLNetParams(variant, hidden, embed_dim, **arrays)
-    except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"{path}: malformed parameter file: {exc}") from exc
+    """Read a :func:`save_params` file; a malformed one raises ValueError naming ``path``.
+
+    A member that ``zipfile`` cannot read (an unknown compression method, strong encryption,
+    an offset before the file's start) is malformed too; a file that cannot be opened keeps
+    its own OSError."""
+    # np.load leaves its own handle open when a zip header is malformed.
+    with open(path, "rb") as fh:
+        try:
+            with np.load(fh, allow_pickle=False) as data:
+                version = int(data["format_version"])
+                if version != PARAMS_FORMAT_VERSION:
+                    raise ValueError(f"unsupported parameter file version {version}")
+                variant, hidden, embed_dim = (str(data["variant"]), int(data["hidden"]),
+                                              int(data["embed_dim"]))
+                shapes = _shapes(variant, hidden, embed_dim)
+                for name, shape in shapes.items():  # before any array is read
+                    _check_stored_shape(data, name, shape)
+                arrays = {name: data[name] for name in shapes}
+            return AdvLNetParams(variant, hidden, embed_dim, **arrays)
+        except (EOFError, KeyError, NotImplementedError, OSError, TypeError, ValueError,
+                zipfile.BadZipFile) as exc:
+            raise ValueError(f"{path}: malformed parameter file: {exc}") from exc
 
 
 def _check_stored_shape(data, name: str, shape: tuple[int, ...]) -> None:

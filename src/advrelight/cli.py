@@ -17,8 +17,9 @@ import numpy as np
 from . import attack_ap, attack_aq, harness, phy_sim, svgplot
 from .corpus import synthetic_corpus
 from .embedder import BuiltinEmbedder, ExternalEmbedder, cosine_similarity
-from .errors import AdvRelightError, ScenarioError
-from .relight import RelightPlan, estimate_light, load_face_image, save_face_image
+from .errors import AdvRelightError, EmptyMaskError, ManifestError, ScenarioError
+from .relight import (RelightPlan, check_pair_size, estimate_light, load_face_image,
+                      save_face_image)
 from .shading import as_light, load_light, load_normal_map, save_light, sphere_normals, write_csv
 
 
@@ -153,11 +154,44 @@ def _load_groups(args):
     return synthetic_corpus(), 8
 
 
+def _load_image_and_normals(args):
+    """``args.image`` and ``args.normals``; ValueError naming both files unless they are the
+    same size and the normal map masks at least one pixel."""
+    image, normals = load_face_image(args.image), load_normal_map(args.normals)
+    check_pair_size(image, normals, args.image, args.normals)
+    if not normals.mask.any():
+        raise EmptyMaskError(f"normal map {args.normals} masks no pixel of image {args.image}")
+    return image, normals
+
+
+@contextlib.contextmanager
+def _faults_of(path):
+    """Silences floating-point overflow inside, and names ``path`` in a ValueError raised
+    inside: for calls whose only unchecked input is that file's (a finite light can still
+    overflow the shading it makes)."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _load_plan(args, old_light=None) -> RelightPlan:
+    """The plan of ``args.image`` and ``args.normals`` under ``old_light`` (read from
+    ``args.light``), or under their fitted light when it is None."""
+    image, normals = _load_image_and_normals(args)
+    if old_light is None:
+        return RelightPlan(image, normals)
+    with _faults_of(args.light):
+        return RelightPlan(image, normals, old_light)
+
+
 def _cmd_relight(args) -> int:
     old_light = load_light(args.light) if args.light else None
     new_light = load_light(args.new_light)
-    plan = RelightPlan(load_face_image(args.image), load_normal_map(args.normals), old_light)
-    result = plan.relight(new_light)
+    plan = _load_plan(args, old_light)
+    with _faults_of(args.new_light):
+        result = plan.relight(new_light)
     save_face_image(args.out, result.image)
     print(f"relit {args.image} -> {args.out} "
           f"(clamp fraction {result.clamp_fraction:.6g})")
@@ -165,15 +199,14 @@ def _cmd_relight(args) -> int:
 
 
 def _cmd_estimate_light(args) -> int:
-    light = estimate_light(load_face_image(args.image), load_normal_map(args.normals))
+    light = estimate_light(*_load_image_and_normals(args))
     save_light(args.out, light)
     print(" ".join(f"{c:.6g}" for c in light))
     return 0
 
 
 def _cmd_attack_aq(args) -> int:
-    light = load_light(args.light) if args.light else None
-    plan = RelightPlan(load_face_image(args.image), load_normal_map(args.normals), light)
+    plan = _load_plan(args, load_light(args.light) if args.light else None)
     with open_embedder(args.embedder) as embedder:
         cfg = attack_aq.AttackConfig(epsilon=args.epsilon, iterations=args.iters)
         trace = attack_aq.attack(plan, embedder, cfg)
@@ -207,11 +240,10 @@ def _cmd_ap_train(args) -> int:
 
 def _cmd_ap_run(args) -> int:
     params = attack_ap.load_params(args.params)
-    image = load_face_image(args.image)
-    plan = RelightPlan(image, load_normal_map(args.normals))
+    plan = _load_plan(args)
     with open_embedder(args.embedder) as embedder:
         relit, light = attack_ap.predict(plan, params, embedder)
-        similarity = cosine_similarity(embedder.embed(relit), embedder.embed(image))
+        similarity = cosine_similarity(embedder.embed(relit), embedder.embed(plan.image))
     if args.out_image:
         save_face_image(args.out_image, relit)
     if args.out_light:
@@ -241,12 +273,14 @@ def _load_scenario(path):
             raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
         return value
 
-    def floats(key, default, count) -> tuple[float, ...]:
-        """``data[key]``, or ``default`` when absent, as a tuple of ``count`` finite floats."""
+    def floats(key, default, count, lo=-np.inf, hi=np.inf) -> tuple[float, ...]:
+        """``data[key]``, or ``default`` when absent, as ``count`` floats in the open (lo, hi),
+        so each is finite."""
         values = data.get(key, default)
         if not (isinstance(values, (list, tuple)) and len(values) == count
-                and all(type(v) in (int, float) and -np.inf < v < np.inf for v in values)):
-            raise TypeError(f"{key} must be a list of {count} finite numbers")
+                and all(type(v) in (int, float) and lo < v < hi for v in values)):
+            bounds = "" if (lo, hi) == (-np.inf, np.inf) else f" in ({lo:g}, {hi:g})"
+            raise TypeError(f"{key} must be a list of {count} finite numbers{bounds}")
         return tuple(map(float, values))
 
     try:
@@ -264,11 +298,12 @@ def _load_scenario(path):
         if not 0.0 < lo <= hi:
             raise ValueError(f"distance_bounds must satisfy 0 < lo <= hi, got [{lo}, {hi}]")
         options = dict(
-            gains=floats("gains", phy_sim.DEFAULT_GAINS, 3),
+            gains=floats("gains", phy_sim.DEFAULT_GAINS, 3, *phy_sim.GAIN_RANGE),
             max_iter=integer(data, "max_iterations", 100, "max_iterations", 0,
                              MAX_SCENARIO_ITERATIONS),
             tau=tau,
-            tolerances=floats("tolerances", phy_sim.DEFAULT_TOLERANCES, 3),
+            # The loop converges on a strict <, which no tolerance of 0 or less can meet.
+            tolerances=floats("tolerances", phy_sim.DEFAULT_TOLERANCES, 3, 0.0),
             map_resolution=integer(data, "map_resolution", phy_sim.DEFAULT_MAP_RESOLUTION,
                                    "map_resolution", 8, MAX_SCENARIO_RESOLUTION),
             distance_bounds=(lo, hi),
@@ -330,6 +365,9 @@ def _cmd_eval(args) -> int:
                          f"no epsilon ball, got {args.epsilon:g}")
     params = attack_ap.load_params(args.params) if args.params else None
     groups, k = _load_groups(args)
+    if len(groups) < 2:  # the ROC needs a pair of different identities
+        raise ManifestError(f"malformed manifest {args.manifest}: eval needs at least 2 "
+                            f"identities, got {len(groups)}")
     with (open_embedder(args.embedder) as embedder,
           open_embedder(args.eval_embedder) as eval_embedder):
         report = harness.evaluate(groups, args.method, embedder, epsilon=args.epsilon,
@@ -352,8 +390,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_analyze_light(args) -> int:
     pairs = harness.read_lights_csv(args.lights)
-    hist = harness.sensitivity_analysis(pairs, resolution=args.resolution,
-                                        cell_size=args.hex_size)
+    with _faults_of(args.lights):  # the lights are the file's; the flags are checked
+        hist = harness.sensitivity_analysis(pairs, resolution=args.resolution,
+                                            cell_size=args.hex_size)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     harness.write_hexhist_csv(out / "hexhist.csv", hist)

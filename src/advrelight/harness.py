@@ -21,7 +21,7 @@ import numpy as np
 from . import attack_ap, attack_aq
 from .corpus import IdentityGroup, Sample
 from .errors import AdvRelightError, DegenerateLabelsError, EvaluationError, ManifestError
-from .relight import RelightPlan, estimate_light, load_face_image, random_relight
+from .relight import RelightPlan, check_pair_size, estimate_light, load_face_image, random_relight
 from .shading import LightingMap, NormalMap, as_light, lighting_map, load_normal_map, write_csv
 
 ATTACK_METHODS = ("none", "random", "aq", "ap")
@@ -54,6 +54,8 @@ def load_groups(path) -> tuple[list[IdentityGroup], int]:
             raise TypeError(f"k must be an integer, got {k!r}")
         if k < 1:
             raise ValueError("k must be >= 1")
+        if not (isinstance(data["identities"], list) and data["identities"]):
+            raise TypeError("identities must be a non-empty list")
         entries = {}
         for entry in data["identities"]:
             identity = entry["identity"]
@@ -74,8 +76,15 @@ def load_groups(path) -> tuple[list[IdentityGroup], int]:
         key = (loaded.normals.shape, loaded.normals.tobytes(), loaded.mask.tobytes())
         return maps.setdefault(key, loaded)
 
-    groups = [IdentityGroup(identity, tuple(Sample(load_face_image(base / img), normal_map(nrm))
-                                            for img, nrm in zip(images, normals)))
+    def sample(img, nrm) -> Sample:
+        image, normals = load_face_image(base / img), normal_map(nrm)
+        try:
+            check_pair_size(image, normals, base / img, base / nrm)
+        except ValueError as exc:
+            raise ManifestError(f"malformed manifest {path}: {exc}") from exc
+        return Sample(image, normals)
+
+    groups = [IdentityGroup(identity, tuple(sample(img, nrm) for img, nrm in zip(images, normals)))
               for identity, (images, normals) in entries.items()]
     return groups, k
 
@@ -282,8 +291,8 @@ def sensitivity_analysis(pairs, resolution: int = 128, cell_size: float = 8.0) -
     skipped = 0
     for old, new in pairs:
         # Off the disk both maps are 0, so the first disk maximum is the map's first maximum.
-        diff = LightingMap(np.abs(lighting_map(new, resolution).masked
-                                  - lighting_map(old, resolution).masked), resolution)
+        diff = LightingMap.of(np.abs(lighting_map(new, resolution).masked
+                                     - lighting_map(old, resolution).masked), resolution)
         if diff.peak == 0.0:
             skipped += 1
             continue
@@ -392,18 +401,21 @@ def write_lights_csv(path, report: EvalReport) -> None:
 
 def read_lights_csv(path) -> list[tuple[np.ndarray, np.ndarray]]:
     """(old, new) light pairs; a malformed row's ValueError names ``path`` and row (header 1)."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (csv.Error, UnicodeDecodeError) as exc:  # bytes that are not text, or a huge field
+        raise ValueError(f"{path}: {exc}") from exc
+    header = rows[0] if rows else []
+    if len(header) != 19:
+        raise ValueError(f"{path}: expected 19 columns, got {len(header)}")
     pairs = []
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if len(header) != 19:
-            raise ValueError(f"{path}: expected 19 columns, got {len(header)}")
-        for n, row in enumerate(reader, start=2):
-            try:
-                values = [float(v) for v in row[1:]]
-                pairs.append((as_light(values[:9]), as_light(values[9:])))
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {n}: {exc}") from exc
+    for n, row in enumerate(rows[1:], start=2):
+        try:
+            values = [float(v) for v in row[1:]]
+            pairs.append((as_light(values[:9]), as_light(values[9:])))
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {n}: {exc}") from exc
     return pairs
 
 

@@ -32,6 +32,8 @@ from .shading import LightingMap, NormalMap, _freeze, as_light, lighting_map, pi
 TWO_PI = 2.0 * math.pi
 
 DEFAULT_GAINS = (0.5, 0.5, 0.5)
+#: Open range of each gain: a proportional step e <- (1 - g) e shrinks a linear error only here.
+GAIN_RANGE = (0.0, 2.0)
 DEFAULT_TOLERANCES = (0.035, 0.035, 0.02)  # azimuth rad, polar rad, |area ratio - 1|
 DEFAULT_MAP_RESOLUTION = 512
 _POLAR_MARGIN = 0.02

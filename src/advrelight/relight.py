@@ -115,6 +115,8 @@ class RelightPlan:
         self.old_light = (estimate_light(image, normals) if old_light is None
                           else as_light(old_light))
         f_old = self.basis @ (BAND_GAINS * self.old_light)
+        if not np.isfinite(f_old).all():  # a finite light can still overflow
+            raise ValueError("old-light shading must be finite")
         floored = int((f_old < DENOM_FLOOR).sum())
         if floored > 0.5 * n_masked:
             raise DegenerateLightError(f"denominator floored on {floored}/{n_masked} masked pixels")
@@ -172,6 +174,14 @@ def random_relight(plan: RelightPlan, epsilon: float, seed: int) -> RelightResul
 
 def save_face_image(path, image: FaceImage) -> None:
     pngio.write_png(path, np.round(image.rgb * 255.0).astype(np.uint8))
+
+
+def check_pair_size(image: FaceImage, normals: NormalMap, image_path, normals_path) -> None:
+    """ValueError naming both files unless ``image`` and ``normals`` have the same size."""
+    if image.luminance.shape != normals.mask.shape:
+        (h, w), (nh, nw) = image.luminance.shape, normals.mask.shape
+        raise ValueError(f"image {image_path} is {w}x{h} px but normal map {normals_path} "
+                         f"is {nw}x{nh} px")
 
 
 def load_face_image(path) -> FaceImage:

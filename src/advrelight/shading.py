@@ -15,7 +15,7 @@ presentation concern and only happens at image boundaries.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,52 +90,40 @@ class NormalMap:
 class LightingMap:
     """Shading of the front hemisphere of a unit sphere, orthographic.
 
-    ``masked`` keeps the raw (unclamped) shading of the disk pixels in
-    row-major order, and ``peak`` its maximum, found in the one pass that finds
-    :attr:`brightest`. The disk is the mask of :func:`sphere_normals`.
+    ``masked`` keeps the raw (unclamped) shading of the disk pixels in row-major order,
+    ``peak`` its maximum and ``brightest`` the (row, col) of the first disk pixel holding it.
+    The disk is the mask of :func:`sphere_normals`. Maps are built by :func:`lighting_map`
+    and :meth:`of`, which check the values.
     """
 
     masked: np.ndarray
     resolution: int
-
-    def __post_init__(self):
-        self._own(np.array(self.masked, dtype=np.float64))
+    peak: float
+    brightest: tuple[int, int]
+    iso_areas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
-    def _adopt(cls, masked: np.ndarray, resolution: int) -> "LightingMap":
-        """The map of a fresh float64 array that no caller holds, without copying it."""
-        lmap = object.__new__(cls)
-        object.__setattr__(lmap, "resolution", resolution)
-        lmap._own(masked)
-        return lmap
-
-    def _own(self, v: np.ndarray) -> None:
-        if v.shape == self._flat.shape:
-            first = int(np.argmax(v))  # the first maximum, or the first NaN
-            if np.isfinite(v[first]) and np.isfinite(v.min()):  # the minimum shows a -inf
-                vars(self).update(masked=_freeze(v), peak=float(v[first]), _first=first)
-                return
-        raise ValueError(f"a {self.resolution} px lighting map needs "
-                         f"{self._flat.size} finite values")
-
-    @property
-    def _flat(self) -> np.ndarray:
-        return _sphere_design(self.resolution)[1]  # row-major index of each disk pixel
-
-    @property
-    def brightest(self) -> tuple[int, int]:
-        """(row, col) of the brightest disk pixel; ties go to the first in row-major order."""
-        return divmod(int(self._flat[self._first]), self.resolution)
-
-    @functools.cached_property
-    def _iso_areas(self) -> dict:
-        return {}
+    def of(cls, values, resolution: int) -> LightingMap:
+        """The map of a float64 copy of ``values``; ``values`` itself stays writeable."""
+        return _checked_map(np.array(values, dtype=np.float64), resolution)
 
     def iso_area(self, tau: float) -> int:
         """Disk pixels at or above ``tau`` times the peak, counted once per ``tau``."""
-        if tau not in self._iso_areas:
-            self._iso_areas[tau] = int(np.count_nonzero(self.masked >= tau * self.peak))
-        return self._iso_areas[tau]
+        if tau not in self.iso_areas:
+            self.iso_areas[tau] = int(np.count_nonzero(self.masked >= tau * self.peak))
+        return self.iso_areas[tau]
+
+
+def _checked_map(v: np.ndarray, resolution: int) -> LightingMap:
+    """The map of ``v``, a float64 array no caller holds, frozen in place; ValueError unless
+    it holds one finite value per disk pixel."""
+    flat = _sphere_design(resolution)[1]  # row-major index of each disk pixel
+    if v.shape == flat.shape:
+        first = int(np.argmax(v))  # the first maximum, or the first NaN
+        if np.isfinite(v[first]) and np.isfinite(v.min()):  # the minimum shows a -inf
+            return LightingMap(_freeze(v), resolution, float(v[first]),
+                               divmod(int(flat[first]), resolution))
+    raise ValueError(f"a {resolution} px lighting map needs {flat.size} finite values")
 
 
 def sh_basis(normals) -> np.ndarray:
@@ -198,7 +186,7 @@ def sphere_normals(resolution: int) -> NormalMap:
 def lighting_map(light, resolution: int) -> LightingMap:
     """Render the shading a light produces on the reference sphere."""
     design = _sphere_design(resolution)[0]
-    return LightingMap._adopt(as_light(light) @ design, resolution)
+    return _checked_map(as_light(light) @ design, resolution)
 
 
 def _pixel_grid(resolution: int):

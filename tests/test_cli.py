@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 import zipfile
@@ -211,6 +212,17 @@ def _header_only_params(variant: str, hidden: int, shapes) -> bytes:
     return buffer.getvalue()
 
 
+def _params_with_zip_field(offset: int, field: bytes, signature=b"PK\x01\x02") -> bytes:
+    """A valid parameter file in which every zip record starting with ``signature`` (the
+    central directory's, by default) holds ``field`` at ``offset``."""
+    blob = bytearray(_saved_bytes(attack_ap.save_params, params=attack_ap.init_params("static", 8)))
+    start = blob.find(signature)
+    while start >= 0:
+        blob[start + offset:start + offset + len(field)] = field
+        start = blob.find(signature, start + 4)
+    return bytes(blob)
+
+
 _MISSING_PNGS = ["--image", "missing-face.png", "--normals", "missing-normals.png"]
 _RELIGHT = ["relight", *_MISSING_PNGS, "--out", "relit.png"]
 _ESTIMATE_LIGHT = ["estimate-light", "--normals", "missing-normals.png", "--out", "light.txt",
@@ -282,6 +294,19 @@ def _manifest(k=1, images=("a.png", "b.png"), normals=("n.png", "n.png"), identi
      "input: unsupported image size 1025x1024 (at most 1048576 pixels)"),
     (_ESTIMATE_LIGHT, png_with_idat(4096, 4096, b""),
      "input: unsupported image size 4096x4096 (at most 1048576 pixels)"),
+    (_EVAL_AP, _params_with_zip_field(10, struct.pack("<H", 99)),  # compression method
+     "input: malformed parameter file: That compression method is not supported"),
+    (["ap-run", *_MISSING_PNGS, "--params"], _params_with_zip_field(8, struct.pack("<H", 0x41)),
+     "input: malformed parameter file: strong encryption (flag bit 6)"),
+    (_EVAL_AP, _params_with_zip_field(16, struct.pack("<I", 10**6), b"PK\x05\x06"),
+     "input: malformed parameter file"),
+    (["analyze-light", "--lights"], _lights_csv(",".join(["1"] + ["0.5"] * 18)).encode()
+     .replace(b"\n1,0.5", b"\n1,0.\xff"),
+     "input: 'utf-8' codec can't decode byte 0xff"),
+    (["analyze-light", "--lights"], _lights_csv("1," + "5" * 200_000),
+     "input: field larger than field limit"),
+    (["analyze-light", "--lights"], _lights_csv("1," + ",".join(["1e308"] * 18)),
+     "input: a 128 px lighting map needs"),
 ], ids=["empty_lights", "eval_manifest_list", "ap_train_manifest_list", "params_without_w1",
         "params_bad_zip", "params_plain_npy", "params_empty", "manifest_number_images",
         "manifest_null_normals", "manifest_string_images", "manifest_bool_k",
@@ -291,7 +316,9 @@ def _manifest(k=1, images=("a.png", "b.png"), normals=("n.png", "n.png"), identi
         "lights_17_values", "lights_19_values", "lights_nan", "lights_not_a_number",
         "params_header_lies", "params_generator_over_bound", "relight_new_light_nan",
         "relight_light_not_a_number", "ap_run_params_empty", "png_over_pixel_cap",
-        "png_4096_square"])
+        "png_4096_square", "params_compression_method_99", "ap_run_params_strong_encryption",
+        "params_directory_offset_past_the_end", "lights_undecodable_byte",
+        "lights_field_over_csv_limit", "lights_map_overflows"])
 def test_malformed_input_file_exits_2(tmp_path, capsys, monkeypatch, command, content, message):
     """A malformed input file exits 2 naming the file, before the bundled corpus is built."""
     def synthetic_corpus(*args, **kwargs):
@@ -304,6 +331,82 @@ def test_malformed_input_file_exits_2(tmp_path, capsys, monkeypatch, command, co
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and str(path) in err
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def mismatched(tmp_path_factory):
+    """A 16 px face, a 17 px normal map, a 16 px normal map that masks no pixel, a light file
+    and a predictor file."""
+    from advrelight.relight import FaceImage
+    from advrelight.shading import NormalMap, shade, sphere_normals
+
+    root = tmp_path_factory.mktemp("mismatched")
+    normals = sphere_normals(16)
+    save_face_image(root / "face.png", FaceImage.from_luminance(
+        0.8 * shade(normals, [0.9, 0.1, 0.3, 0.2, 0, 0, 0, 0, 0]) + 0.05))
+    save_normal_map(root / "normals17.png", sphere_normals(17))
+    save_normal_map(root / "empty.png", NormalMap(normals.normals, np.zeros((16, 16), bool)))
+    save_light(root / "light.txt", [0.9, 0.1, 0.3, 0.2, 0, 0, 0, 0, 0])
+    attack_ap.save_params(root / "params.npz", attack_ap.init_params("static", hidden=4))
+    return root
+
+
+@pytest.mark.parametrize("normals, message", [
+    pytest.param("normals17.png", "image {face} is 16x16 px but normal map {normals} is 17x17 px",
+                 id="size_mismatch"),
+    pytest.param("empty.png", "normal map {normals} masks no pixel of image {face}",
+                 id="empty_mask"),
+])
+@pytest.mark.parametrize("command", [
+    pytest.param(["estimate-light", "--out", "{out}"], id="estimate_light"),
+    pytest.param(["relight", "--new-light", "{light}", "--out", "{out}"], id="relight"),
+    pytest.param(["attack-aq", "--light", "{light}", "--iters", "1"], id="attack_aq"),
+    pytest.param(["ap-run", "--params", "{params}"], id="ap_run"),
+])
+def test_single_image_commands_name_an_image_and_a_normal_map_that_do_not_fit(
+        mismatched, tmp_path, capsys, command, normals, message):
+    names = dict(face=mismatched / "face.png", normals=mismatched / normals,
+                 light=mismatched / "light.txt", params=mismatched / "params.npz",
+                 out=tmp_path / "out")
+    argv = [arg.format(**names) for arg in command]
+    assert cli(argv + ["--image", str(names["face"]), "--normals", str(names["normals"])]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message.format(**names)}\n"
+    assert not names["out"].exists()
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(["eval", "--method", "none"], id="eval"),
+    pytest.param(["ap-train", "--out", "params.npz"], id="ap_train"),
+])
+def test_manifest_pairing_an_image_and_a_normal_map_of_different_sizes_exits_2(
+        mismatched, tmp_path, capsys, monkeypatch, command):
+    """The pair is refused where the manifest is loaded, wherever the split would put it."""
+    manifest = mismatched / "manifest.json"
+    manifest.write_text(json.dumps({"k": 1, "identities": [
+        {"identity": "a", "images": ["face.png", "face.png"], "normals": ["empty.png"] * 2},
+        {"identity": "b", "images": ["face.png", "face.png"],
+         "normals": ["empty.png", "normals17.png"]}]}))
+    monkeypatch.chdir(tmp_path)
+    assert cli(command + ["--manifest", str(manifest)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: malformed manifest {manifest}: image {mismatched / 'face.png'} is "
+                   f"16x16 px but normal map {mismatched / 'normals17.png'} is 17x17 px\n")
+    assert not (tmp_path / "params.npz").exists()
+
+
+def test_eval_manifest_of_one_identity_exits_2_before_attacking(mismatched, capsys, monkeypatch):
+    """One identity gives the ROC no negative pair; eval refuses it before any attack."""
+    def evaluate(*args, **kwargs):
+        raise AssertionError("evaluated a manifest of one identity")
+
+    monkeypatch.setattr(cli_module.harness, "evaluate", evaluate)
+    manifest = mismatched / "one.json"
+    manifest.write_text(json.dumps({"k": 1, "identities": [
+        {"identity": "a", "images": ["face.png"] * 2, "normals": ["empty.png"] * 2}]}))
+    assert cli(["eval", "--manifest", str(manifest), "--out-dir", str(mismatched / "out")]) == 2
+    assert capsys.readouterr().err == (f"error: malformed manifest {manifest}: eval needs at "
+                                       f"least 2 identities, got 1\n")
 
 
 def test_ap_train_and_run(assets, tmp_path, capsys):
@@ -433,6 +536,12 @@ _START = {"azimuth": 0.2, "polar": 0.3, "distance": 3.0, "intensity": 1.5}
                  id="start_intensity_overflows"),
     pytest.param(_START, _SCENE, {"gains": [float("nan"), 0.5, 0.5]}, id="gains_nan"),
     pytest.param(_START, _SCENE, {"tolerances": [0.1, float("nan"), 0.1]}, id="tolerances_nan"),
+    pytest.param(_START, _SCENE, {"gains": [0, 0, 0]}, id="gains_zero"),
+    pytest.param(_START, _SCENE, {"gains": [0.5, 1e308, 0.5]}, id="gains_huge"),
+    pytest.param(_START, _SCENE, {"gains": [-1, 0.5, 0.5]}, id="gains_negative"),
+    pytest.param(_START, _SCENE, {"gains": [0.5, 0.5, 2]}, id="gains_two"),
+    pytest.param(_START, _SCENE, {"tolerances": [-1, 0.035, 0.02]}, id="tolerances_negative"),
+    pytest.param(_START, _SCENE, {"tolerances": [0.035, 0.035, 0]}, id="tolerances_zero"),
 ])
 def test_phy_sim_malformed_start_pose_exits_2(tmp_path, capsys, start_pose, scene, overrides):
     """Malformed start poses, scenes and scenario lists exit 2; a bad list names its key."""
@@ -475,7 +584,10 @@ def test_phy_sim_checks_scenario_scalars_before_building_the_scene(tmp_path, cap
             ({"albedo": float("nan")}, {}, "albedo must lie in [0, 1]"),
             ({}, {"target": {"light_file": "nan.txt"}}, "light coefficients must be finite"),
             ({}, {"target": {"coeffs": [0.5] * 8}}, "a light needs exactly 9 coefficients"),
-            ({}, {"target": {"pose": bad_pose}}, "polar must lie in [0, pi/2]")]:
+            ({}, {"target": {"pose": bad_pose}}, "polar must lie in [0, pi/2]"),
+            ({}, {"gains": [0, 0, 0]}, "gains must be a list of 3 finite numbers in (0, 2)"),
+            ({}, {"tolerances": [-1, 0.035, 0.02]},
+             "tolerances must be a list of 3 finite numbers in (0, inf)")]:
         scenario.write_text(json.dumps({
             "scene": {"sphere_resolution": 1024, **scene}, "start_pose": _START,
             "target": {"pose": {"azimuth": 1.0, "polar": 0.6, "distance": 2.0, "intensity": 1.5}},
@@ -628,6 +740,24 @@ def test_eval_closes_the_first_endpoint_when_the_second_handshake_fails(monkeypa
                 "--eval-embedder", f"external:{endpoint} --bad-hello"]) == 2
     assert "bad handshake" in capsys.readouterr().err
     assert len(opened) == 2 and all(embedder.closed for embedder in opened)
+
+
+@pytest.mark.parametrize("flag, message", [
+    pytest.param("--new-light", "relit luminance must be finite", id="new_light"),
+    pytest.param("--light", "old-light shading must be finite", id="light"),
+])
+def test_relight_names_a_finite_light_file_whose_shading_overflows(assets, tmp_path, capsys,
+                                                                   flag, message):
+    """A light of 1e308 is finite, so it loads; the shading it makes overflows, and the error
+    names its file without a floating-point warning."""
+    huge = tmp_path / "huge.txt"
+    huge.write_text("1e308 0 0 0 0 0 0 0 0\n")
+    lights = {"--light": assets / "light.txt", "--new-light": assets / "light.txt", flag: huge}
+    assert cli(["relight", "--image", str(assets / "face.png"),
+                "--normals", str(assets / "normals.png"), "--out", str(tmp_path / "out.png"),
+                *(arg for pair in lights.items() for arg in map(str, pair))]) == 2
+    assert capsys.readouterr().err == f"error: {huge}: {message}\n"
+    assert not (tmp_path / "out.png").exists()
 
 
 def test_relight_corrupt_png_exits_2(assets, tmp_path, capsys):

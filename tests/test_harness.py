@@ -118,12 +118,14 @@ def test_load_groups_interns_normal_maps_of_equal_content(tmp_path):
             "wide.png": flat[2, 8], "tall.png": flat[8, 2]}
     for name, normals in maps.items():
         save_normal_map(tmp_path / name, normals)
-    save_face_image(tmp_path / "face.png", FaceImage.from_luminance(np.full((16, 16), 0.5)))
+    for name, shape in (("face.png", (16, 16)), ("wide_face.png", (2, 8)),
+                        ("tall_face.png", (8, 2))):  # each image fits its normal map
+        save_face_image(tmp_path / name, FaceImage.from_luminance(np.full(shape, 0.5)))
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"k": 2, "identities": [
-        {"identity": "x", "images": ["face.png"] * 4,
+        {"identity": "x", "images": ["face.png", "face.png", "wide_face.png", "face.png"],
          "normals": ["a.png", "b.png", "wide.png", "a_copy.png"]},
-        {"identity": "y", "images": ["face.png"] * 4,
+        {"identity": "y", "images": ["face.png", "tall_face.png", "face.png", "face.png"],
          "normals": ["a_copy.png", "tall.png", "b.png", "a.png"]},
     ]}))
     groups, _ = harness.load_groups(manifest)

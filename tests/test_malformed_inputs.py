@@ -1,33 +1,39 @@
 """A generative gate for malformed inputs: seeded mutants of valid input files, run through
 ``cli``.
 
-Each example mutates one valid file (a ``phy-sim`` scenario JSON, or the face or normal-map
-PNG that ``estimate-light`` reads) and runs the command on it. The mutations are truncation,
-byte flips, JSON values swapped for non-finite, huge or wrongly typed ones, and PNG headers
-that lie about their size, rows with any filter type byte, and decompression bombs. The
-command must exit 0 (the mutant is still valid) or 2; an exit 2 starts with ``error:`` and
-names the mutated file (or reports that the phy-sim loop ran and did not converge), no
-traceback is printed, and every example finishes within a fixed wall time. A PNG example
-also stays under a fixed traced allocation peak, which the reader's pixel cap bounds.
-Examples are derandomized and their count is fixed, so the gate is deterministic.
+Each example mutates one valid file and runs the command that reads it: a ``phy-sim`` scenario
+JSON; the face or normal-map PNG that ``estimate-light`` reads; a light file that ``relight``
+reads; the ``lights.csv`` that ``analyze-light`` reads; a dataset manifest that ``eval``
+reads; or the predictor ``.npz`` that ``ap-run`` reads. The mutations are truncation, byte
+flips, values swapped for non-finite, huge, wrongly typed or wrongly sized ones, PNG headers
+that lie about their size, rows with any filter type byte, decompression bombs, and zip
+record fields set to any value. The command must exit 0 (the mutant is still valid) or 2; an
+exit 2 starts with ``error:`` and names the mutated file (a manifest may instead name a file
+it lists, or the phy-sim loop may report that it ran and did not converge), no traceback is
+printed, and every example finishes within a fixed wall time. A PNG example also stays under a
+fixed traced allocation peak, which the reader's pixel cap bounds. Examples are derandomized
+and their count is fixed, so the gate is deterministic.
 """
 
 import functools
 import io
 import json
 import math
+import re
 import struct
 import time
 import zlib
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from advrelight import pngio
+from advrelight import attack_ap, pngio
 from advrelight.cli import cli
 from advrelight.relight import FaceImage, save_face_image
-from advrelight.shading import save_normal_map, shade, sphere_normals
+from advrelight.shading import (NormalMap, save_light, save_normal_map, shade, sphere_normals,
+                                write_csv)
 
 from helpers.memory import traced_peak
 from helpers.png import png_with_idat
@@ -40,6 +46,12 @@ WALL_SECONDS = 1.0
 PNG_PEAK_BYTES = 4 * 2**20
 
 GATE = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+#: Half the examples, for each of the four input kinds added after the first two, so that the
+#: six kinds together stay within a few seconds of tier-1 time.
+SMALL_GATE = settings(GATE, max_examples=150)
+
+_LIGHT = [0.9, 0.1, 0.3, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0]
 
 _SCENARIO = {
     "scene": {"sphere_resolution": 16, "albedo": 0.8, "ambient": 0.25},
@@ -59,6 +71,18 @@ _NOT_CONVERGED = "error: recurrence loop did not converge"
 
 #: What a JSON value may be swapped for: non-finite and huge numbers and every wrong type.
 _SWAPS = [math.nan, math.inf, -math.inf, 1e308, -1, True, "x", [], {}, None]
+
+#: What a manifest value may also be swapped for: valid PNGs of another size, and a normal
+#: map that masks no pixel.
+_OTHER_PNGS = ["face17.png", "normals17.png", "normals-empty.png"]
+
+#: What a token of a light file or ``lights.csv`` may be swapped for.
+_TOKEN_SWAPS = ["nan", "inf", "-inf", "1e308", "-1e308", "4.9e-324", "x", "", "0 0", "0,0",
+                '"', "1" * 200_000]
+
+_MANIFEST = {"k": 1, "identities": [
+    {"identity": name, "images": ["face.png", "face.png"],
+     "normals": ["normals.png", "normals.png"]} for name in ("a", "b")]}
 
 
 def _paths(value, prefix=()):
@@ -156,32 +180,89 @@ def _png_mutants(draw, blob: bytes) -> bytes:
 
 
 @st.composite
-def _scenario_mutants(draw) -> bytes:
-    text = json.dumps(_SCENARIO).encode()
+def _mutants(draw, blob: bytes, swap) -> bytes:
+    """``blob`` truncated, with 1-3 bytes flipped, or as ``swap(draw)`` rewrites it."""
     kind = draw(st.sampled_from(["truncate", "flip", "swap"]))
     if kind == "truncate":
-        return text[:draw(st.integers(0, len(text) - 1))]
+        return blob[:draw(st.integers(0, len(blob) - 1))]
     if kind == "flip":
-        flips = st.tuples(st.integers(0, len(text) - 1), st.integers(1, 255))
-        return _flipped(text, draw(st.lists(flips, min_size=1, max_size=3)))
-    data = _SCENARIO
-    for path in draw(st.lists(st.sampled_from(list(_paths(_SCENARIO))), min_size=1, max_size=2)):
-        try:
-            data = _swapped(data, path, draw(st.sampled_from(_SWAPS)))
-        except (KeyError, IndexError, TypeError):  # an earlier swap removed this path
-            pass
-    return json.dumps(data).encode()
+        flips = st.tuples(st.integers(0, len(blob) - 1), st.integers(1, 255))
+        return _flipped(blob, draw(st.lists(flips, min_size=1, max_size=3)))
+    return swap(draw)
+
+
+def _json_swap(data, swaps):
+    """A swap that sets 1-2 of ``data``'s values, at any depth, to any of ``swaps``."""
+    def swap(draw) -> bytes:
+        out = data
+        for path in draw(st.lists(st.sampled_from(list(_paths(data))), min_size=1, max_size=2)):
+            try:
+                out = _swapped(out, path, draw(st.sampled_from(swaps)))
+            except (KeyError, IndexError, TypeError):  # an earlier swap removed this path
+                pass
+        return json.dumps(out).encode()
+    return swap
+
+
+def _token_swap(text: str):
+    """A swap that sets 1-2 of ``text``'s comma- or space-separated tokens to any of
+    ``_TOKEN_SWAPS``."""
+    parts = re.split(r"([,\s]+)", text)  # tokens at even positions, separators between them
+    def swap(draw) -> bytes:
+        out = list(parts)
+        for index in draw(st.lists(st.integers(0, len(parts) // 2), min_size=1, max_size=2)):
+            out[2 * index] = draw(st.sampled_from(_TOKEN_SWAPS))
+        return "".join(out).encode()
+    return swap
+
+
+#: (record signature, {field offset: field size}) of the zip records ``np.savez`` writes: the
+#: central directory's version, flags, method, CRC, sizes, name and extra lengths and local
+#: header offset; the local header's flags, method, CRC, sizes and lengths; and the end record's
+#: entry counts, directory size and offset.
+_ZIP_FIELDS = [(b"PK\x01\x02", {6: 2, 8: 2, 10: 2, 16: 4, 20: 4, 24: 4, 28: 2, 30: 2, 42: 4}),
+               (b"PK\x03\x04", {6: 2, 8: 2, 14: 4, 18: 4, 22: 4, 26: 2, 28: 2}),
+               (b"PK\x05\x06", {8: 2, 10: 2, 12: 4, 16: 4})]
+
+_ZIP_VALUES = st.one_of(st.sampled_from([0, 1, 8, 9, 12, 14, 99, 0x41, 0xFFFF, 2**32 - 1]),
+                        st.integers(0, 2**32 - 1))
+
+
+def _zip_field_swap(blob: bytes):
+    """A swap that sets one field of one of ``blob``'s zip records to any value of its width."""
+    def swap(draw) -> bytes:
+        signature, fields = draw(st.sampled_from(_ZIP_FIELDS))
+        start = draw(st.sampled_from([m.start() for m in re.finditer(re.escape(signature), blob)]))
+        offset = draw(st.sampled_from(sorted(fields)))
+        at, size = start + offset, fields[offset]
+        value = draw(_ZIP_VALUES) % 2 ** (8 * size)
+        return blob[:at] + value.to_bytes(size, "little") + blob[at + size:]
+    return swap
+
+
+def _face(normals) -> FaceImage:
+    return FaceImage.from_luminance(0.8 * shade(normals, _LIGHT) + 0.05)
 
 
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
-    """A face PNG, its normal-map PNG and a small scenario, each valid as written."""
+    """A face PNG, its normal-map PNG, a small scenario, a light file, a ``lights.csv``, a
+    manifest and a predictor file, each valid as written; and, for manifests to name, a face
+    and a normal map of 17 px and a 16 px normal map that masks no pixel."""
     root = tmp_path_factory.mktemp("valid")
     normals = sphere_normals(16)
-    lum = 0.8 * shade(normals, [0.9, 0.1, 0.3, 0.2, 0, 0, 0, 0, 0]) + 0.05
-    save_face_image(root / "face.png", FaceImage.from_luminance(lum))
+    save_face_image(root / "face.png", _face(normals))
     save_normal_map(root / "normals.png", normals)
+    save_face_image(root / "face17.png", _face(sphere_normals(17)))
+    save_normal_map(root / "normals17.png", sphere_normals(17))
+    save_normal_map(root / "normals-empty.png", NormalMap(normals.normals, normals.mask & False))
     (root / "scenario.json").write_text(json.dumps(_SCENARIO))
+    save_light(root / "light.txt", _LIGHT)
+    write_csv(root / "lights.csv", ["index"] + [f"L{j}" for j in range(9)]
+              + [f"Lhat{j}" for j in range(9)],
+              [[i, *_LIGHT, *(np.roll(_LIGHT, i + 1) * 0.5)] for i in range(3)])
+    (root / "manifest.json").write_text(json.dumps(_MANIFEST))
+    attack_ap.save_params(root / "params.npz", attack_ap.init_params("static", hidden=4))
     return root
 
 
@@ -194,12 +275,33 @@ def _run(argv):
     return code, err.getvalue(), time.perf_counter() - start
 
 
-def _check(code, err, seconds, mutated):
+def _check(code, err, seconds, mutated, *listed):
+    """Exit 0, or exit 2 naming ``mutated`` or one of the ``listed`` files it names."""
     assert code in (0, 2), err
     assert "Traceback" not in err
     if code == 2:
-        assert err.startswith("error: ") and (str(mutated) in err or _NOT_CONVERGED in err), err
+        named = any(str(path) in err for path in (mutated, *listed))
+        assert err.startswith("error: ") and (named or _NOT_CONVERGED in err), err
     assert seconds < WALL_SECONDS
+
+
+def _relight(files, light, new_light):
+    return ["relight", "--image", str(files / "face.png"), "--normals", str(files / "normals.png"),
+            "--light", str(light), "--new-light", str(new_light), "--out", str(files / "relit.png")]
+
+
+def _analyze_light(lights, out):
+    return ["analyze-light", "--lights", str(lights), "--resolution", "16", "--out-dir", str(out)]
+
+
+def _eval(manifest, out):
+    return ["eval", "--manifest", str(manifest), "--method", "random", "--epsilon", "0.1",
+            "--out-dir", str(out)]
+
+
+def _ap_run(files, params):
+    return ["ap-run", "--image", str(files / "face.png"), "--normals",
+            str(files / "normals.png"), "--params", str(params)]
 
 
 def test_valid_files_pass(valid_files, tmp_path):
@@ -208,13 +310,19 @@ def test_valid_files_pass(valid_files, tmp_path):
     assert _run(["estimate-light", "--image", str(face), "--normals", str(normals),
                  "--out", str(tmp_path / "light.txt")])[0] == 0
     assert _run(["phy-sim", "--scenario", str(valid_files / "scenario.json")])[0] == 0
+    light = valid_files / "light.txt"
+    assert _run(_relight(valid_files, light, light))[0] == 0
+    assert _run(_analyze_light(valid_files / "lights.csv", tmp_path))[0] == 0
+    assert _run(_eval(valid_files / "manifest.json", tmp_path))[0] == 0
+    assert _run(_ap_run(valid_files, valid_files / "params.npz"))[0] == 0
 
 
 @GATE
 @given(data=st.data())
 def test_mutated_scenario_exits_0_or_2_naming_it(valid_files, data):
     mutated = valid_files / "mutated-scenario.json"
-    mutated.write_bytes(data.draw(_scenario_mutants()))
+    mutated.write_bytes(data.draw(_mutants(json.dumps(_SCENARIO).encode(),
+                                           _json_swap(_SCENARIO, _SWAPS))))
     _check(*_run(["phy-sim", "--scenario", str(mutated)]), mutated)
 
 
@@ -229,3 +337,43 @@ def test_mutated_png_exits_0_or_2_naming_it_in_bounded_memory(valid_files, which
     (code, err, seconds), peak = traced_peak(_run, argv)
     _check(code, err, seconds, mutated)
     assert peak < PNG_PEAK_BYTES
+
+
+@SMALL_GATE
+@given(which=st.sampled_from(["light", "new-light"]), data=st.data())
+def test_mutated_light_file_exits_0_or_2_naming_it(valid_files, which, data):
+    light = valid_files / "light.txt"
+    text = light.read_text()
+    mutated = valid_files / f"mutated-{which}.txt"
+    mutated.write_bytes(data.draw(_mutants(text.encode(), _token_swap(text))))
+    argv = _relight(valid_files, *((mutated, light) if which == "light" else (light, mutated)))
+    _check(*_run(argv), mutated)
+
+
+@SMALL_GATE
+@given(data=st.data())
+def test_mutated_lights_csv_exits_0_or_2_naming_it(valid_files, data):
+    text = (valid_files / "lights.csv").read_text()
+    mutated = valid_files / "mutated-lights.csv"
+    mutated.write_bytes(data.draw(_mutants(text.encode(), _token_swap(text))))
+    _check(*_run(_analyze_light(mutated, valid_files / "hexhist")), mutated)
+
+
+@SMALL_GATE
+@given(data=st.data())
+def test_mutated_manifest_exits_0_or_2_naming_it_or_a_file_it_lists(valid_files, data):
+    mutated = valid_files / "mutated-manifest.json"
+    mutated.write_bytes(data.draw(_mutants(json.dumps(_MANIFEST).encode(),
+                                           _json_swap(_MANIFEST, _SWAPS + _OTHER_PNGS))))
+    names = re.findall(r'"([^"]+)"', mutated.read_text(errors="replace"))
+    listed = [valid_files / name for name in names]
+    _check(*_run(_eval(mutated, valid_files / "eval")), mutated, *listed)
+
+
+@SMALL_GATE
+@given(data=st.data())
+def test_mutated_predictor_file_exits_0_or_2_naming_it(valid_files, data):
+    mutated = valid_files / "mutated-params.npz"
+    blob = (valid_files / "params.npz").read_bytes()
+    mutated.write_bytes(data.draw(_mutants(blob, _zip_field_swap(blob))))
+    _check(*_run(_ap_run(valid_files, mutated)), mutated)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -274,18 +275,33 @@ def test_lighting_map_ties_match_row_major_oracle(light, exact, resolution):
 def test_lighting_map_rejects_wrong_size_and_non_finite_values():
     size = int(sphere_normals(16).mask.sum())
     values = np.zeros(size)
-    lmap = shading.LightingMap(values, 16)
+    lmap = shading.LightingMap.of(values, 16)
     assert values.flags.writeable and not np.shares_memory(lmap.masked, values)
     for bad in (np.zeros(size - 1), np.full(size, np.nan)):
         with pytest.raises(ValueError, match="finite values"):
-            shading.LightingMap(bad, 16)
+            shading.LightingMap.of(bad, 16)
     shaded = lighting_map(pls_to_sh(PLSPose(1.0, 0.6, 2.0, 1.5)), 16).masked
     for value in (np.nan, np.inf, -np.inf):  # one pixel each: first, inner, last
         for where in (0, size // 2, size - 1):
             bad = shaded.copy()
             bad[where] = value
             with pytest.raises(ValueError, match="finite values"):
-                shading.LightingMap(bad, 16)
+                shading.LightingMap.of(bad, 16)
+
+
+def test_lighting_map_is_its_declared_fields():
+    """Every value a map holds is a declared field, whichever route built it."""
+    names = ["masked", "resolution", "peak", "brightest", "iso_areas"]
+    mask = sphere_normals(16).mask
+    for lmap in (lighting_map(pls_to_sh(PLSPose(1.0, 0.6, 2.0, 1.5)), 16),
+                 shading.LightingMap.of(np.arange(float(mask.sum())), 16)):
+        assert [f.name for f in dataclasses.fields(lmap)] == names
+        lmap.iso_area(0.9)
+        assert sorted(vars(lmap)) == sorted(names) and list(lmap.iso_areas) == [0.9]
+        assert not lmap.masked.flags.writeable
+        dense = np.where(mask, dense_values(lmap), -np.inf)
+        assert lmap.peak == dense.max() and lmap.brightest == divmod(int(np.argmax(dense)), 16)
+        assert dataclasses.replace(lmap).iso_areas == {}
 
 
 def test_feedback_resolution_mismatch():
