@@ -22,7 +22,7 @@ import numpy as np
 
 from .embedder import cosine_similarity
 from .relight import FaceImage, RelightPlan, RelightResult
-from .shading import as_light, write_csv
+from .shading import MAX_LIGHT, as_light, write_csv
 
 _BALL_SLACK = 1e-9
 
@@ -36,8 +36,8 @@ class AttackConfig:
     step: float = field(init=False)
 
     def __post_init__(self):
-        if not 0 <= self.epsilon < np.inf:  # NaN fails both comparisons
-            raise ValueError("epsilon must be finite and non-negative")
+        if not 0 <= self.epsilon <= MAX_LIGHT:  # NaN fails both comparisons
+            raise ValueError(f"epsilon must be finite and non-negative, at most {MAX_LIGHT:g}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         object.__setattr__(self, "step", self.epsilon / self.iterations)
@@ -124,8 +124,8 @@ def attack(plan: RelightPlan, embedder, config: AttackConfig) -> AttackTrace:
     """Run the sign-gradient attack from the plan's old light; return the full trace."""
     origin = plan.old_light
     reference = embedder.embed(plan.image)
-    lo = origin - config.epsilon
-    hi = origin + config.epsilon
+    lo = np.maximum(origin - config.epsilon, -MAX_LIGHT)  # the ball, within the light bound
+    hi = np.minimum(origin + config.epsilon, MAX_LIGHT)
 
     current = origin.copy()
     result, embedding, sim = relight_loss(plan, current, embedder, reference)

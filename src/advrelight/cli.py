@@ -20,7 +20,8 @@ from .embedder import BuiltinEmbedder, ExternalEmbedder, cosine_similarity
 from .errors import AdvRelightError, EmptyMaskError, ManifestError, ScenarioError
 from .relight import (RelightPlan, check_pair_size, estimate_light, load_face_image,
                       save_face_image)
-from .shading import as_light, load_light, load_normal_map, save_light, sphere_normals, write_csv
+from .shading import (MAX_LIGHT, as_light, load_light, load_normal_map, save_light, sphere_normals,
+                      write_csv)
 
 
 class UsageError(Exception):
@@ -55,7 +56,8 @@ def _bounded(convert, valid, what: str):
 #: Largest ``--iters``: every iteration relights, embeds and differentiates each target.
 MAX_ITERS = 1000
 
-_EPSILON = _bounded(float, lambda v: 0.0 <= v < np.inf, "epsilon must be finite and non-negative")
+_EPSILON = _bounded(float, lambda v: 0.0 <= v <= MAX_LIGHT,
+                    f"epsilon must be finite and non-negative, at most {MAX_LIGHT:g}")
 _ITERS = _bounded(int, lambda v: 1 <= v <= MAX_ITERS, f"iterations must lie in [1, {MAX_ITERS}]")
 _SELECTOR = _bounded(str, lambda v: v == "builtin" or v.startswith("external:"),
                      "embedder must be builtin or external:<command>")
@@ -166,12 +168,10 @@ def _load_image_and_normals(args):
 
 @contextlib.contextmanager
 def _faults_of(path):
-    """Silences floating-point overflow inside, and names ``path`` in a ValueError raised
-    inside: for calls whose only unchecked input is that file's (a finite light can still
-    overflow the shading it makes)."""
+    """Names ``path`` in a ValueError raised inside: for calls whose only unchecked input is
+    that file's."""
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            yield
+        yield
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -189,9 +189,7 @@ def _load_plan(args, old_light=None) -> RelightPlan:
 def _cmd_relight(args) -> int:
     old_light = load_light(args.light) if args.light else None
     new_light = load_light(args.new_light)
-    plan = _load_plan(args, old_light)
-    with _faults_of(args.new_light):
-        result = plan.relight(new_light)
+    result = _load_plan(args, old_light).relight(new_light)  # a loaded light cannot overflow
     save_face_image(args.out, result.image)
     print(f"relit {args.image} -> {args.out} "
           f"(clamp fraction {result.clamp_fraction:.6g})")
@@ -363,7 +361,11 @@ def _cmd_eval(args) -> int:
     if args.method in ("none", "ap") and args.epsilon:
         raise UsageError(f"advrelight eval: argument --epsilon: method {args.method} applies "
                          f"no epsilon ball, got {args.epsilon:g}")
-    params = attack_ap.load_params(args.params) if args.params else None
+    if (args.method == "ap") != (args.params is not None):
+        raise UsageError("advrelight eval: argument --params: " + (
+            "method ap needs predictor parameters" if args.method == "ap"
+            else f"method {args.method} uses no predictor parameters"))
+    params = attack_ap.load_params(args.params) if args.params is not None else None
     groups, k = _load_groups(args)
     if len(groups) < 2:  # the ROC needs a pair of different identities
         raise ManifestError(f"malformed manifest {args.manifest}: eval needs at least 2 "

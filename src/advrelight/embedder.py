@@ -22,6 +22,7 @@ works.
 from __future__ import annotations
 
 import base64
+import functools
 import os
 import selectors
 import shlex
@@ -34,6 +35,7 @@ import numpy as np
 
 from .errors import CapabilityError, ProtocolError, ProtocolTimeoutError
 from .relight import FaceImage
+from .shading import _freeze
 
 PATCH = 32
 DEFAULT_DIM = 128
@@ -85,13 +87,12 @@ class BuiltinEmbedder:
         q, _ = np.linalg.qr(gauss)
         self._projection = q.T.copy()  # rows orthonormal, (dim, PATCH^2)
         self.descriptor = EmbedderDescriptor("builtin", DEFAULT_DIM, differentiable=True)
-        self._resize_plans: dict[tuple[int, int], tuple[tuple[np.ndarray, np.ndarray], ...]] = {}
         self._last = None  # (luminance, _project result) of the last projection
 
     def embed(self, image: FaceImage) -> np.ndarray:
         v, norm = self._project(image.luminance)
         if norm < _DEGENERATE_NORM:
-            return self._fallback_axis()
+            return np.eye(1, self.descriptor.dimension)[0]  # the first axis
         return v / norm
 
     def input_gradient(self, image: FaceImage, upstream) -> np.ndarray:
@@ -107,7 +108,7 @@ class BuiltinEmbedder:
         dv = (u - (u @ e) * e) / norm
         dz = self._projection.T @ dv
         dz -= dz.mean()  # transpose of the mean subtraction
-        _, (idx, weights) = self._plan(lum.shape)
+        _, (idx, weights) = _resize_plan(lum.shape)
         grad = np.bincount(idx.ravel(), weights=(dz[:, None] * weights).ravel(),
                            minlength=lum.size)
         return grad.reshape(lum.shape)
@@ -117,7 +118,7 @@ class BuiltinEmbedder:
         last = self._last
         if last is not None and last[0] is lum:
             return last[1]
-        (idx, weights), _ = self._plan(lum.shape)
+        (idx, weights), _ = _resize_plan(lum.shape)
         # Reducing the outer axis adds the four contiguous tap rows in order.
         patch = (lum.reshape(-1)[idx] * weights).sum(axis=0)
         z = patch - patch.mean()
@@ -125,43 +126,27 @@ class BuiltinEmbedder:
         self._last = lum, (v, float(np.linalg.norm(v)))
         return self._last[1]
 
-    def _fallback_axis(self) -> np.ndarray:
-        e = np.zeros(self.descriptor.dimension)
-        e[0] = 1.0
-        return e
 
-    def _plan(self, shape: tuple[int, int]):
-        """Bilinear resize of ``shape`` to PATCH x PATCH, as (indices, weights) twice.
+@functools.lru_cache(maxsize=8)
+def _resize_plan(shape: tuple[int, int]):
+    """Bilinear resize of ``shape`` to PATCH x PATCH, as read-only (indices, weights) twice.
 
-        Tap-major, (4, PATCH^2), for the gather; patch-major, (PATCH^2, 4), for
-        the scatter in ``input_gradient``, whose sums depend on that order.
-        """
-        plan = self._resize_plans.get(shape)
-        if plan is None:
-            h, w = shape
-            rows = np.clip((np.arange(PATCH) + 0.5) * h / PATCH - 0.5, 0, h - 1)
-            cols = np.clip((np.arange(PATCH) + 0.5) * w / PATCH - 0.5, 0, w - 1)
-            r0 = np.floor(rows).astype(int)
-            c0 = np.floor(cols).astype(int)
-            r1 = np.minimum(r0 + 1, h - 1)
-            c1 = np.minimum(c0 + 1, w - 1)
-            fr = (rows - r0)[:, None]
-            fc = (cols - c0)[None, :]
-            idx = np.stack([
-                (r0[:, None] * w + c0[None, :]).ravel(),
-                (r0[:, None] * w + c1[None, :]).ravel(),
-                (r1[:, None] * w + c0[None, :]).ravel(),
-                (r1[:, None] * w + c1[None, :]).ravel(),
-            ])
-            weights = np.stack([
-                ((1 - fr) * (1 - fc)).ravel(),
-                ((1 - fr) * fc).ravel(),
-                (fr * (1 - fc)).ravel(),
-                (fr * fc).ravel(),
-            ])
-            plan = (idx, weights), (idx.T.copy(), weights.T.copy())
-            self._resize_plans[shape] = plan
-        return plan
+    Tap-major, (4, PATCH^2), for the gather; patch-major, (PATCH^2, 4), for the scatter in
+    ``input_gradient``, whose sums depend on that order. The taps r0c0, r0c1, r1c0, r1c1 are
+    outer products of each axis's lower and upper tap.
+    """
+    (rows, row_weights), (cols, col_weights) = map(_axis_taps, shape)
+    idx = (rows[:, None, :, None] * shape[1] + cols[None, :, None, :]).reshape(4, -1)
+    weights = (row_weights[:, None, :, None] * col_weights[None, :, None, :]).reshape(4, -1)
+    return (_freeze(idx), _freeze(weights)), (_freeze(idx.T.copy()), _freeze(weights.T.copy()))
+
+
+def _axis_taps(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (lower, upper) source index and weight of each of PATCH samples along ``n`` pixels."""
+    pos = np.clip((np.arange(PATCH) + 0.5) * n / PATCH - 0.5, 0, n - 1)
+    lower = np.floor(pos).astype(int)
+    frac = pos - lower
+    return np.stack([lower, np.minimum(lower + 1, n - 1)]), np.stack([1 - frac, frac])
 
 
 def luminance_bytes(image: FaceImage) -> bytes:
@@ -172,8 +157,9 @@ def luminance_bytes(image: FaceImage) -> bytes:
 class ExternalEmbedder:
     """Adapter speaking the subprocess line protocol.
 
-    ``command`` is the endpoint command line (string or argv list). One
-    adapter serializes its batches; :meth:`embed` is a batch of one.
+    ``command`` is the endpoint command line (string or argv list); every
+    :class:`ProtocolError` it raises names that command. One adapter
+    serializes its batches; :meth:`embed` is a batch of one.
     """
 
     def __init__(self, command, timeout: float = 30.0):
@@ -181,23 +167,19 @@ class ExternalEmbedder:
         self._timeout = timeout
         self._lock = threading.Lock()
         self.closed = False
-        self._proc = subprocess.Popen(
-            argv,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-        )
+        self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         self._replies = selectors.DefaultSelector()
         self._replies.register(self._proc.stdout.fileno(), selectors.EVENT_READ)
         self._unread = b""  # bytes read past the last complete line
         try:
             hello = self._read_line(max(timeout, HANDSHAKE_TIMEOUT)).split()
             if len(hello) != 3 or hello[0] != "HELLO":
-                raise ProtocolError(f"bad handshake: {' '.join(hello)!r}")
+                raise self._fault(f"bad handshake: {' '.join(hello)!r}")
             try:
                 if (dimension := int(hello[2])) < 2:
                     raise ValueError
             except ValueError:
-                raise ProtocolError(f"bad handshake dimension: {hello[2]!r}") from None
+                raise self._fault(f"bad handshake dimension: {hello[2]!r}") from None
             self.descriptor = EmbedderDescriptor(hello[1], dimension,
                                                  differentiable=False)
         except ProtocolError:
@@ -219,7 +201,7 @@ class ExternalEmbedder:
                     for image in images]
         with self._lock:
             if self.closed:
-                raise ProtocolError("endpoint connection is closed")
+                raise self._fault("connection is closed")
             try:
                 replies = self._exchange(requests)
             except ProtocolError:
@@ -270,33 +252,36 @@ class ExternalEmbedder:
             for _ in burst:
                 header = self._read_line()
                 if header.strip() != "VEC":
-                    raise ProtocolError(f"expected VEC, got {header!r}")
+                    raise self._fault(f"expected VEC, got {header!r}")
                 replies.append(self._read_line().split())
         return replies
 
     def _vector(self, tokens: list[str]) -> np.ndarray:
         if len(tokens) != self.descriptor.dimension:
-            raise ProtocolError(
-                f"endpoint advertised dimension {self.descriptor.dimension} "
-                f"but sent {len(tokens)} values"
-            )
+            raise self._fault(f"advertised dimension {self.descriptor.dimension} "
+                              f"but sent {len(tokens)} values")
         try:
             vec = np.array(tokens, dtype=np.float64)  # float()'s grammar and bits
         except ValueError as exc:
-            raise ProtocolError(f"endpoint sent a non-numeric value: {exc}") from exc
-        if not np.all(np.isfinite(vec)):
-            raise ProtocolError("endpoint sent non-finite values")
+            raise self._fault(f"sent a non-numeric value: {exc}") from exc
+        # NaN fails this, and so does a value too large for a unit vector, before its square
+        # can overflow the norm.
+        if not np.abs(vec).max() <= 1.0 + NORM_SLACK:
+            raise self._fault(f"sent non-finite values or values above {1.0 + NORM_SLACK:g}")
         norm = float(np.linalg.norm(vec))
         if abs(norm - 1.0) > NORM_SLACK:
-            raise ProtocolError(f"embedding norm {norm:.4g} outside unit tolerance")
+            raise self._fault(f"embedding norm {norm:.4g} outside unit tolerance")
         return vec / norm
+
+    def _fault(self, message: str, kind=ProtocolError) -> ProtocolError:
+        return kind(f"endpoint {shlex.join(self._proc.args)!r}: {message}")
 
     def _send(self, text: str) -> None:
         try:
             self._proc.stdin.write(text.encode("ascii"))
             self._proc.stdin.flush()
         except (BrokenPipeError, ValueError) as exc:
-            raise ProtocolError("endpoint process is gone") from exc
+            raise self._fault("process is gone") from exc
 
     def _read_line(self, timeout: float | None = None) -> str:
         timeout = self._timeout if timeout is None else timeout
@@ -305,13 +290,13 @@ class ExternalEmbedder:
         while b"\n" not in self._unread and len(self._unread) <= MAX_LINE_BYTES:
             remaining = deadline - time.monotonic()
             if remaining <= 0.0 or not self._replies.select(remaining):
-                raise ProtocolTimeoutError(f"no response within {timeout:g} s")
+                raise self._fault(f"no response within {timeout:g} s", ProtocolTimeoutError)
             chunk = os.read(fd, 1 << 16)
             if not chunk:
-                raise ProtocolError("endpoint closed the connection")
+                raise self._fault("closed the connection")
             self._unread += chunk
         line, _, rest = self._unread.partition(b"\n")
         if len(line) > MAX_LINE_BYTES:
-            raise ProtocolError(f"endpoint sent a line longer than {MAX_LINE_BYTES} bytes")
+            raise self._fault(f"sent a line longer than {MAX_LINE_BYTES} bytes")
         self._unread = rest
         return line.decode("utf-8", "replace")

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import pngio
 from .errors import DegenerateLightError, EmptyMaskError, SingularFitError
-from .shading import BAND_GAINS, NormalMap, _freeze, as_light
+from .shading import BAND_GAINS, MAX_LIGHT, NormalMap, _freeze, as_light
 
 #: Rec. 601 luma weights.
 LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114], dtype=np.float64)
@@ -114,9 +114,7 @@ class RelightPlan:
             raise EmptyMaskError("relighting needs at least one masked pixel")
         self.old_light = (estimate_light(image, normals) if old_light is None
                           else as_light(old_light))
-        f_old = self.basis @ (BAND_GAINS * self.old_light)
-        if not np.isfinite(f_old).all():  # a finite light can still overflow
-            raise ValueError("old-light shading must be finite")
+        f_old = self.basis @ (BAND_GAINS * self.old_light)  # finite: the light is bounded
         floored = int((f_old < DENOM_FLOOR).sum())
         if floored > 0.5 * n_masked:
             raise DegenerateLightError(f"denominator floored on {floored}/{n_masked} masked pixels")
@@ -131,7 +129,7 @@ class RelightPlan:
         """
         coeffs = as_light(new_light)
         raw = self.lum * (self.basis @ (BAND_GAINS * coeffs)) / self.denom
-        if not np.isfinite(raw).all():  # a finite light can still overflow
+        if not np.isfinite(raw).all():  # a bounded light cannot overflow; a hand-built image can
             raise ValueError("relit luminance must be finite")
         clipped = raw.clip(0.0, 1.0)
         lum = self.image.luminance.copy()
@@ -166,8 +164,8 @@ def estimate_light(image: FaceImage, normals: NormalMap) -> np.ndarray:
 
 def random_relight(plan: RelightPlan, epsilon: float, seed: int) -> RelightResult:
     """Baseline: relight by ``plan`` under L + u with u uniform in [-epsilon, epsilon]^9."""
-    if not 0 <= epsilon < np.inf:  # NaN fails both comparisons
-        raise ValueError("epsilon must be finite and non-negative")
+    if not 0 <= epsilon <= MAX_LIGHT:  # NaN fails both comparisons
+        raise ValueError(f"epsilon must be finite and non-negative, at most {MAX_LIGHT:g}")
     offset = np.random.default_rng(seed).uniform(-epsilon, epsilon, size=9)
     return plan.relight(plan.old_light + offset)
 

@@ -34,6 +34,11 @@ BAND_GAINS = np.array(
 
 _UNIT_TOL = 1e-6
 
+#: Largest coefficient magnitude of a light. Over unit normals sum_j A_j |b_j(n)| <= 3.64, so
+#: the shading, lighting map or relight (luminance <= 1 over a floor >= 1e-4) of any light of
+#: coefficients up to 2 * MAX_LIGHT stays below 1e305: no bounded light can overflow.
+MAX_LIGHT = 1e300
+
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
@@ -42,12 +47,13 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 def as_light(coeffs) -> np.ndarray:
     """A light: a read-only float64 copy of ``coeffs``, flattened; ValueError unless it holds
-    exactly nine values, all finite."""
+    exactly nine values, all finite and at most :data:`MAX_LIGHT` in magnitude."""
     c = np.array(coeffs, dtype=np.float64).reshape(-1)
     if c.shape != (9,):
         raise ValueError(f"a light needs exactly 9 coefficients, got {c.shape}")
-    if not np.isfinite(c).all():
-        raise ValueError("light coefficients must be finite")
+    if not np.abs(c).max() <= MAX_LIGHT:  # a NaN maximum fails the comparison
+        raise ValueError(f"light coefficients must be finite and at most {MAX_LIGHT:g} "
+                         "in magnitude")
     return _freeze(c)
 
 

@@ -14,7 +14,7 @@ from advrelight.attack_aq import (
 )
 from advrelight.embedder import ExternalEmbedder, cosine_similarity
 from advrelight.relight import RelightPlan, estimate_light, random_relight
-from advrelight.shading import as_light
+from advrelight.shading import MAX_LIGHT, as_light
 
 from conftest import BlackBox, make_safe_light, make_scene
 from helpers import l1_loss
@@ -38,6 +38,24 @@ def test_config_validation():
 def test_config_refuses_a_non_finite_or_negative_epsilon(epsilon):
     with pytest.raises(ValueError, match="finite and non-negative"):
         AttackConfig(epsilon=epsilon)
+
+
+def test_config_refuses_an_epsilon_over_the_light_bound():
+    AttackConfig(epsilon=MAX_LIGHT)
+    with pytest.raises(ValueError, match=r"finite and non-negative, at most 1e\+300"):
+        AttackConfig(epsilon=1.01 * MAX_LIGHT)
+
+
+def test_attack_keeps_every_iterate_within_the_light_bound(sphere64, builtin_embedder):
+    """From a light at the bound with the largest epsilon, no iterate leaves the bound, so
+    no relight refuses it; the ball is clipped there."""
+    image, _ = make_scene(np.random.default_rng(21), sphere64)
+    old = np.full(9, MAX_LIGHT)
+    old[1::2] *= -1.0
+    plan = RelightPlan(image, sphere64, old)
+    trace = attack(plan, builtin_embedder, AttackConfig(epsilon=MAX_LIGHT, iterations=3))
+    assert np.abs(trace.lights).max() <= MAX_LIGHT
+    assert np.isfinite(trace.similarities).all()
 
 
 def test_jacobian_matches_fd(sphere64):

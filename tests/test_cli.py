@@ -306,7 +306,7 @@ def _manifest(k=1, images=("a.png", "b.png"), normals=("n.png", "n.png"), identi
     (["analyze-light", "--lights"], _lights_csv("1," + "5" * 200_000),
      "input: field larger than field limit"),
     (["analyze-light", "--lights"], _lights_csv("1," + ",".join(["1e308"] * 18)),
-     "input: a 128 px lighting map needs"),
+     "input: row 3: light coefficients must be finite and at most 1e+300 in magnitude"),
 ], ids=["empty_lights", "eval_manifest_list", "ap_train_manifest_list", "params_without_w1",
         "params_bad_zip", "params_plain_npy", "params_empty", "manifest_number_images",
         "manifest_null_normals", "manifest_string_images", "manifest_bool_k",
@@ -665,6 +665,12 @@ _MISSING = ["--image", "missing.png", "--normals", "missing.png"]
     (["eval", "--method", "ap", "--params", "missing.npz", "--embedder", "bogus"], "--embedder"),
     (["ap-train", "--out", "params.npz", "--embedder", "bogus"], "--embedder"),
     (["attack-aq", *_MISSING, "--embedder", "bogus"], "--embedder"),
+    (["eval", "--method", "random", "--epsilon", "1.7e308"], "--epsilon"),
+    (["eval", "--method", "aq", "--epsilon", "1e308", "--iters", "1"], "--epsilon"),
+    (["attack-aq", *_MISSING, "--epsilon", "1.01e300"], "--epsilon"),
+    (["eval", "--method", "ap"], "--params"),
+    (["eval", "--method", "aq", "--params", "missing.npz"], "--params"),
+    (["eval", "--params", "missing.npz"], "--params"),
 ])
 def test_attack_out_of_bound_flag_exits_1_before_reading_anything(capsys, monkeypatch, args, flag):
     """Bad attack budgets and embedder selectors are usage errors, found before a corpus,
@@ -738,18 +744,22 @@ def test_eval_closes_the_first_endpoint_when_the_second_handshake_fails(monkeypa
     endpoint = f"{sys.executable} {Path(__file__).parent / 'helpers' / 'echo_embedder.py'}"
     assert cli(["eval", "--embedder", f"external:{endpoint}",
                 "--eval-embedder", f"external:{endpoint} --bad-hello"]) == 2
-    assert "bad handshake" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bad handshake" in err and f"endpoint '{endpoint} --bad-hello': " in err
     assert len(opened) == 2 and all(embedder.closed for embedder in opened)
 
 
+_OUT_OF_BOUND_LIGHT = "light coefficients must be finite and at most 1e+300 in magnitude"
+
+
 @pytest.mark.parametrize("flag, message", [
-    pytest.param("--new-light", "relit luminance must be finite", id="new_light"),
-    pytest.param("--light", "old-light shading must be finite", id="light"),
+    pytest.param("--new-light", _OUT_OF_BOUND_LIGHT, id="new_light"),
+    pytest.param("--light", _OUT_OF_BOUND_LIGHT, id="light"),
 ])
 def test_relight_names_a_finite_light_file_whose_shading_overflows(assets, tmp_path, capsys,
                                                                    flag, message):
-    """A light of 1e308 is finite, so it loads; the shading it makes overflows, and the error
-    names its file without a floating-point warning."""
+    """A light of 1e308 is finite, but the shading it would make overflows: it is refused as
+    its file loads, and the error names the file without a floating-point warning."""
     huge = tmp_path / "huge.txt"
     huge.write_text("1e308 0 0 0 0 0 0 0 0\n")
     lights = {"--light": assets / "light.txt", "--new-light": assets / "light.txt", flag: huge}

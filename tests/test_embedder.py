@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from advrelight import embedder as embedder_module
 from advrelight.embedder import (
     DEFAULT_DIM,
     MAX_LINE_BYTES,
@@ -51,6 +52,30 @@ def test_tap_gather_equals_gather_and_row_sum(height, width, seed):
     assert np.array_equal(embedder.embed(image), resize.embed(embedder, image.luminance))
     assert np.array_equal(embedder.input_gradient(image, upstream),
                           resize.input_gradient(embedder, image.luminance, upstream))
+
+
+def test_resize_plans_live_in_one_bounded_cache_of_read_only_arrays():
+    """One embedder over 12 image shapes keeps no plan of its own; the module cache holds at
+    most 8, shared by every embedder, and nothing can write to them."""
+    plan = embedder_module._resize_plan
+    plan.cache_clear()
+    rng = np.random.default_rng(19)
+    embedder = BuiltinEmbedder()
+    shapes = [(16, 16), (17, 33), (64, 64), (1, 2), (2, 5), (31, 7), (112, 112), (48, 80),
+              (33, 32), (8, 8), (3, 90), (90, 3)]
+    for shape in shapes:
+        image = FaceImage.from_luminance(rng.uniform(0.1, 0.9, size=shape))
+        embedder.embed(image)
+        embedder.input_gradient(image, rng.standard_normal(DEFAULT_DIM))
+        assert plan.cache_info().currsize <= 8
+    assert plan.cache_info().misses == len(shapes)
+    assert not any(isinstance(value, dict) for value in vars(embedder).values())
+    gather, scatter = plan((90, 3))
+    assert plan.cache_info().hits == len(shapes) + 1  # input_gradient's reads, then this one
+    for array in (*gather, *scatter):
+        assert not array.flags.writeable
+    assert gather[0].shape == (4, 32 * 32) and scatter[0].shape == (32 * 32, 4)
+    assert np.array_equal(gather[0].T, scatter[0]) and np.array_equal(gather[1].T, scatter[1])
 
 
 def test_determinism_and_norm(builtin_embedder):

@@ -4,37 +4,44 @@
 Each example mutates one valid file and runs the command that reads it: a ``phy-sim`` scenario
 JSON; the face or normal-map PNG that ``estimate-light`` reads; a light file that ``relight``
 reads; the ``lights.csv`` that ``analyze-light`` reads; a dataset manifest that ``eval``
-reads; or the predictor ``.npz`` that ``ap-run`` reads. The mutations are truncation, byte
-flips, values swapped for non-finite, huge, wrongly typed or wrongly sized ones, PNG headers
-that lie about their size, rows with any filter type byte, decompression bombs, and zip
-record fields set to any value. The command must exit 0 (the mutant is still valid) or 2; an
-exit 2 starts with ``error:`` and names the mutated file (a manifest may instead name a file
-it lists, or the phy-sim loop may report that it ran and did not converge), no traceback is
-printed, and every example finishes within a fixed wall time. A PNG example also stays under a
-fixed traced allocation peak, which the reader's pixel cap bounds. Examples are derandomized
-and their count is fixed, so the gate is deterministic.
+reads; the predictor ``.npz`` that ``ap-run`` reads; or the reply stream an external endpoint
+sends to ``attack-aq``. The mutations are truncation, byte flips, values swapped for
+non-finite, huge, wrongly typed or wrongly sized ones, PNG headers that lie about their size,
+rows with any filter type byte, decompression bombs, zip record fields set to any value, and
+replies with a wrong handshake, header or vector. The command must exit 0 (the mutant is still
+valid) or 2; an exit 2 starts with ``error:`` and names the mutated file (a manifest may
+instead name a file it lists, the phy-sim loop may report that it ran and did not converge,
+and an endpoint is named by its command), no traceback is printed, and every example finishes
+within a fixed wall time. A PNG example also stays under a fixed traced allocation peak, which
+the reader's pixel cap bounds. A light file, ``lights.csv`` or predictor file that exits 2
+does so before any PNG is read, any light is fitted or the bundled corpus is built. Examples
+are derandomized and their count is fixed, so the gate is deterministic.
 """
 
+import collections
 import functools
 import io
 import json
 import math
 import re
 import struct
+import sys
 import time
 import zlib
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from advrelight import attack_ap, pngio
+from advrelight import attack_ap, corpus, pngio, relight
 from advrelight.cli import cli
 from advrelight.relight import FaceImage, save_face_image
 from advrelight.shading import (NormalMap, save_light, save_normal_map, shade, sphere_normals,
                                 write_csv)
 
+from conftest import patch_every_binding
 from helpers.memory import traced_peak
 from helpers.png import png_with_idat
 
@@ -50,6 +57,9 @@ GATE = settings(derandomize=True, database=None, deadline=None, max_examples=300
 #: Half the examples, for each of the four input kinds added after the first two, so that the
 #: six kinds together stay within a few seconds of tier-1 time.
 SMALL_GATE = settings(GATE, max_examples=150)
+
+#: Examples of endpoint replies: each starts an endpoint process, and takes about 20 ms.
+REPLY_GATE = settings(GATE, max_examples=100)
 
 _LIGHT = [0.9, 0.1, 0.3, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0]
 
@@ -79,6 +89,26 @@ _OTHER_PNGS = ["face17.png", "normals17.png", "normals-empty.png"]
 #: What a token of a light file or ``lights.csv`` may be swapped for.
 _TOKEN_SWAPS = ["nan", "inf", "-inf", "1e308", "-1e308", "4.9e-324", "x", "", "0 0", "0,0",
                 '"', "1" * 200_000]
+
+#: Dimension of the replayed endpoint's vectors, and the replies ``attack-aq --iters 1`` asks
+#: of it: the reference and the start, 18 finite-difference probes, and the final relight.
+DIMENSION, REPLIES = 16, 21
+
+#: What an endpoint's handshake may be swapped for: wrong tokens, and dimensions of 0, 1, a
+#: wrong size, a huge value and no number.
+_HELLO_SWAPS = [b"HELLO replay 0", b"HELLO replay 1", b"HELLO replay 15", b"HELLO replay 17",
+                b"HELLO replay " + b"9" * 40, b"HELLO replay -16", b"HELLO replay x",
+                b"HELLO replay", b"HELLO replay 16 16", b"HOWDY replay 16", b"", b"VEC"]
+
+#: What a reply's ``VEC`` header may be swapped for.
+_HEADER_SWAPS = [b"", b"vec", b"VECTOR", b"VEC 16", b"HELLO replay 16", b"ERROR", b"\xff"]
+
+#: What a value of a reply's vector may be swapped for.
+_VALUE_SWAPS = [b"nan", b"inf", b"-inf", b"1e308", b"-1e308", b"x", b"0x10", b"", b"0.5 0.5",
+                b"\xff"]
+
+#: What a reply's vector may be scaled by: its norm off, or still within ``NORM_SLACK``.
+_SCALES = [0.0, 0.5, 0.98, 0.995, 1.005, 1.02, 2.0, 1e300]
 
 _MANIFEST = {"k": 1, "identities": [
     {"identity": name, "images": ["face.png", "face.png"],
@@ -240,6 +270,48 @@ def _zip_field_swap(blob: bytes):
     return swap
 
 
+def _reply_lines() -> list[bytes]:
+    """A valid reply stream: the handshake, then a header and a unit vector per reply."""
+    rng = np.random.default_rng(0)
+    lines = [f"HELLO replay {DIMENSION}".encode()]
+    for _ in range(REPLIES):
+        vector = rng.standard_normal(DIMENSION)
+        lines += [b"VEC", " ".join(map(repr, (vector / np.linalg.norm(vector)).tolist())).encode()]
+    return lines
+
+
+@st.composite
+def _reply_mutants(draw, lines: list[bytes]) -> bytes:
+    """``lines`` as a stream, with its handshake, one reply's header or one reply's vector
+    swapped, the stream closed early, or 1-3 of its bytes flipped."""
+    kind = draw(st.sampled_from(["hello", "header", "short", "long", "value", "scale", "close",
+                                 "flip"]))
+    out = list(lines)
+    header = 2 * draw(st.integers(0, REPLIES - 1)) + 1
+    values = out[header + 1].split()
+    if kind == "short":
+        values = values[:draw(st.integers(0, DIMENSION - 1))]
+    elif kind == "long":
+        values += values[:draw(st.integers(1, DIMENSION))]
+    elif kind == "value":
+        values[draw(st.integers(0, DIMENSION - 1))] = draw(st.sampled_from(_VALUE_SWAPS))
+    elif kind == "scale":
+        scale = draw(st.sampled_from(_SCALES))
+        values = [repr(float(v) * scale).encode() for v in values]
+    out[header + 1] = b" ".join(values)
+    if kind == "hello":
+        out[0] = draw(st.sampled_from(_HELLO_SWAPS))
+    elif kind == "header":
+        out[header] = draw(st.sampled_from(_HEADER_SWAPS))
+    elif kind == "close":
+        out = out[:draw(st.integers(0, len(out) - 1))]
+    stream = b"".join(line + b"\n" for line in out)
+    if kind == "flip":
+        flips = st.tuples(st.integers(0, len(stream) - 1), st.integers(1, 255))
+        stream = _flipped(stream, draw(st.lists(flips, min_size=1, max_size=3)))
+    return stream
+
+
 def _face(normals) -> FaceImage:
     return FaceImage.from_luminance(0.8 * shade(normals, _LIGHT) + 0.05)
 
@@ -247,8 +319,9 @@ def _face(normals) -> FaceImage:
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
     """A face PNG, its normal-map PNG, a small scenario, a light file, a ``lights.csv``, a
-    manifest and a predictor file, each valid as written; and, for manifests to name, a face
-    and a normal map of 17 px and a 16 px normal map that masks no pixel."""
+    manifest, a predictor file and an endpoint's reply stream, each valid as written; and, for
+    manifests to name, a face and a normal map of 17 px and a 16 px normal map that masks no
+    pixel."""
     root = tmp_path_factory.mktemp("valid")
     normals = sphere_normals(16)
     save_face_image(root / "face.png", _face(normals))
@@ -263,6 +336,7 @@ def valid_files(tmp_path_factory):
               [[i, *_LIGHT, *(np.roll(_LIGHT, i + 1) * 0.5)] for i in range(3)])
     (root / "manifest.json").write_text(json.dumps(_MANIFEST))
     attack_ap.save_params(root / "params.npz", attack_ap.init_params("static", hidden=4))
+    (root / "replies.txt").write_bytes(b"".join(line + b"\n" for line in _reply_lines()))
     return root
 
 
@@ -273,6 +347,26 @@ def _run(argv):
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         code = cli(argv)
     return code, err.getvalue(), time.perf_counter() - start
+
+
+def _run_counted(argv):
+    """``(exit code, stderr, seconds)`` of ``cli(argv)``; an exit 2 must come before any PNG
+    is read, any light is fitted or the bundled corpus is built (calls counted through every
+    binding of each)."""
+    counts = collections.Counter()
+
+    def counted(function):
+        def call(*args, **kwargs):
+            counts[function.__name__] += 1
+            return function(*args, **kwargs)
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        for function in (pngio.read_png, relight.estimate_light, corpus.synthetic_corpus):
+            patch_every_binding(patch, function, counted(function))
+        code, err, seconds = _run(argv)
+    assert code != 2 or not counts, (err, dict(counts))
+    return code, err, seconds
 
 
 def _check(code, err, seconds, mutated, *listed):
@@ -304,6 +398,17 @@ def _ap_run(files, params):
             str(files / "normals.png"), "--params", str(params)]
 
 
+def _replay(stream) -> str:
+    """The command of an endpoint that replays ``stream`` (see ``helpers/replay_endpoint.py``),
+    its interpreter isolated and without ``site`` so that it starts quickly."""
+    return f"{sys.executable} -I -S {Path(__file__).parent / 'helpers' / 'replay_endpoint.py'} {stream}"
+
+
+def _attack_aq(files, endpoint):
+    return ["attack-aq", "--image", str(files / "face.png"), "--normals",
+            str(files / "normals.png"), "--iters", "1", "--embedder", f"external:{endpoint}"]
+
+
 def test_valid_files_pass(valid_files, tmp_path):
     """The gate's starting points are valid, so a mutant's error is the mutation's."""
     face, normals = valid_files / "face.png", valid_files / "normals.png"
@@ -315,6 +420,7 @@ def test_valid_files_pass(valid_files, tmp_path):
     assert _run(_analyze_light(valid_files / "lights.csv", tmp_path))[0] == 0
     assert _run(_eval(valid_files / "manifest.json", tmp_path))[0] == 0
     assert _run(_ap_run(valid_files, valid_files / "params.npz"))[0] == 0
+    assert _run(_attack_aq(valid_files, _replay(valid_files / "replies.txt")))[0] == 0
 
 
 @GATE
@@ -347,7 +453,7 @@ def test_mutated_light_file_exits_0_or_2_naming_it(valid_files, which, data):
     mutated = valid_files / f"mutated-{which}.txt"
     mutated.write_bytes(data.draw(_mutants(text.encode(), _token_swap(text))))
     argv = _relight(valid_files, *((mutated, light) if which == "light" else (light, mutated)))
-    _check(*_run(argv), mutated)
+    _check(*_run_counted(argv), mutated)
 
 
 @SMALL_GATE
@@ -356,7 +462,7 @@ def test_mutated_lights_csv_exits_0_or_2_naming_it(valid_files, data):
     text = (valid_files / "lights.csv").read_text()
     mutated = valid_files / "mutated-lights.csv"
     mutated.write_bytes(data.draw(_mutants(text.encode(), _token_swap(text))))
-    _check(*_run(_analyze_light(mutated, valid_files / "hexhist")), mutated)
+    _check(*_run_counted(_analyze_light(mutated, valid_files / "hexhist")), mutated)
 
 
 @SMALL_GATE
@@ -376,4 +482,13 @@ def test_mutated_predictor_file_exits_0_or_2_naming_it(valid_files, data):
     mutated = valid_files / "mutated-params.npz"
     blob = (valid_files / "params.npz").read_bytes()
     mutated.write_bytes(data.draw(_mutants(blob, _zip_field_swap(blob))))
-    _check(*_run(_ap_run(valid_files, mutated)), mutated)
+    _check(*_run_counted(_ap_run(valid_files, mutated)), mutated)
+
+
+@REPLY_GATE
+@given(data=st.data())
+def test_mutated_endpoint_replies_exit_0_or_2_naming_the_endpoint(valid_files, data):
+    stream = valid_files / "mutated-replies.txt"
+    stream.write_bytes(data.draw(_reply_mutants(_reply_lines())))
+    endpoint = _replay(stream)
+    _check(*_run(_attack_aq(valid_files, endpoint)), endpoint)

@@ -15,7 +15,8 @@ from advrelight.relight import (
     random_relight,
     save_face_image,
 )
-from advrelight.shading import BAND_GAINS, NormalMap, _freeze, sh_basis, shade, sphere_normals
+from advrelight.shading import (BAND_GAINS, MAX_LIGHT, NormalMap, _freeze, sh_basis, shade,
+                                sphere_normals)
 
 from conftest import make_safe_light, make_scene
 from helpers.lighting import ambient_light
@@ -323,6 +324,16 @@ def test_random_relight_refuses_a_non_finite_or_negative_epsilon(sphere64, epsil
     image, light = make_scene(np.random.default_rng(6), sphere64)
     with pytest.raises(ValueError, match="finite and non-negative"):
         random_relight(RelightPlan(image, sphere64, light), epsilon, seed=1)
+
+
+def test_random_relight_refuses_an_epsilon_over_the_light_bound(sphere64):
+    """numpy's uniform(-e, e) overflows its range above 0.9e308; the bound refuses far below."""
+    image, light = make_scene(np.random.default_rng(6), sphere64)
+    plan = RelightPlan(image, sphere64, light)
+    assert np.abs(random_relight(plan, MAX_LIGHT, seed=1).new_coeffs).max() <= MAX_LIGHT
+    for epsilon in (1.01 * MAX_LIGHT, 1.7e308):
+        with pytest.raises(ValueError, match=r"finite and non-negative, at most 1e\+300"):
+            random_relight(plan, epsilon, seed=1)
 
 
 def test_random_relight_determinism(sphere64):

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from advrelight import shading
 from advrelight.errors import NonUnitNormalError
+from advrelight.relight import DENOM_FLOOR
 from advrelight.shading import (
     as_light,
     lighting_map,
@@ -209,6 +210,9 @@ def test_normal_map_roundtrip(tmp_path):
     pytest.param([-np.inf] + [0.0] * 8, "light coefficients must be finite", id="minus_inf"),
     pytest.param(np.linspace(-0.7, 0.9, 9).reshape(3, 3), None, id="three_by_three"),
     pytest.param(list(range(9)), None, id="list_of_nine"),
+    pytest.param([0.0] * 8 + [1.01e300], r"must be finite and at most 1e\+300 in magnitude",
+                 id="over_the_bound"),
+    pytest.param([-shading.MAX_LIGHT] + [shading.MAX_LIGHT] * 8, None, id="at_the_bound"),
 ])
 def test_as_light_copies_nine_finite_values_read_only(coeffs, message):
     if message is not None:
@@ -219,6 +223,19 @@ def test_as_light_copies_nine_finite_values_read_only(coeffs, message):
     assert light.shape == (9,) and light.dtype == np.float64 and not light.flags.writeable
     assert np.array_equal(light, np.ravel(coeffs))
     assert not np.shares_memory(light, coeffs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(normal=unit_vectors)
+@example(normal=(0.0, 0.0, 1.0))
+def test_a_bounded_light_cannot_overflow_a_shading_or_a_relight(normal):
+    """Over unit normals sum_j A_j |b_j(n)| <= 3.64, so a light of coefficients up to
+    2 * MAX_LIGHT shades below 7.3e300, and a relight (luminance <= 1 over a denominator
+    floored at 1e-4) stays below 1e305."""
+    gains = np.abs(sh_basis(np.array(normal))) @ shading.BAND_GAINS
+    sphere = np.abs(sphere_normals(128).basis) @ shading.BAND_GAINS
+    assert max(gains, sphere.max()) <= 3.64
+    assert 3.64 * 2 * shading.MAX_LIGHT / DENOM_FLOOR < 1e305
 
 
 def test_normal_map_rejects_non_unit():
