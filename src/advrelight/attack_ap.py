@@ -29,7 +29,7 @@ import numpy as np
 from .attack_aq import light_gradient, relight_loss
 from .relight import RelightPlan, estimate_light
 from .shading import write_csv
-from .errors import DivergenceError
+from .errors import DivergenceError, blamed_on
 
 VARIANTS = ("static", "dynamic")
 
@@ -182,7 +182,8 @@ def predict(plan: RelightPlan, params: AdvLNetParams, embedder):
     light = plan.old_light
     embedding = embedder.embed(plan.image)
     _check_embedding_dim(params, embedding.size)
-    delta, _ = forward_net(params, light, embedding)
+    with np.errstate(over="ignore", invalid="ignore"):  # as_light refuses what overflows
+        delta, _ = forward_net(params, light, embedding)
     result = plan.relight(light + delta)
     return result.image, result.new_coeffs
 
@@ -289,28 +290,26 @@ def load_params(path) -> AdvLNetParams:
     an offset before the file's start) is malformed too; a file that cannot be opened keeps
     its own OSError."""
     # np.load leaves its own handle open when a zip header is malformed.
-    with open(path, "rb") as fh:
-        try:
-            with np.load(fh, allow_pickle=False) as data:
-                version = int(data["format_version"])
-                if version != PARAMS_FORMAT_VERSION:
-                    raise ValueError(f"unsupported parameter file version {version}")
-                variant, hidden, embed_dim = (str(data["variant"]), int(data["hidden"]),
-                                              int(data["embed_dim"]))
-                shapes = _shapes(variant, hidden, embed_dim)
-                for name, shape in shapes.items():  # before any array is read
-                    _check_stored_shape(data, name, shape)
-                arrays = {name: data[name] for name in shapes}
-            return AdvLNetParams(variant, hidden, embed_dim, **arrays)
-        except (EOFError, KeyError, NotImplementedError, OSError, TypeError, ValueError,
-                zipfile.BadZipFile) as exc:
-            raise ValueError(f"{path}: malformed parameter file: {exc}") from exc
+    malformed = blamed_on(f"{path}: malformed parameter file", EOFError, KeyError,
+                          NotImplementedError, OSError, TypeError, ValueError, zipfile.BadZipFile)
+    with open(path, "rb") as fh, malformed:
+        with np.load(fh, allow_pickle=False) as data:
+            version = int(data["format_version"])
+            if version != PARAMS_FORMAT_VERSION:
+                raise ValueError(f"unsupported parameter file version {version}")
+            variant, hidden, embed_dim = (str(data["variant"]), int(data["hidden"]),
+                                          int(data["embed_dim"]))
+            shapes = _shapes(variant, hidden, embed_dim)
+            for name, shape in shapes.items():  # before any array is read
+                _check_stored_shape(data, name, shape)
+            arrays = {name: data[name] for name in shapes}
+        return AdvLNetParams(variant, hidden, embed_dim, **arrays)
 
 
 def _check_stored_shape(data, name: str, shape: tuple[int, ...]) -> None:
-    """ValueError unless ``data``'s member ``name`` declares ``shape`` in float64 in its header."""
+    """KeyError or ValueError unless ``data``'s member ``name`` has a float64 ``shape`` header."""
     if name not in data.files:
-        raise KeyError(f"{name} is not a file in the archive")
+        raise KeyError(name)
     with data.zip.open(f"{name}.npy") as member:
         fmt = np.lib.format
         v1 = fmt.read_magic(member) == (1, 0)

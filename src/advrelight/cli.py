@@ -17,7 +17,7 @@ import numpy as np
 from . import attack_ap, attack_aq, harness, phy_sim, svgplot
 from .corpus import synthetic_corpus
 from .embedder import BuiltinEmbedder, ExternalEmbedder, cosine_similarity
-from .errors import AdvRelightError, EmptyMaskError, ManifestError, ScenarioError
+from .errors import AdvRelightError, EmptyMaskError, ScenarioError, blamed_on
 from .relight import (RelightPlan, check_pair_size, estimate_light, load_face_image,
                       save_face_image)
 from .shading import (MAX_LIGHT, as_light, load_light, load_normal_map, save_light, sphere_normals,
@@ -149,9 +149,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_groups(args):
+def _load_groups(args, for_eval=False):
     if getattr(args, "manifest", None):
-        return harness.load_groups(args.manifest)
+        return harness.load_groups(args.manifest, for_eval)
     # The bundled corpus is fixed; --seed only drives splits and attacks.
     return synthetic_corpus(), 8
 
@@ -166,23 +166,13 @@ def _load_image_and_normals(args):
     return image, normals
 
 
-@contextlib.contextmanager
-def _faults_of(path):
-    """Names ``path`` in a ValueError raised inside: for calls whose only unchecked input is
-    that file's."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
 def _load_plan(args, old_light=None) -> RelightPlan:
     """The plan of ``args.image`` and ``args.normals`` under ``old_light`` (read from
     ``args.light``), or under their fitted light when it is None."""
     image, normals = _load_image_and_normals(args)
     if old_light is None:
         return RelightPlan(image, normals)
-    with _faults_of(args.light):
+    with blamed_on(args.light):  # the only unchecked input is the light file's
         return RelightPlan(image, normals, old_light)
 
 
@@ -240,7 +230,8 @@ def _cmd_ap_run(args) -> int:
     params = attack_ap.load_params(args.params)
     plan = _load_plan(args)
     with open_embedder(args.embedder) as embedder:
-        relit, light = attack_ap.predict(plan, params, embedder)
+        with blamed_on(args.params):  # a checked plan leaves the predictor the only fault
+            relit, light = attack_ap.predict(plan, params, embedder)
         similarity = cosine_similarity(embedder.embed(relit), embedder.embed(plan.image))
     if args.out_image:
         save_face_image(args.out_image, relit)
@@ -281,7 +272,8 @@ def _load_scenario(path):
             raise TypeError(f"{key} must be a list of {count} finite numbers{bounds}")
         return tuple(map(float, values))
 
-    try:
+    with blamed_on(f"malformed scenario {path}", KeyError, OverflowError, TypeError, ValueError,
+                   error=ScenarioError):
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         scene_cfg = data["scene"]
@@ -325,9 +317,6 @@ def _load_scenario(path):
         if isinstance(target, phy_sim.PLSPose):  # only a pose target is fitted on the scene
             target = phy_sim.scene_light_estimate(scene, target)
         return target, start, scene, options
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
-        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-        raise ScenarioError(f"malformed scenario {path}: {detail}") from exc
 
 
 def _write_phy_trace(path, trace) -> None:
@@ -341,13 +330,13 @@ def _write_phy_trace(path, trace) -> None:
 def _cmd_phy_sim(args) -> int:
     target, start, scene, options = _load_scenario(args.scenario)
     try:
-        result = phy_sim.recurrence_loop(target, start, scene, **options)
+        # The loop reads only the scenario, so its faults are the file's.
+        with blamed_on(f"malformed scenario {args.scenario}", error=ScenarioError):
+            result = phy_sim.recurrence_loop(target, start, scene, **options)
     except phy_sim.NonConvergenceError as exc:
         if args.trace:
             _write_phy_trace(args.trace, exc.trace)
         raise
-    except ValueError as exc:  # the loop reads only the scenario, so its faults are the file's
-        raise ScenarioError(f"malformed scenario {args.scenario}: {exc}") from exc
     if args.trace:
         _write_phy_trace(args.trace, result.trace)
     pose = result.final_pose
@@ -366,12 +355,11 @@ def _cmd_eval(args) -> int:
             "method ap needs predictor parameters" if args.method == "ap"
             else f"method {args.method} uses no predictor parameters"))
     params = attack_ap.load_params(args.params) if args.params is not None else None
-    groups, k = _load_groups(args)
-    if len(groups) < 2:  # the ROC needs a pair of different identities
-        raise ManifestError(f"malformed manifest {args.manifest}: eval needs at least 2 "
-                            f"identities, got {len(groups)}")
+    groups, k = _load_groups(args, for_eval=True)
+    # The images are checked and each target's faults collected: a ValueError is the predictor's.
     with (open_embedder(args.embedder) as embedder,
-          open_embedder(args.eval_embedder) as eval_embedder):
+          open_embedder(args.eval_embedder) as eval_embedder,
+          blamed_on(args.params) if params is not None else contextlib.nullcontext()):
         report = harness.evaluate(groups, args.method, embedder, epsilon=args.epsilon,
                                   k=k, seed=args.seed, iterations=args.iters,
                                   eval_embedder=eval_embedder, params=params)
@@ -392,7 +380,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_analyze_light(args) -> int:
     pairs = harness.read_lights_csv(args.lights)
-    with _faults_of(args.lights):  # the lights are the file's; the flags are checked
+    with blamed_on(args.lights):  # the lights are the file's; the flags are checked
         hist = harness.sensitivity_analysis(pairs, resolution=args.resolution,
                                             cell_size=args.hex_size)
     out = Path(args.out_dir)

@@ -1,6 +1,8 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the one rule that names an input in them."""
 
 from __future__ import annotations
+
+import contextlib
 
 
 class AdvRelightError(Exception):
@@ -80,3 +82,14 @@ class ScenarioError(AdvRelightError, ValueError):
 
 class DegenerateLabelsError(AdvRelightError, ValueError):
     """Ground truth contains only one class; ROC/AUC is undefined."""
+
+
+@contextlib.contextmanager
+def blamed_on(prefix, *kinds, error=ValueError):
+    """Re-raises a ``kinds`` fault (ValueError by default) of the input ``prefix`` names as
+    ``error("<prefix>: <detail>")``; a KeyError's detail is ``missing key <key>``."""
+    try:
+        yield
+    except (kinds or ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise error(f"{prefix}: {detail}") from exc

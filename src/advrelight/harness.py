@@ -20,7 +20,8 @@ import numpy as np
 
 from . import attack_ap, attack_aq
 from .corpus import IdentityGroup, Sample
-from .errors import AdvRelightError, DegenerateLabelsError, EvaluationError, ManifestError
+from .errors import (AdvRelightError, DegenerateLabelsError, EvaluationError, ManifestError,
+                     blamed_on)
 from .relight import RelightPlan, check_pair_size, estimate_light, load_face_image, random_relight
 from .shading import LightingMap, NormalMap, as_light, lighting_map, load_normal_map, write_csv
 
@@ -31,10 +32,11 @@ ATTACK_METHODS = ("none", "random", "aq", "ap")
 # Manifests and splits
 # ---------------------------------------------------------------------------
 
-def load_groups(path) -> tuple[list[IdentityGroup], int]:
+def load_groups(path, for_eval: bool = False) -> tuple[list[IdentityGroup], int]:
     """The groups and ``k`` of a JSON manifest of distinct identities, each naming 2k images
-    and normal maps relative to it. It is checked whole before any PNG is read (ManifestError
-    naming ``path``); normal maps of equal content load as one object, sharing one basis."""
+    and normal maps relative to it, and at least 2 identities ``for_eval`` (its ROC needs a
+    pair of different ones). It is checked whole before any PNG is read (ManifestError naming
+    ``path``); normal maps of equal content load as one object, sharing one basis."""
     def names(entry, key) -> list[str]:
         value = entry[key]
         if not (isinstance(value, list) and all(isinstance(n, str) for n in value)):
@@ -44,7 +46,8 @@ def load_groups(path) -> tuple[list[IdentityGroup], int]:
                              f"expected {2 * k}")
         return value
 
-    try:
+    malformed = f"malformed manifest {path}"
+    with blamed_on(malformed, KeyError, TypeError, ValueError, error=ManifestError):
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
@@ -64,9 +67,8 @@ def load_groups(path) -> tuple[list[IdentityGroup], int]:
             if identity in entries:
                 raise ValueError(f"identity {identity!r} appears more than once")
             entries[identity] = names(entry, "images"), names(entry, "normals")
-    except (KeyError, TypeError, ValueError) as exc:
-        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-        raise ManifestError(f"malformed manifest {path}: {detail}") from exc
+        if for_eval and len(entries) < 2:
+            raise ValueError(f"eval needs at least 2 identities, got {len(entries)}")
 
     base = Path(path).parent
     maps: dict[tuple, NormalMap] = {}
@@ -78,10 +80,8 @@ def load_groups(path) -> tuple[list[IdentityGroup], int]:
 
     def sample(img, nrm) -> Sample:
         image, normals = load_face_image(base / img), normal_map(nrm)
-        try:
+        with blamed_on(malformed, error=ManifestError):
             check_pair_size(image, normals, base / img, base / nrm)
-        except ValueError as exc:
-            raise ManifestError(f"malformed manifest {path}: {exc}") from exc
         return Sample(image, normals)
 
     groups = [IdentityGroup(identity, tuple(sample(img, nrm) for img, nrm in zip(images, normals)))
@@ -136,8 +136,6 @@ class AttackedSample:
 
 @dataclass(frozen=True)
 class SuiteResult:
-    method: str
-    epsilon: float
     attacked: tuple[AttackedSample, ...]
     failures: tuple[tuple[int, str], ...] = field(default_factory=tuple)
 
@@ -177,7 +175,7 @@ def run_attack_suite(targets, method: str, embedder, *, epsilon: float = 0.0,
             failures.append((idx, str(exc)))
             attacked.append(AttackedSample(tagged.identity, image, None, None, 0.0,
                                            error=str(exc)))
-    return SuiteResult(method, epsilon, tuple(attacked), tuple(failures))
+    return SuiteResult(tuple(attacked), tuple(failures))
 
 
 def _per_image_seed(seed: int, index: int) -> int:
@@ -401,21 +399,17 @@ def write_lights_csv(path, report: EvalReport) -> None:
 
 def read_lights_csv(path) -> list[tuple[np.ndarray, np.ndarray]]:
     """(old, new) light pairs; a malformed row's ValueError names ``path`` and row (header 1)."""
-    try:
+    with blamed_on(path, csv.Error, UnicodeDecodeError):  # bytes that are not text, or a huge field
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
-    except (csv.Error, UnicodeDecodeError) as exc:  # bytes that are not text, or a huge field
-        raise ValueError(f"{path}: {exc}") from exc
     header = rows[0] if rows else []
     if len(header) != 19:
         raise ValueError(f"{path}: expected 19 columns, got {len(header)}")
     pairs = []
     for n, row in enumerate(rows[1:], start=2):
-        try:
+        with blamed_on(f"{path}: row {n}"):
             values = [float(v) for v in row[1:]]
             pairs.append((as_light(values[:9]), as_light(values[9:])))
-        except ValueError as exc:
-            raise ValueError(f"{path}: row {n}: {exc}") from exc
     return pairs
 
 

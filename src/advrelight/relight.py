@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import pngio
-from .errors import DegenerateLightError, EmptyMaskError, SingularFitError
+from .errors import DegenerateLightError, EmptyMaskError, SingularFitError, blamed_on
 from .shading import BAND_GAINS, MAX_LIGHT, NormalMap, _freeze, as_light
 
 #: Rec. 601 luma weights.
@@ -190,7 +190,5 @@ def load_face_image(path) -> FaceImage:
     if arr.shape[2] == 4:
         arr = arr[:, :, :3]
     scale = 65535.0 if arr.dtype == np.uint16 else 255.0
-    try:
+    with blamed_on(path):
         return FaceImage.from_rgb(arr.astype(np.float64) / scale)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pngio
-from .errors import NonUnitNormalError
+from .errors import NonUnitNormalError, blamed_on
 
 SH_C0 = 0.282095
 SH_C1 = 0.488603
@@ -79,7 +79,7 @@ class NormalMap:
         if m.any():
             norms = np.linalg.norm(n[m], axis=-1)
             dev = np.abs(norms - 1.0).max()
-            if dev > _UNIT_TOL:
+            if not dev <= _UNIT_TOL:  # a NaN normal fails too
                 raise NonUnitNormalError(
                     f"masked normals deviate from unit length by {dev:.3g}"
                 )
@@ -143,7 +143,7 @@ def sh_basis(normals) -> np.ndarray:
         raise ValueError(f"expected (..., 3) normals, got {n.shape}")
     norms = np.linalg.norm(n, axis=-1)
     dev = np.abs(norms - 1.0)
-    if dev.size and dev.max() > _UNIT_TOL:
+    if dev.size and not dev.max() <= _UNIT_TOL:  # a NaN normal fails too
         raise NonUnitNormalError(
             f"input deviates from unit length by {dev.max():.3g}"
         )
@@ -252,12 +252,10 @@ def save_light(path, light) -> None:
 
 def load_light(path) -> np.ndarray:
     """Read a :func:`save_light` file; a malformed one raises ValueError naming ``path``."""
-    try:
+    with blamed_on(path):
         with open(path, "r", encoding="ascii") as fh:
             tokens = fh.read().split()
         return as_light([float(t) for t in tokens])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_normal_map(path, normal_map: NormalMap) -> None:

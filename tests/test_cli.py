@@ -196,6 +196,22 @@ def _params_with_nan_w3() -> bytes:
     return _saved_bytes(attack_ap.save_params, params=params)
 
 
+def _params_filled(**values) -> bytes:
+    """A static predictor file whose named arrays hold the given values, each finite."""
+    params = attack_ap.init_params("static", hidden=8)
+    for name, value in values.items():
+        getattr(params, name)[...] = value
+    return _saved_bytes(attack_ap.save_params, params=params)
+
+
+#: ``ap-run`` and ``eval --method ap`` on the 16 px face of ``predictor_inputs``.
+_AP_RUN_16 = ["ap-run", "--image", "{face}", "--normals", "{normals}", "--params"]
+_EVAL_AP_16 = ["eval", "--manifest", "{manifest}", "--method", "ap", "--params"]
+
+#: The refusal of a light that a predictor file predicts from finite weights.
+_PREDICTED_LIGHT = "input: light coefficients must be finite and at most 1e+300 in magnitude"
+
+
 def _header_only_params(variant: str, hidden: int, shapes) -> bytes:
     """A parameter file of valid scalars whose arrays are ``.npy`` headers declaring ``shapes``
     in float64, with no values behind them."""
@@ -245,7 +261,7 @@ def _manifest(k=1, images=("a.png", "b.png"), normals=("n.png", "n.png"), identi
     (["analyze-light", "--lights"], "", "expected 19 columns, got 0"),
     (["eval", "--manifest"], "[]", "malformed manifest"),
     (["ap-train", "--out", "params.npz", "--manifest"], "[]", "malformed manifest"),
-    (_EVAL_AP, _PARAMS_WITHOUT_W1, "input: malformed parameter file: 'w1 is not a file"),
+    (_EVAL_AP, _PARAMS_WITHOUT_W1, "input: malformed parameter file: missing key 'w1'\n"),
     (_EVAL_AP, b"PK\x03\x04 is not a zip archive", "input: malformed parameter file"),
     (_EVAL_AP, _saved_bytes(np.save, arr=np.zeros(9)), "input: malformed parameter file"),
     (_EVAL_AP, b"", "input: malformed parameter file"),
@@ -307,6 +323,11 @@ def _manifest(k=1, images=("a.png", "b.png"), normals=("n.png", "n.png"), identi
      "input: field larger than field limit"),
     (["analyze-light", "--lights"], _lights_csv("1," + ",".join(["1e308"] * 18)),
      "input: row 3: light coefficients must be finite and at most 1e+300 in magnitude"),
+    (_AP_RUN_16, _params_filled(b3=1.5e300), _PREDICTED_LIGHT),
+    (_EVAL_AP_16, _params_filled(b3=1.5e300), _PREDICTED_LIGHT),
+    (_AP_RUN_16, _params_filled(w1=1e200, w3=1e200), _PREDICTED_LIGHT),
+    (_EVAL_AP_16, _params_filled(w1=1e200, w3=1e200), _PREDICTED_LIGHT),
+    (["eval", "--manifest"], _manifest(), "input: eval needs at least 2 identities, got 1"),
 ], ids=["empty_lights", "eval_manifest_list", "ap_train_manifest_list", "params_without_w1",
         "params_bad_zip", "params_plain_npy", "params_empty", "manifest_number_images",
         "manifest_null_normals", "manifest_string_images", "manifest_bool_k",
@@ -318,8 +339,12 @@ def _manifest(k=1, images=("a.png", "b.png"), normals=("n.png", "n.png"), identi
         "relight_light_not_a_number", "ap_run_params_empty", "png_over_pixel_cap",
         "png_4096_square", "params_compression_method_99", "ap_run_params_strong_encryption",
         "params_directory_offset_past_the_end", "lights_undecodable_byte",
-        "lights_field_over_csv_limit", "lights_map_overflows"])
-def test_malformed_input_file_exits_2(tmp_path, capsys, monkeypatch, command, content, message):
+        "lights_field_over_csv_limit", "lights_map_overflows",
+        "ap_run_params_predict_b3_over_bound", "eval_params_predict_b3_over_bound",
+        "ap_run_params_predict_overflow", "eval_params_predict_overflow",
+        "eval_manifest_one_identity"])
+def test_malformed_input_file_exits_2(tmp_path, capsys, monkeypatch, predictor_inputs, command,
+                                      content, message):
     """A malformed input file exits 2 naming the file, before the bundled corpus is built."""
     def synthetic_corpus(*args, **kwargs):
         raise AssertionError("built the corpus before reading the input")
@@ -327,10 +352,29 @@ def test_malformed_input_file_exits_2(tmp_path, capsys, monkeypatch, command, co
     monkeypatch.setattr(cli_module, "synthetic_corpus", synthetic_corpus)
     path = tmp_path / "input"
     path.write_bytes(content if isinstance(content, bytes) else content.encode())
-    assert cli(command + [str(path)]) == 2
+    assert cli([part.format(**predictor_inputs) for part in command] + [str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and str(path) in err
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def predictor_inputs(tmp_path_factory):
+    """Paths of a 16 px face, its normal map, and a manifest of two identities, each listing
+    them twice."""
+    from advrelight.relight import FaceImage
+    from advrelight.shading import shade, sphere_normals
+
+    root = tmp_path_factory.mktemp("predictor_inputs")
+    normals = sphere_normals(16)
+    save_face_image(root / "face.png", FaceImage.from_luminance(
+        0.8 * shade(normals, [0.9, 0.1, 0.3, 0.2, 0, 0, 0, 0, 0]) + 0.05))
+    save_normal_map(root / "normals.png", normals)
+    (root / "manifest.json").write_text(_manifest(
+        images=("face.png", "face.png"), normals=("normals.png", "normals.png"),
+        identities=("a", "b")))
+    return {name: str(root / f"{name}.{ext}")
+            for name, ext in [("face", "png"), ("normals", "png"), ("manifest", "json")]}
 
 
 @pytest.fixture(scope="module")

@@ -54,6 +54,11 @@ def test_basis_rejects_non_unit():
         sh_basis([1.0, 1.0, 0.0])
 
 
+def test_basis_rejects_a_nan_normal():
+    with pytest.raises(NonUnitNormalError, match="by nan"):
+        sh_basis([[0.0, 0.0, 1.0], [np.nan, 0.0, 1.0]])
+
+
 def test_shade_ambient_constant(sphere64):
     light = np.zeros(9)
     light[0] = 1.0
@@ -243,6 +248,17 @@ def test_normal_map_rejects_non_unit():
     bad[..., 2] = 0.9
     with pytest.raises(NonUnitNormalError):
         shading.NormalMap(bad, np.ones((8, 8), dtype=bool))
+
+
+def test_normal_map_rejects_a_nan_masked_normal_and_keeps_an_unmasked_one():
+    normals = sphere_normals(8)
+    n = normals.normals.copy()
+    outside = tuple(np.argwhere(~normals.mask)[0])
+    n[outside] = np.nan
+    assert np.isnan(shading.NormalMap(n, normals.mask).normals[outside]).all()
+    n[tuple(np.argwhere(normals.mask)[0])] = (np.nan, 0.0, 1.0)
+    with pytest.raises(NonUnitNormalError, match="by nan"):
+        shading.NormalMap(n, normals.mask)
 
 
 def test_lighting_map_linearity():
