@@ -294,11 +294,12 @@ def load_params(path) -> AdvLNetParams:
                           NotImplementedError, OSError, TypeError, ValueError, zipfile.BadZipFile)
     with open(path, "rb") as fh, malformed:
         with np.load(fh, allow_pickle=False) as data:
-            version = int(data["format_version"])
+            version = int(data[_member(data, "format_version")])
             if version != PARAMS_FORMAT_VERSION:
                 raise ValueError(f"unsupported parameter file version {version}")
-            variant, hidden, embed_dim = (str(data["variant"]), int(data["hidden"]),
-                                          int(data["embed_dim"]))
+            variant, hidden, embed_dim = (str(data[_member(data, "variant")]),
+                                          int(data[_member(data, "hidden")]),
+                                          int(data[_member(data, "embed_dim")]))
             shapes = _shapes(variant, hidden, embed_dim)
             for name, shape in shapes.items():  # before any array is read
                 _check_stored_shape(data, name, shape)
@@ -306,11 +307,17 @@ def load_params(path) -> AdvLNetParams:
         return AdvLNetParams(variant, hidden, embed_dim, **arrays)
 
 
-def _check_stored_shape(data, name: str, shape: tuple[int, ...]) -> None:
-    """KeyError or ValueError unless ``data``'s member ``name`` has a float64 ``shape`` header."""
+def _member(data, name: str) -> str:
+    """The archive member that holds ``data``'s array ``name``; KeyError(name) if it has none
+    (numpy's own KeyError reads ``'<name> is not a file in the archive'``)."""
     if name not in data.files:
         raise KeyError(name)
-    with data.zip.open(f"{name}.npy") as member:
+    return f"{name}.npy"
+
+
+def _check_stored_shape(data, name: str, shape: tuple[int, ...]) -> None:
+    """KeyError or ValueError unless ``data``'s member ``name`` has a float64 ``shape`` header."""
+    with data.zip.open(_member(data, name)) as member:
         fmt = np.lib.format
         v1 = fmt.read_magic(member) == (1, 0)
         stored, _, dtype = (fmt.read_array_header_1_0 if v1 else fmt.read_array_header_2_0)(member)

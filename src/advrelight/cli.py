@@ -356,10 +356,12 @@ def _cmd_eval(args) -> int:
             else f"method {args.method} uses no predictor parameters"))
     params = attack_ap.load_params(args.params) if args.params is not None else None
     groups, k = _load_groups(args, for_eval=True)
-    # The images are checked and each target's faults collected: a ValueError is the predictor's.
+    # The images are checked and each target's faults collected: a plain ValueError is the
+    # predictor's, and a package error (a split's or a score's) keeps its own type and text.
     with (open_embedder(args.embedder) as embedder,
           open_embedder(args.eval_embedder) as eval_embedder,
-          blamed_on(args.params) if params is not None else contextlib.nullcontext()):
+          blamed_on(args.params, keep=AdvRelightError) if params is not None
+          else contextlib.nullcontext()):
         report = harness.evaluate(groups, args.method, embedder, epsilon=args.epsilon,
                                   k=k, seed=args.seed, iterations=args.iters,
                                   eval_embedder=eval_embedder, params=params)

@@ -85,11 +85,14 @@ class DegenerateLabelsError(AdvRelightError, ValueError):
 
 
 @contextlib.contextmanager
-def blamed_on(prefix, *kinds, error=ValueError):
+def blamed_on(prefix, *kinds, error=ValueError, keep=()):
     """Re-raises a ``kinds`` fault (ValueError by default) of the input ``prefix`` names as
-    ``error("<prefix>: <detail>")``; a KeyError's detail is ``missing key <key>``."""
+    ``error("<prefix>: <detail>")``; a KeyError's detail is ``missing key <key>``. A ``keep``
+    fault passes through unchanged."""
     try:
         yield
+    except keep:
+        raise
     except (kinds or ValueError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise error(f"{prefix}: {detail}") from exc

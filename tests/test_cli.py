@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 import advrelight
-from advrelight import attack_ap, cli as cli_module, phy_sim, shading
+from advrelight import attack_ap, cli as cli_module, harness, phy_sim, shading
 from advrelight.cli import (MAX_HIDDEN, MAX_ITERS, MAX_SCENARIO_ITERATIONS,
                             MAX_SCENARIO_RESOLUTION, cli)
 from advrelight.corpus import synthetic_corpus
+from advrelight.errors import DegenerateLabelsError, ManifestError
 from advrelight.relight import load_face_image, save_face_image
 from advrelight.shading import load_light, save_light, save_normal_map
 
@@ -328,6 +329,12 @@ def _manifest(k=1, images=("a.png", "b.png"), normals=("n.png", "n.png"), identi
     (_AP_RUN_16, _params_filled(w1=1e200, w3=1e200), _PREDICTED_LIGHT),
     (_EVAL_AP_16, _params_filled(w1=1e200, w3=1e200), _PREDICTED_LIGHT),
     (["eval", "--manifest"], _manifest(), "input: eval needs at least 2 identities, got 1"),
+    (_EVAL_AP, _saved_bytes(np.savez, variant=np.array("static"), hidden=np.array(8),
+                            embed_dim=np.array(128)),
+     "input: malformed parameter file: missing key 'format_version'\n"),
+    (_EVAL_AP, _saved_bytes(np.savez, format_version=np.array(1), variant=np.array("static"),
+                            hidden=np.array(8)),
+     "input: malformed parameter file: missing key 'embed_dim'\n"),
 ], ids=["empty_lights", "eval_manifest_list", "ap_train_manifest_list", "params_without_w1",
         "params_bad_zip", "params_plain_npy", "params_empty", "manifest_number_images",
         "manifest_null_normals", "manifest_string_images", "manifest_bool_k",
@@ -342,7 +349,8 @@ def _manifest(k=1, images=("a.png", "b.png"), normals=("n.png", "n.png"), identi
         "lights_field_over_csv_limit", "lights_map_overflows",
         "ap_run_params_predict_b3_over_bound", "eval_params_predict_b3_over_bound",
         "ap_run_params_predict_overflow", "eval_params_predict_overflow",
-        "eval_manifest_one_identity"])
+        "eval_manifest_one_identity", "params_without_format_version",
+        "params_without_embed_dim"])
 def test_malformed_input_file_exits_2(tmp_path, capsys, monkeypatch, predictor_inputs, command,
                                       content, message):
     """A malformed input file exits 2 naming the file, before the bundled corpus is built."""
@@ -356,6 +364,24 @@ def test_malformed_input_file_exits_2(tmp_path, capsys, monkeypatch, predictor_i
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and str(path) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fault", [ManifestError("split fault"),
+                                   DegenerateLabelsError("labels fault")],
+                         ids=["manifest_error", "degenerate_labels"])
+def test_eval_with_params_keeps_a_package_error_its_own(tmp_path, capsys, monkeypatch,
+                                                         predictor_inputs, fault):
+    """Under ``--params`` only a plain ValueError is the predictor's: a package error raised
+    elsewhere in the evaluation is not blamed on the predictor file."""
+    def build_split(*args, **kwargs):
+        raise fault
+
+    monkeypatch.setattr(harness, "build_split", build_split)
+    params = tmp_path / "params.npz"
+    attack_ap.save_params(params, attack_ap.init_params("static", hidden=4))
+    assert cli(["eval", "--manifest", predictor_inputs["manifest"], "--method", "ap",
+                "--params", str(params), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {fault}\n"
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import advrelight
-from advrelight.errors import ManifestError, NonUnitNormalError, ScenarioError, blamed_on
+from advrelight.errors import (AdvRelightError, ManifestError, NonUnitNormalError, ScenarioError,
+                              blamed_on)
 
 #: The error types an input's fault is re-raised as, naming the input.
 _NAMING_ERRORS = {"ValueError", "ManifestError", "ScenarioError"}
@@ -40,6 +41,16 @@ def test_blamed_on_passes_an_unlisted_fault_through(kinds, raised):
     with pytest.raises(type(raised)) as info, blamed_on("in.png", *kinds):
         raise raised
     assert info.value is raised and info.value.__cause__ is None
+
+
+def test_blamed_on_passes_a_kept_fault_through():
+    raised = ManifestError("m")
+    with pytest.raises(ManifestError) as info, blamed_on("in.png", keep=AdvRelightError):
+        raise raised
+    assert info.value is raised and info.value.__cause__ is None
+    with pytest.raises(ValueError, match="^in.png: v$"), blamed_on("in.png",
+                                                                   keep=AdvRelightError):
+        raise ValueError("v")
 
 
 def test_blamed_on_returns_what_its_block_returns():

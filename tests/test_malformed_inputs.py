@@ -17,8 +17,9 @@ example also stays under a fixed traced allocation peak, which the reader's pixe
 A light file, ``lights.csv``, malformed predictor file or manifest that exits 2 does so before
 any PNG is read, any light is fitted or the bundled corpus is built, and a PNG does so before
 any PNG after it is read or any light is fitted (unless the error names a file read after it,
-as a pair check or a manifest's listed file does). Examples are derandomized and their count
-is fixed, so the gate is deterministic.
+as a pair check or a manifest's listed file does). A predictor weight swap that exits 2 does
+so after reading only the face and normal map and fitting one light. Examples are derandomized
+and their count is fixed, so the gate is deterministic.
 """
 
 import collections
@@ -60,6 +61,9 @@ GATE = settings(derandomize=True, database=None, deadline=None, max_examples=300
 #: Half the examples, for each of the four input kinds added after the first two, so that the
 #: six kinds together stay within a few seconds of tier-1 time.
 SMALL_GATE = settings(GATE, max_examples=150)
+
+#: Examples of predictor weight swaps: each reads two PNGs and fits a light before it predicts.
+WEIGHT_GATE = settings(GATE, max_examples=50)
 
 #: Examples of endpoint replies: each starts an endpoint process, and takes about 20 ms.
 REPLY_GATE = settings(GATE, max_examples=100)
@@ -362,11 +366,11 @@ def _traced_run(argv):
     return (*result, peak)
 
 
-def _run_counted(argv, reads=0, listed=(), run=_run):
+def _run_counted(argv, reads=0, listed=(), run=_run, fits=0):
     """``run(argv)``: by default ``(exit code, stderr, seconds)`` of ``cli(argv)``, and always
     the exit code and stderr first. An exit 2 that names none of the ``listed`` files must come
-    before more than ``reads`` PNGs are read, any light is fitted or the bundled corpus is built
-    (calls counted through every binding of each, outside ``run``)."""
+    before more than ``reads`` PNGs are read, more than ``fits`` lights are fitted or the
+    bundled corpus is built (calls counted through every binding of each, outside ``run``)."""
     counts = collections.Counter()
 
     def counted(function):
@@ -381,7 +385,8 @@ def _run_counted(argv, reads=0, listed=(), run=_run):
         result = run(argv)
     code, err = result[:2]
     if code == 2 and not any(str(path) in err for path in listed):
-        assert counts <= collections.Counter(read_png=reads), (err, dict(counts))
+        assert counts <= collections.Counter(read_png=reads, estimate_light=fits), (
+            err, dict(counts))
     return result
 
 
@@ -498,17 +503,23 @@ def test_mutated_manifest_exits_0_or_2_naming_it_or_a_file_it_lists(valid_files,
 @given(data=st.data())
 def test_mutated_predictor_file_exits_0_or_2_naming_it(valid_files, data):
     mutated = valid_files / "mutated-params.npz"
-    if data.draw(st.booleans()):  # a well-formed file, whose fault can show only in a prediction
-        params = attack_ap.load_params(valid_files / "params.npz")
-        weights = getattr(params, data.draw(st.sampled_from(params.trainable())))
-        weights.flat[data.draw(st.integers(0, weights.size - 1))] = data.draw(
-            st.sampled_from(_WEIGHT_SWAPS))
-        attack_ap.save_params(mutated, params)
-        _check(*_run(_ap_run(valid_files, mutated)), mutated)
-    else:
-        blob = (valid_files / "params.npz").read_bytes()
-        mutated.write_bytes(data.draw(_mutants(blob, _zip_field_swap(blob))))
-        _check(*_run_counted(_ap_run(valid_files, mutated)), mutated)
+    blob = (valid_files / "params.npz").read_bytes()
+    mutated.write_bytes(data.draw(_mutants(blob, _zip_field_swap(blob))))
+    _check(*_run_counted(_ap_run(valid_files, mutated)), mutated)
+
+
+@WEIGHT_GATE
+@given(data=st.data())
+def test_predictor_weight_swap_exits_0_or_2_naming_it(valid_files, data):
+    """A well-formed predictor file, whose fault can show only in its prediction: after the
+    face and normal map are read and their light fitted."""
+    mutated = valid_files / "mutated-weights.npz"
+    params = attack_ap.load_params(valid_files / "params.npz")
+    weights = getattr(params, data.draw(st.sampled_from(params.trainable())))
+    weights.flat[data.draw(st.integers(0, weights.size - 1))] = data.draw(
+        st.sampled_from(_WEIGHT_SWAPS))
+    attack_ap.save_params(mutated, params)
+    _check(*_run_counted(_ap_run(valid_files, mutated), 2, fits=1), mutated)
 
 
 @REPLY_GATE
