@@ -193,7 +193,8 @@ def sample_gradient(params: AdvLNetParams, plan: RelightPlan, embedder,
     """Loss and parameter gradients for one sample, relit by its ``plan``; the loss is the
     similarity plus ``l1_weight`` times the mean absolute luminance change."""
     light = plan.old_light
-    delta, cache = forward_net(params, light, embedding)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below refuses what overflows
+        delta, cache = forward_net(params, light, embedding)
     if not np.all(np.isfinite(delta)):
         raise FloatingPointError("network produced a non-finite light residual")
     result, _, value = relight_loss(plan, light + delta, embedder, embedding)

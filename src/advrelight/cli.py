@@ -170,9 +170,8 @@ def _load_plan(args, old_light=None) -> RelightPlan:
     """The plan of ``args.image`` and ``args.normals`` under ``old_light`` (read from
     ``args.light``), or under their fitted light when it is None."""
     image, normals = _load_image_and_normals(args)
-    if old_light is None:
-        return RelightPlan(image, normals)
-    with blamed_on(args.light):  # the only unchecked input is the light file's
+    fitted = f"image {args.image} and normal map {args.normals}"  # the fitted light's source
+    with blamed_on(fitted if old_light is None else args.light):
         return RelightPlan(image, normals, old_light)
 
 
@@ -187,7 +186,9 @@ def _cmd_relight(args) -> int:
 
 
 def _cmd_estimate_light(args) -> int:
-    light = estimate_light(*_load_image_and_normals(args))
+    image, normals = _load_image_and_normals(args)
+    with blamed_on(f"image {args.image} and normal map {args.normals}"):
+        light = estimate_light(image, normals)
     save_light(args.out, light)
     print(" ".join(f"{c:.6g}" for c in light))
     return 0

@@ -23,7 +23,7 @@ from .corpus import IdentityGroup, Sample
 from .errors import (AdvRelightError, DegenerateLabelsError, EvaluationError, ManifestError,
                      blamed_on)
 from .relight import RelightPlan, check_pair_size, estimate_light, load_face_image, random_relight
-from .shading import LightingMap, NormalMap, as_light, lighting_map, load_normal_map, write_csv
+from .shading import NormalMap, as_light, full_render, load_normal_map, write_csv
 
 ATTACK_METHODS = ("none", "random", "aq", "ap")
 
@@ -289,12 +289,13 @@ def sensitivity_analysis(pairs, resolution: int = 128, cell_size: float = 8.0) -
     skipped = 0
     for old, new in pairs:
         # Off the disk both maps are 0, so the first disk maximum is the map's first maximum.
-        diff = LightingMap.of(np.abs(lighting_map(new, resolution).masked
-                                     - lighting_map(old, resolution).masked), resolution)
-        if diff.peak == 0.0:
+        values, flat = full_render(new, resolution)
+        diff = np.abs(values - full_render(old, resolution)[0])
+        peak = diff.max()
+        if peak == 0.0:
             skipped += 1
             continue
-        row, col = diff.brightest
+        row, col = divmod(int(flat[diff == peak].min()), resolution)
         cell = _hex_cell(float(col), float(row), cell_size)
         cells[cell] = cells.get(cell, 0) + 1
     ordered = sorted(cells.items())

@@ -94,42 +94,28 @@ class NormalMap:
 
 @dataclass(frozen=True)
 class LightingMap:
-    """Shading of the front hemisphere of a unit sphere, orthographic.
+    """Shading of the front hemisphere of a unit sphere under ``light``, orthographic.
 
-    ``masked`` keeps the raw (unclamped) shading of the disk pixels in row-major order,
-    ``peak`` its maximum and ``brightest`` the (row, col) of the first disk pixel holding it.
-    The disk is the mask of :func:`sphere_normals`. Maps are built by :func:`lighting_map`
-    and :meth:`of`, which check the values.
+    ``peak`` is the largest raw shading of a disk pixel (the mask of :func:`sphere_normals`),
+    ``brightest`` the (row, col) of the first holding it. They and :meth:`iso_area` are read
+    from block bounds, bit for bit as :func:`full_render`.
     """
 
-    masked: np.ndarray
+    light: np.ndarray
     resolution: int
     peak: float
     brightest: tuple[int, int]
     iso_areas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @classmethod
-    def of(cls, values, resolution: int) -> LightingMap:
-        """The map of a float64 copy of ``values``; ``values`` itself stays writeable."""
-        return _checked_map(np.array(values, dtype=np.float64), resolution)
-
     def iso_area(self, tau: float) -> int:
         """Disk pixels at or above ``tau`` times the peak, counted once per ``tau``."""
         if tau not in self.iso_areas:
-            self.iso_areas[tau] = int(np.count_nonzero(self.masked >= tau * self.peak))
+            t = tau * self.peak
+            low, high, size = _block_bounds(self.light, self.resolution)
+            self.iso_areas[tau] = int(size[low >= t].sum()) + sum(
+                np.count_nonzero(values >= t)
+                for _, values in _runs(self.light, self.resolution, (low < t) & (high >= t)))
         return self.iso_areas[tau]
-
-
-def _checked_map(v: np.ndarray, resolution: int) -> LightingMap:
-    """The map of ``v``, a float64 array no caller holds, frozen in place; ValueError unless
-    it holds one finite value per disk pixel."""
-    flat = _sphere_design(resolution)[1]  # row-major index of each disk pixel
-    if v.shape == flat.shape:
-        first = int(np.argmax(v))  # the first maximum, or the first NaN
-        if np.isfinite(v[first]) and np.isfinite(v.min()):  # the minimum shows a -inf
-            return LightingMap(_freeze(v), resolution, float(v[first]),
-                               divmod(int(flat[first]), resolution))
-    raise ValueError(f"a {resolution} px lighting map needs {flat.size} finite values")
 
 
 def sh_basis(normals) -> np.ndarray:
@@ -190,9 +176,22 @@ def sphere_normals(resolution: int) -> NormalMap:
 
 
 def lighting_map(light, resolution: int) -> LightingMap:
-    """Render the shading a light produces on the reference sphere."""
-    design = _sphere_design(resolution)[0]
-    return _checked_map(as_light(light) @ design, resolution)
+    """The map ``light`` renders on the reference sphere, its peak read from the blocks whose
+    upper bound reaches the best lower bound."""
+    light = as_light(light)
+    low, high, _ = _block_bounds(light, resolution)
+    runs = list(_runs(light, resolution, high >= low.max()))
+    peak = max(values.max() for _, values in runs)
+    first = min(flat[values == peak].min(initial=resolution * resolution) for flat, values in runs)
+    return LightingMap(light, resolution, float(peak), divmod(int(first), resolution))
+
+
+def full_render(light, resolution: int):
+    """``(values, flat)``: the raw shading ``light`` gives every disk pixel of a ``resolution``
+    px lighting map, bit for bit as one GEMV over a row-major design, and the pixels' row-major
+    indices, both in the design's block-major order."""
+    flat = _sphere_design(resolution)[1]
+    return np.concatenate([values for _, values in _runs(as_light(light), resolution, True)]), flat
 
 
 def _pixel_grid(resolution: int):
@@ -204,19 +203,75 @@ def _pixel_grid(resolution: int):
     return np.meshgrid(xs, -xs)
 
 
+#: Side of the square pixel blocks whose bounds decide most of a lighting map's features.
+_BLOCK = 16
+#: Most columns per product: OpenBLAS splits 51,200 or more between threads, not at a 4k column.
+_SPAN = 1 << 15
+
+
 @functools.lru_cache(maxsize=8)
 def _sphere_design(resolution: int):
-    """(9, n) band-gained basis of the disk pixels, one C-contiguous row per term filled in
-    turn, and their row-major indices. ``coeffs @ design`` is a GEMV over 9 long rows, which
-    BLAS runs about twice as fast as ``(n, 9) @ coeffs`` for the same bytes."""
+    """``(design, flat, starts, tables)``, the one design kept per resolution. ``design`` is the
+    (9, n) band-gained basis of the disk pixels, C-contiguous rows filled in turn; its columns
+    are the pixels of row-major indices ``flat``, block by block, block k being columns
+    ``starts[k]:starts[k + 1]``. Blocks are row-major _BLOCK px squares of row-major pixels, but
+    at an odd resolution (n % 4 == 1) the last pixel, the full GEMV's tail, stays last, alone.
+    Over block k, term j lies within ``mid + gx * sx + gy * sy +- rad`` (``tables[:, j, k]``) for
+    some sx, sy in [-1, 1]: a fitted plane plus the interval of what it leaves, widened by 1e-12
+    of the term's magnitude, far beyond any rounding of a product."""
     x, y = _pixel_grid(resolution)
-    z = x * x + y * y  # r^2 until the disk is known
-    flat = np.flatnonzero(z <= 1.0)
-    x, y, z = x.reshape(-1)[flat], y.reshape(-1)[flat], np.sqrt(1.0 - z.reshape(-1)[flat])
+    flat = np.flatnonzero(x * x + y * y <= 1.0)
+    key = flat // resolution // _BLOCK * resolution + flat % resolution // _BLOCK  # the square
+    key[-1] += flat.size % 4 * resolution * resolution  # an odd resolution's tail sorts last
+    flat = flat[np.argsort(key, kind="stable")]
+    key.sort()
+    starts = np.append(np.flatnonzero(np.diff(key, prepend=-1)), flat.size)
+    del key  # freed before the design is filled, which keeps the build's peak
+    x, y = x.reshape(-1)[flat], y.reshape(-1)[flat]
     design = np.empty((9, flat.size))
-    for row, term, gain in zip(design, _sh_terms(x, y, z), BAND_GAINS):
+    for row, term, gain in zip(design, _sh_terms(x, y, np.sqrt(1.0 - (x * x + y * y))), BAND_GAINS):
         np.multiply(term, gain, out=row)
-    return _freeze(design), _freeze(flat)
+    first, size = starts[:-1], np.diff(starts)
+    for d in (x, y):  # each coordinate becomes its offset from its block's mean, in [-1, 1]
+        d -= np.repeat(np.add.reduceat(d, first) / size, size)
+        np.divide(d, np.repeat(np.maximum.reduceat(np.abs(d), first), size), out=d, where=d != 0)
+    dd = [np.add.reduceat(d * d, first) for d in (x, y)]
+    tables = np.zeros((4, 9, size.size))
+    for row, (mid, gx, gy, rad) in zip(design, tables.transpose(1, 0, 2)):
+        for g, d, ss in zip((gx, gy), (x, y), dd):  # least-squares slopes
+            np.divide(np.add.reduceat(row * d, first), ss, out=g, where=ss > 0.0)
+        rest = row - np.repeat(gx, size) * x - np.repeat(gy, size) * y
+        lo, hi = np.minimum.reduceat(rest, first), np.maximum.reduceat(rest, first)
+        mid[:] = (lo + hi) / 2.0
+        rad[:] = (hi - lo) / 2.0 + 1e-12 * (np.abs(row).max() + np.abs(gx) + np.abs(gy))
+    return _freeze(design), _freeze(flat), _freeze(starts), _freeze(tables)
+
+
+def _block_bounds(light, resolution: int):
+    """Per block, bounds on every value of the full render in it, and its pixel count. The
+    smallest normal float64 covers the underflow of tiny lights, which ``rad`` cannot."""
+    starts, (mid, gx, gy, rad) = _sphere_design(resolution)[2:]
+    centre = light @ mid
+    reach = np.abs(light @ gx) + np.abs(light @ gy) + np.abs(light) @ rad + np.finfo(float).tiny
+    return centre - reach, centre + reach, np.diff(starts)
+
+
+def _runs(light, resolution: int, chosen):
+    """``(flat, values)`` per run of ``chosen`` blocks (a mask, or True for all): the run's
+    row-major indices and the full render's values, bit for bit. BLAS rounds each column of
+    ``light @ design[:, a:e]`` as the full product does when e - a is a multiple of 4 short of
+    the tail, or when a slice of 4k + 1 columns ends at the tail; so runs widen into their
+    neighbours to such slices. Gathers, ``design[:, idx]``, are F-ordered and round otherwise."""
+    design, flat, starts, _ = _sphere_design(resolution)
+    padded = np.zeros(starts.size + 1, bool)  # each run then starts and ends at a change
+    padded[1:-1] = chosen
+    edges = starts[np.flatnonzero(padded[1:] != padded[:-1])].tolist()
+    for a, e in zip(edges[::2], edges[1::2]):
+        for b in range(a, e, _SPAN):
+            c = min(b + _SPAN, e)
+            b4, c4 = b - b % 4, min(c - c % -4, flat.size)
+            b4 -= 4 * (c4 - b4 == 1)
+            yield flat[b:c], (light @ design[:, b4:c4])[b - b4:c - b4]
 
 
 def pixel_to_direction(row: int, col: int, resolution: int) -> tuple[float, float]:

@@ -446,6 +446,50 @@ def test_single_image_commands_name_an_image_and_a_normal_map_that_do_not_fit(
 
 
 @pytest.mark.parametrize("command", [
+    pytest.param(["estimate-light", "--out", "{out}"], id="estimate_light"),
+    pytest.param(["relight", "--new-light", "{light}", "--out", "{out}"], id="relight"),
+    pytest.param(["attack-aq", "--iters", "1", "--out-light", "{out}"], id="attack_aq"),
+    pytest.param(["ap-run", "--params", "{params}", "--out-light", "{out}"], id="ap_run"),
+])
+def test_single_image_commands_name_an_image_and_a_normal_map_whose_light_fit_fails(
+        mismatched, tmp_path, capsys, command):
+    """A normal map that masks 3 pixels cannot fit 9 coefficients; the refusal names both
+    files and keeps the fit's own detail."""
+    from advrelight.shading import NormalMap, sphere_normals
+
+    normals = sphere_normals(16)
+    mask = np.zeros((16, 16), bool)
+    mask[7:8, 6:9] = True
+    names = dict(face=mismatched / "face.png", normals=tmp_path / "three.png",
+                 light=mismatched / "light.txt", params=mismatched / "params.npz",
+                 out=tmp_path / "out")
+    save_normal_map(names["normals"], NormalMap(normals.normals, mask))
+    argv = [arg.format(**names) for arg in command]
+    assert cli(argv + ["--image", str(names["face"]), "--normals", str(names["normals"])]) == 2
+    assert capsys.readouterr().err == (
+        f"error: image {names['face']} and normal map {names['normals']}: "
+        "rank-deficient lighting system (rank 3 < 9)\n")
+    assert not names["out"].exists()
+
+
+def test_ap_train_whose_step_overflows_exits_2_without_a_warning(predictor_inputs, tmp_path,
+                                                                 capsys):
+    """A learning rate of 1e300 overflows the second batch's forward pass. The finite check
+    after it refuses the step; numpy's overflow warning, an error under this suite's
+    filterwarnings, stays silent."""
+    manifest = tmp_path / "one.json"
+    manifest.write_text(_manifest(images=("face.png", "face.png"),
+                                  normals=("normals.png", "normals.png")))
+    (tmp_path / "face.png").write_bytes(Path(predictor_inputs["face"]).read_bytes())
+    (tmp_path / "normals.png").write_bytes(Path(predictor_inputs["normals"]).read_bytes())
+    out = tmp_path / "params.npz"
+    assert cli(["ap-train", "--manifest", str(manifest), "--lr", "1e300", "--batch-size", "1",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: non-finite loss in epoch 0, batch 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
     pytest.param(["eval", "--method", "none"], id="eval"),
     pytest.param(["ap-train", "--out", "params.npz"], id="ap_train"),
 ])

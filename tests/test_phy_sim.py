@@ -31,7 +31,7 @@ from advrelight.shading import (
 )
 
 from conftest import patch_every_binding
-from helpers.lighting import ambient_light, dense_values
+from helpers.lighting import ambient_light, dense_design, dense_values, masked_values
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +154,7 @@ def test_feedback_no_light_error():
 
 def _dense_values(coeffs, resolution):
     values = np.zeros((resolution, resolution), dtype=np.float64)
-    values[sphere_normals(resolution).mask] = coeffs @ shading._sphere_design(resolution)[0]
+    values[sphere_normals(resolution).mask] = coeffs @ dense_design(resolution)[0]
     return values
 
 
@@ -233,11 +233,11 @@ def _masked_index(lmap):
 @example(light=np.array([1.0, 0.0, 0.0, 0.0, 0.34765625, 0.0, 0.0, 0.0, 0.0]), resolution=38)
 def test_lighting_map_matches_row_major_oracle(light, resolution):
     """Values agree within the bound; features differ only where pixels lie within it."""
-    lmap = lighting_map(light, resolution)
+    lmap, masked = lighting_map(light, resolution), masked_values(light, resolution)
     oracle, tol = _row_major_oracle(light, resolution)
-    assert np.abs(lmap.masked - oracle).max() <= tol
-    assert lmap.peak == lmap.masked.max() and abs(lmap.peak - oracle.max()) <= tol
-    assert _masked_index(lmap) == np.argmax(lmap.masked)  # the first maximum, as at 38 px
+    assert np.abs(masked - oracle).max() <= tol
+    assert lmap.peak == masked.max() and abs(lmap.peak - oracle.max()) <= tol
+    assert _masked_index(lmap) == np.argmax(masked)  # the first maximum, as at 38 px
     assert oracle[_masked_index(lmap)] >= oracle.max() - 2.0 * tol
     threshold = 0.9 * oracle.max()
     assert (np.count_nonzero(oracle >= threshold + 2.0 * tol) <= lmap.iso_area(0.9)
@@ -262,46 +262,29 @@ def test_lighting_map_ties_match_row_major_oracle(light, exact, resolution):
 
     One-coefficient and ambient lights give the oracle's values bit for bit.
     """
-    lmap = lighting_map(light, resolution)
+    lmap, masked = lighting_map(light, resolution), masked_values(light, resolution)
     oracle, tol = _row_major_oracle(light, resolution)
     if exact:
-        assert np.array_equal(lmap.masked, oracle)
-    assert np.abs(lmap.masked - oracle).max() <= tol
+        assert np.array_equal(masked, oracle)
+    assert np.abs(masked - oracle).max() <= tol
     assert _masked_index(lmap) == np.argmax(oracle)
-    assert lmap.peak == lmap.masked.max() and abs(lmap.peak - oracle.max()) <= tol
+    assert lmap.peak == masked.max() and abs(lmap.peak - oracle.max()) <= tol
     assert lmap.iso_area(0.9) == np.count_nonzero(oracle >= 0.9 * oracle.max())
 
 
-def test_lighting_map_rejects_wrong_size_and_non_finite_values():
-    size = int(sphere_normals(16).mask.sum())
-    values = np.zeros(size)
-    lmap = shading.LightingMap.of(values, 16)
-    assert values.flags.writeable and not np.shares_memory(lmap.masked, values)
-    for bad in (np.zeros(size - 1), np.full(size, np.nan)):
-        with pytest.raises(ValueError, match="finite values"):
-            shading.LightingMap.of(bad, 16)
-    shaded = lighting_map(pls_to_sh(PLSPose(1.0, 0.6, 2.0, 1.5)), 16).masked
-    for value in (np.nan, np.inf, -np.inf):  # one pixel each: first, inner, last
-        for where in (0, size // 2, size - 1):
-            bad = shaded.copy()
-            bad[where] = value
-            with pytest.raises(ValueError, match="finite values"):
-                shading.LightingMap.of(bad, 16)
-
-
 def test_lighting_map_is_its_declared_fields():
-    """Every value a map holds is a declared field, whichever route built it."""
-    names = ["masked", "resolution", "peak", "brightest", "iso_areas"]
+    """Every value a map holds is a declared field."""
+    names = ["light", "resolution", "peak", "brightest", "iso_areas"]
     mask = sphere_normals(16).mask
-    for lmap in (lighting_map(pls_to_sh(PLSPose(1.0, 0.6, 2.0, 1.5)), 16),
-                 shading.LightingMap.of(np.arange(float(mask.sum())), 16)):
-        assert [f.name for f in dataclasses.fields(lmap)] == names
-        lmap.iso_area(0.9)
-        assert sorted(vars(lmap)) == sorted(names) and list(lmap.iso_areas) == [0.9]
-        assert not lmap.masked.flags.writeable
-        dense = np.where(mask, dense_values(lmap), -np.inf)
-        assert lmap.peak == dense.max() and lmap.brightest == divmod(int(np.argmax(dense)), 16)
-        assert dataclasses.replace(lmap).iso_areas == {}
+    light = pls_to_sh(PLSPose(1.0, 0.6, 2.0, 1.5))
+    lmap = lighting_map(list(light), 16)
+    assert [f.name for f in dataclasses.fields(lmap)] == names
+    assert lmap.light.tobytes() == light.tobytes() and not lmap.light.flags.writeable
+    lmap.iso_area(0.9)
+    assert sorted(vars(lmap)) == sorted(names) and list(lmap.iso_areas) == [0.9]
+    dense = np.where(mask, dense_values(lmap), -np.inf)
+    assert lmap.peak == dense.max() and lmap.brightest == divmod(int(np.argmax(dense)), 16)
+    assert dataclasses.replace(lmap).iso_areas == {}
 
 
 def test_feedback_resolution_mismatch():

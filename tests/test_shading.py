@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,7 +20,8 @@ from advrelight.shading import (
     sphere_normals,
 )
 
-from helpers.lighting import ambient_light, dense_design, dense_values
+from helpers.lighting import (ambient_light, dense_design, dense_values, masked_values,
+                             oracle_render)
 from helpers.memory import traced_peak
 
 unit_vectors = st.tuples(
@@ -102,23 +105,112 @@ def test_sphere_normals_rejects_tiny():
 @example(resolution=512)
 def test_sphere_design_matches_dense_oracle(resolution):
     """The design and disk indices built from disk coordinates are the dense sphere's, bit
-    for bit."""
-    design, flat = shading._sphere_design(resolution)
+    for bit, once their block-major order is undone. Each block lies in one _BLOCK px square,
+    and at an odd resolution (n % 4 == 1) the last row-major pixel, the GEMV tail, stays last."""
+    design, flat, starts, _ = shading._sphere_design(resolution)
     want_design, want_flat = dense_design(resolution)
+    order = np.argsort(flat)
     assert (design.shape, flat.dtype) == (want_design.shape, want_flat.dtype)
-    assert design.tobytes() == want_design.tobytes() and flat.tobytes() == want_flat.tobytes()
+    assert design[:, order].tobytes() == want_design.tobytes()
+    assert flat[order].tobytes() == want_flat.tobytes()
+    assert flat.size % 4 == 0 or (flat.size % 4 == 1 and flat[-1] == want_flat[-1])
+    row, col = np.divmod(flat, resolution)
+    square = row // shading._BLOCK * resolution + col // shading._BLOCK
+    assert all(np.ptp(square[a:e]) == 0 for a, e in zip(starts[:-1], starts[1:]))
 
 
 def test_sphere_design_builds_without_the_dense_sphere(monkeypatch):
-    """A fresh 512 px build peaks below 1.8x its outputs' bytes and never builds the dense
-    sphere, and neither does rendering a lighting map."""
+    """A fresh 512 px build, block bound tables included, peaks below 1.8x its outputs' bytes
+    and never builds the dense sphere, and neither does rendering a lighting map. A map's
+    features and the full render keep no design beside the cached one."""
     def sphere_normals(resolution):
         raise AssertionError("built the dense sphere")
 
     monkeypatch.setattr(shading, "sphere_normals", sphere_normals)
-    (design, flat), peak = traced_peak(shading._sphere_design.__wrapped__, 512)
-    assert peak <= 1.8 * (design.nbytes + flat.nbytes)
-    assert lighting_map(ambient_light(0.5), 41).masked.size == shading._sphere_design(41)[1].size
+    outputs, peak = traced_peak(shading._sphere_design.__wrapped__, 512)
+    held = sum(a.nbytes for a in (*outputs[:3], *outputs[3]))
+    assert peak <= 1.8 * held
+    lighting_map(ambient_light(0.5), 41).iso_area(0.9)
+    assert shading.full_render(ambient_light(0.5), 41)[0].size == shading._sphere_design(41)[1].size
+
+    shading._sphere_design.cache_clear()
+    tracemalloc.start()
+    try:
+        lighting_map(np.linspace(-1.0, 1.0, 9), 300).iso_area(0.9)
+        render = shading.full_render(np.linspace(-1.0, 1.0, 9), 300)[0].nbytes
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    outputs = shading._sphere_design(300)
+    design = sum(a.nbytes for a in (*outputs[:3], *outputs[3]))
+    assert design <= kept <= design + 0.1 * render
+
+
+@settings(max_examples=60, deadline=None)
+@given(resolution=st.integers(8, 72), light=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+       seed=st.integers(0, 2**32 - 1))
+@example(resolution=200, light=[0.5, -0.25, 0.75, 0.1, -0.3, 0.2, 0.6, -0.7, 0.05], seed=0)
+def test_blas_rounds_each_column_of_a_slice_as_the_whole_product(resolution, light, seed):
+    """The rule the lighting map's block-major reads rest on: ``L @ design[:, a:e]`` equals
+    ``(L @ design)[a:e]`` bit for bit when e - a is a multiple of 4, at any a, short of the
+    tail column an odd resolution (n % 4 == 1) ends on; a slice that ends at n with 4k + 1
+    columns keeps the tail's bits. Products here stay below the 51,200 columns at which
+    OpenBLAS splits a GEMV between threads. A BLAS kernel that rounds otherwise fails here by
+    name, where it would otherwise move pinned traces."""
+    design = shading._sphere_design(resolution)[0]
+    n = design.shape[1]
+    body = n - n % 4
+    light = np.array(light)
+    full = light @ design
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        a = int(rng.integers(0, body - 3))
+        e = a + 4 * int(rng.integers(1, (body - a) // 4 + 1))
+        assert (light @ design[:, a:e]).tobytes() == full[a:e].tobytes(), (a, e)
+        if n % 4 == 1:
+            a = n - 1 - 4 * int(rng.integers(1, (n - 1) // 4 + 1))
+            assert (light @ design[:, a:]).tobytes() == full[a:].tobytes(), a
+
+
+def _single(index, value):
+    coeffs = np.zeros(9)
+    coeffs[index] = value
+    return coeffs
+
+
+MIRROR_TIE = np.array([1.0, 0.0, 0.0, 0.0, 0.34765625, 0.0, 0.0, 0.0, 0.0])  # ties at 38 px
+
+feature_lights = st.one_of(
+    st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9).map(np.array),
+    st.floats(-1.0, 1.0).map(ambient_light),
+    st.tuples(st.integers(0, 8), st.floats(-1.0, 1.0)).map(lambda jv: _single(*jv)),
+    st.tuples(st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+              st.sampled_from([1e-320, 1e-300, 1e300])).map(lambda ls: np.array(ls[0]) * ls[1]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(light=feature_lights, resolution=st.one_of(st.integers(8, 72), st.just(512)),
+       taus=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=3))
+@example(light=MIRROR_TIE, resolution=38, taus=[0.9, 1.0])
+@example(light=ambient_light(0.5), resolution=512, taus=[1.0, 0.9])
+@example(light=-ambient_light(0.5), resolution=33, taus=[0.9])
+@example(light=-ambient_light(0.5), resolution=512, taus=[0.5])
+@example(light=_single(4, 1.0), resolution=512, taus=[0.9])
+@example(light=_single(6, -0.5), resolution=71, taus=[1.0, 1e-9])
+@example(light=_single(2, 1.0), resolution=9, taus=[0.9])
+def test_lighting_map_features_equal_the_full_render(light, resolution, taus):
+    """``peak``, ``brightest`` and ``iso_area(tau)``, read from block bounds, are the full
+    render's (its first maximum in row-major order), and ``full_render`` is the full render, bit
+    for bit. A peak of zero may differ in sign only, which no feature reads."""
+    lmap = lighting_map(light, resolution)
+    full = oracle_render(light, resolution)
+    first = int(np.argmax(full))
+    assert lmap.peak == full[first]
+    assert masked_values(light, resolution).tobytes() == full.tobytes()
+    assert lmap.brightest == divmod(int(dense_design(resolution)[1][first]), resolution)
+    for tau in taus:
+        assert lmap.iso_area(tau) == np.count_nonzero(full >= tau * full[first])
 
 
 def test_lighting_map_ambient_constant():
