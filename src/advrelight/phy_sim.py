@@ -130,24 +130,24 @@ def _wrap_angle(value: float) -> float:
     return (value + math.pi) % TWO_PI - math.pi
 
 
-def map_feedback(current: LightingMap, target: LightingMap, tau: float = 0.9,
+def map_feedback(current: LightingMap, target: LightingMap,
                  tolerances=DEFAULT_TOLERANCES) -> NavFeedback:
     """Navigation feedback from two lighting maps.
 
     The brightest masked pixel of each map yields (azimuth, polar); the
     returned errors are target minus current, azimuth wrapped to (-pi, pi].
-    ``area_ratio`` compares the maps' isointensity regions at ``tau`` times
-    their own maxima (current / target).
+    ``area_ratio`` compares the maps' isointensity areas at ``tau`` times
+    their own maxima (current / target), so the maps must share ``tau``.
     """
-    if current.resolution != target.resolution:
-        raise ValueError("lighting maps must share a resolution")
+    if (current.resolution, current.tau) != (target.resolution, target.tau):
+        raise ValueError("lighting maps must share a resolution and a tau")
     az_now, po_now = pixel_to_direction(*current.brightest, current.resolution)
     az_tgt, po_tgt = pixel_to_direction(*target.brightest, target.resolution)
     if min(current.peak, target.peak) <= 0.0:
         raise NoLightError("lighting map has no positive signal")
     d_azimuth = _wrap_angle(az_tgt - az_now)
     d_polar = po_tgt - po_now
-    ratio = current.iso_area(tau) / target.iso_area(tau)
+    ratio = current.area / target.area
     tol_az, tol_po, tol_area = tolerances
     converged = (
         abs(d_azimuth) < tol_az and abs(d_polar) < tol_po and abs(ratio - 1.0) < tol_area
@@ -176,7 +176,7 @@ def recurrence_loop(target, start: PLSPose, scene: SceneModel,
     polar and log-distance. Raises :class:`NonConvergenceError` (carrying
     the trace) after ``max_iter`` adjustments without convergence.
     """
-    target_map = lighting_map(target, map_resolution)
+    target_map = lighting_map(target, map_resolution, tau)
     if target_map.peak <= 0.0:
         raise NoLightError("target light renders an empty lighting map")
     gain_az, gain_po, gain_di = gains
@@ -186,9 +186,8 @@ def recurrence_loop(target, start: PLSPose, scene: SceneModel,
     trace: list[tuple[PLSPose, NavFeedback]] = []
     for _ in range(max_iter + 1):
         estimated = scene_light_estimate(scene, pose)
-        feedback = map_feedback(
-            lighting_map(estimated, map_resolution), target_map, tau, tolerances
-        )
+        current_map = lighting_map(estimated, map_resolution, tau)
+        feedback = map_feedback(current_map, target_map, tolerances)
         trace.append((pose, feedback))
         if feedback.converged:
             return RecurrenceResult(pose, tuple(trace), iterations=len(trace) - 1)

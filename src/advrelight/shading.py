@@ -15,7 +15,7 @@ presentation concern and only happens at image boundaries.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,28 +94,18 @@ class NormalMap:
 
 @dataclass(frozen=True)
 class LightingMap:
-    """Shading of the front hemisphere of a unit sphere under ``light``, orthographic.
-
-    ``peak`` is the largest raw shading of a disk pixel (the mask of :func:`sphere_normals`),
-    ``brightest`` the (row, col) of the first holding it. They and :meth:`iso_area` are read
-    from block bounds, bit for bit as :func:`full_render`.
+    """The features of the shading a light gives the front hemisphere of a unit sphere,
+    orthographic, ``resolution`` px square: ``peak``, the largest raw shading of a disk pixel
+    (the mask of :func:`sphere_normals`); ``brightest``, the (row, col) of the first holding it;
+    and ``area``, the disk pixels at or above ``tau`` times the peak. :func:`lighting_map` reads
+    them from block bounds, bit for bit as :func:`full_render`.
     """
 
-    light: np.ndarray
     resolution: int
+    tau: float
     peak: float
     brightest: tuple[int, int]
-    iso_areas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def iso_area(self, tau: float) -> int:
-        """Disk pixels at or above ``tau`` times the peak, counted once per ``tau``."""
-        if tau not in self.iso_areas:
-            t = tau * self.peak
-            low, high, size = _block_bounds(self.light, self.resolution)
-            self.iso_areas[tau] = int(size[low >= t].sum()) + sum(
-                np.count_nonzero(values >= t)
-                for _, values in _runs(self.light, self.resolution, (low < t) & (high >= t)))
-        return self.iso_areas[tau]
+    area: int
 
 
 def sh_basis(normals) -> np.ndarray:
@@ -175,15 +165,22 @@ def sphere_normals(resolution: int) -> NormalMap:
     return NormalMap(normals, mask)
 
 
-def lighting_map(light, resolution: int) -> LightingMap:
+def lighting_map(light, resolution: int, tau: float = 0.9) -> LightingMap:
     """The map ``light`` renders on the reference sphere, its peak read from the blocks whose
-    upper bound reaches the best lower bound."""
+    upper bound reaches the best lower bound and its area from those that straddle ``tau``
+    times the peak. ValueError unless ``tau`` <= 1 (NaN fails): no pixel exceeds a positive peak."""
+    tau = float(tau)
+    if not tau <= 1.0:
+        raise ValueError(f"tau must be a number no greater than 1, got {tau}")
     light = as_light(light)
-    low, high, _ = _block_bounds(light, resolution)
+    low, high, size = _block_bounds(light, resolution)
     runs = list(_runs(light, resolution, high >= low.max()))
-    peak = max(values.max() for _, values in runs)
+    peak = float(max(values.max() for _, values in runs))
     first = min(flat[values == peak].min(initial=resolution * resolution) for flat, values in runs)
-    return LightingMap(light, resolution, float(peak), divmod(int(first), resolution))
+    t = tau * peak
+    straddling = _runs(light, resolution, (low < t) & (high >= t))
+    area = int(size[low >= t].sum() + sum(np.count_nonzero(v >= t) for _, v in straddling))
+    return LightingMap(resolution, tau, peak, divmod(int(first), resolution), area)
 
 
 def full_render(light, resolution: int):

@@ -15,10 +15,11 @@ def ambient_light(level: float = 1.0) -> np.ndarray:
     return as_light(coeffs)
 
 
-def dense_values(lmap) -> np.ndarray:
-    """``lmap``'s raw shading on its square grid: its full render, 0 off the disk."""
-    out = np.zeros((lmap.resolution, lmap.resolution), dtype=np.float64)
-    out[sphere_normals(lmap.resolution).mask] = masked_values(lmap.light, lmap.resolution)
+def dense_values(light, resolution: int) -> np.ndarray:
+    """The raw shading ``light`` gives the square ``resolution`` px grid: its full render, 0 off
+    the disk."""
+    out = np.zeros((resolution, resolution), dtype=np.float64)
+    out[sphere_normals(resolution).mask] = masked_values(light, resolution)
     return out
 
 

@@ -20,7 +20,7 @@ from advrelight.embedder import BuiltinEmbedder, cosine_similarity
 from advrelight.harness import AttackedSample, build_split, roc_auc, sensitivity_analysis
 from advrelight.phy_sim import PLSPose, SceneModel, pls_to_sh, recurrence_loop, scene_light_estimate
 from advrelight.relight import DENOM_FLOOR, FaceImage, RelightPlan, estimate_light
-from advrelight.shading import as_light, lighting_map, shade, sphere_normals
+from advrelight.shading import as_light, shade, sphere_normals
 
 from helpers.lighting import ambient_light, dense_values
 from helpers.relighting import jacobian
@@ -317,9 +317,8 @@ def test_criterion_9_sensitivity_histogram():
     base = ambient_light(0.5)
     oracle_pose = PLSPose(math.pi / 4, 0.8, 1.0, 0.4)
     diff = np.abs(
-        dense_values(lighting_map(as_light(base + pls_to_sh(oracle_pose)),
-                                  resolution))
-        - dense_values(lighting_map(base, resolution)))
+        dense_values(base + pls_to_sh(oracle_pose), resolution)
+        - dense_values(base, resolution))
     row, col = divmod(int(np.argmax(diff)), resolution)
     modal = hist.centers[int(np.argmax(hist.counts))]
     offset = math.hypot(modal[0] - col, modal[1] - row)

@@ -24,8 +24,7 @@ from advrelight.harness import (
 )
 from advrelight.phy_sim import PLSPose, pls_to_sh
 from advrelight.relight import FaceImage, save_face_image
-from advrelight.shading import (NormalMap, as_light, lighting_map, save_normal_map, sh_basis,
-                               sphere_normals)
+from advrelight.shading import NormalMap, as_light, save_normal_map, sh_basis, sphere_normals
 
 from conftest import BlackBox, patch_every_binding
 from helpers.lighting import ambient_light, dense_values
@@ -316,9 +315,8 @@ def test_sensitivity_clustered_modal_cell():
 
     center_pose = PLSPose(cluster["azimuth"], cluster["polar"], 1.0, 0.4)
     base = ambient_light(0.5)
-    diff = np.abs(dense_values(lighting_map(as_light(base + pls_to_sh(center_pose)),
-                                            resolution))
-                  - dense_values(lighting_map(base, resolution)))
+    diff = np.abs(dense_values(base + pls_to_sh(center_pose), resolution)
+                  - dense_values(base, resolution))
     row, col = divmod(int(np.argmax(diff)), resolution)
     assert np.hypot(modal[0] - col, modal[1] - row) <= 2 * cell
 

@@ -12,8 +12,9 @@ predictor weights set to huge or subnormal values, and replies with a wrong hand
 or vector. The command must exit 0 (the mutant is still valid) or 2; an exit 2 starts with
 ``error:`` and names the mutated file (a manifest may instead name a file it lists, the
 phy-sim loop may report that it ran and did not converge, and an endpoint is named by its
-command), no traceback is printed, and every example finishes within a fixed wall time. A PNG
-example also stays under a fixed traced allocation peak, which the reader's pixel cap bounds.
+command), no traceback is printed, and every example finishes within a fixed wall time. A PNG,
+light-file, ``lights.csv`` or predictor-file example also stays under a fixed traced allocation
+peak for its kind; for a PNG, the reader's pixel cap bounds it.
 A light file, ``lights.csv``, malformed predictor file or manifest that exits 2 does so before
 any PNG is read, any light is fitted or the bundled corpus is built, and a PNG does so before
 any PNG after it is read or any light is fitted (unless the error names a file read after it,
@@ -31,6 +32,7 @@ import re
 import struct
 import sys
 import time
+import zipfile
 import zlib
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -55,6 +57,19 @@ WALL_SECONDS = 1.0
 #: Traced allocation peak of one PNG example; the largest was 0.4 MB. The pixel cap refuses
 #: a bomb before it is inflated: a 1025 x 1024 face alone would decode to 25 MB of float64.
 PNG_PEAK_BYTES = 4 * 2**20
+
+#: Traced allocation peak of one light-file example (a ``relight``); the largest was 0.41 MB.
+LIGHT_PEAK_BYTES = 4 * 2**20
+
+#: Traced allocation peak of one ``lights.csv`` example (an ``analyze-light`` at 16 px); the
+#: largest was 0.74 MB, a mutant whose one field passes ``csv``'s 131,072-character limit.
+LIGHTS_CSV_PEAK_BYTES = 4 * 2**20
+
+#: Traced allocation peak of one predictor-file example (an ``ap-run``); the largest was 3.4 MB,
+#: and 4.1 MB as the process's first, nearly all of it the built-in embedder's QR (3.3 MB).
+#: numpy allocates a member's array at its header's shape before it reads the data, so a
+#: shape claim read before ``load_params`` checks it exceeds this (see the shape-claim test).
+PREDICTOR_PEAK_BYTES = 16 * 2**20
 
 GATE = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -400,6 +415,15 @@ def _check(code, err, seconds, mutated, *listed):
     assert seconds < WALL_SECONDS
 
 
+def _check_bounded(argv, peak_bytes, mutated, reads=0, listed=()):
+    """:func:`_check` of ``argv``'s run, counted as :func:`_run_counted` counts it, and its
+    traced allocation peak below ``peak_bytes``; returns the exit code and stderr."""
+    code, err, seconds, peak = _run_counted(argv, reads, listed, _traced_run)
+    _check(code, err, seconds, mutated)
+    assert peak < peak_bytes
+    return code, err
+
+
 def _relight(files, light, new_light):
     return ["relight", "--image", str(files / "face.png"), "--normals", str(files / "normals.png"),
             "--light", str(light), "--new-light", str(new_light), "--out", str(files / "relit.png")]
@@ -463,9 +487,7 @@ def test_mutated_png_exits_0_or_2_naming_it_in_bounded_memory(valid_files, which
             "--out", str(valid_files / "light.txt")]
     # The face is read first; a pair check names the normal map read after it.
     reads, listed = (1, [files["normals"]]) if which == "face" else (2, [])
-    code, err, seconds, peak = _run_counted(argv, reads, listed, _traced_run)
-    _check(code, err, seconds, mutated)
-    assert peak < PNG_PEAK_BYTES
+    _check_bounded(argv, PNG_PEAK_BYTES, mutated, reads, listed)
 
 
 @SMALL_GATE
@@ -476,7 +498,7 @@ def test_mutated_light_file_exits_0_or_2_naming_it(valid_files, which, data):
     mutated = valid_files / f"mutated-{which}.txt"
     mutated.write_bytes(data.draw(_mutants(text.encode(), _token_swap(text))))
     argv = _relight(valid_files, *((mutated, light) if which == "light" else (light, mutated)))
-    _check(*_run_counted(argv), mutated)
+    _check_bounded(argv, LIGHT_PEAK_BYTES, mutated)
 
 
 @SMALL_GATE
@@ -485,7 +507,7 @@ def test_mutated_lights_csv_exits_0_or_2_naming_it(valid_files, data):
     text = (valid_files / "lights.csv").read_text()
     mutated = valid_files / "mutated-lights.csv"
     mutated.write_bytes(data.draw(_mutants(text.encode(), _token_swap(text))))
-    _check(*_run_counted(_analyze_light(mutated, valid_files / "hexhist")), mutated)
+    _check_bounded(_analyze_light(mutated, valid_files / "hexhist"), LIGHTS_CSV_PEAK_BYTES, mutated)
 
 
 @SMALL_GATE
@@ -505,7 +527,21 @@ def test_mutated_predictor_file_exits_0_or_2_naming_it(valid_files, data):
     mutated = valid_files / "mutated-params.npz"
     blob = (valid_files / "params.npz").read_bytes()
     mutated.write_bytes(data.draw(_mutants(blob, _zip_field_swap(blob))))
-    _check(*_run_counted(_ap_run(valid_files, mutated)), mutated)
+    _check_bounded(_ap_run(valid_files, mutated), PREDICTOR_PEAK_BYTES, mutated)
+
+
+def test_predictor_shape_claim_exits_2_in_bounded_memory(valid_files):
+    """A member whose header claims a 32 MB array but holds 36 values is refused before numpy
+    allocates the claim."""
+    mutated = valid_files / "claimed-params.npz"
+    with zipfile.ZipFile(valid_files / "params.npz") as src, zipfile.ZipFile(mutated, "w") as dst:
+        for name in src.namelist():
+            member = src.read(name)
+            if name == "w1.npy":  # the header's padding absorbs the longer claim
+                member = member.replace(b"(4, 9), }      ", b"(2048, 2048), }")
+            dst.writestr(name, member)
+    code, err = _check_bounded(_ap_run(valid_files, mutated), PREDICTOR_PEAK_BYTES, mutated)
+    assert code == 2 and "(2048, 2048)" in err
 
 
 @WEIGHT_GATE

@@ -31,7 +31,7 @@ from advrelight.shading import (
 )
 
 from conftest import patch_every_binding
-from helpers.lighting import ambient_light, dense_design, dense_values, masked_values
+from helpers.lighting import ambient_light, dense_values, masked_values, oracle_render
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +154,7 @@ def test_feedback_no_light_error():
 
 def _dense_values(coeffs, resolution):
     values = np.zeros((resolution, resolution), dtype=np.float64)
-    values[sphere_normals(resolution).mask] = coeffs @ dense_design(resolution)[0]
+    values[sphere_normals(resolution).mask] = oracle_render(coeffs, resolution)
     return values
 
 
@@ -198,20 +198,23 @@ lights = st.one_of(
          resolution=17, tau=1.0)
 @example(current=pls_to_sh(PLSPose(1.0, 0.6, 2.0, 1.5)), target=np.zeros(9),
          resolution=64, tau=0.0)
+@example(current=pls_to_sh(PLSPose(1.0, 0.6, 2.0, 1.5)), target=ambient_light(0.5),
+         resolution=64, tau=-0.5)  # a negative tau stays legal
 def test_masked_maps_match_dense_oracle(current, target, resolution, tau):
     """Masked maps give the dense values and the dense feedback, bit for bit."""
-    now, tgt = lighting_map(current, resolution), lighting_map(target, resolution)
+    now, tgt = lighting_map(current, resolution, tau), lighting_map(target, resolution, tau)
     mask = sphere_normals(resolution).mask
     dense_now, dense_tgt = _dense_values(current, resolution), _dense_values(target, resolution)
-    assert np.array_equal(dense_values(now), dense_now) and np.array_equal(dense_values(tgt), dense_tgt)
-    assert now.resolution == resolution
+    assert np.array_equal(dense_values(current, resolution), dense_now)
+    assert np.array_equal(dense_values(target, resolution), dense_tgt)
+    assert (now.resolution, now.tau) == (resolution, tau)
     try:
         expected = _dense_feedback(dense_now, dense_tgt, mask, tau)
     except NoLightError:
         with pytest.raises(NoLightError):
-            map_feedback(now, tgt, tau)
+            map_feedback(now, tgt)
         return
-    assert map_feedback(now, tgt, tau) == expected
+    assert map_feedback(now, tgt) == expected
 
 
 # Oracle: the row-major (n, 9) product of the disk normals' basis, built without the design.
@@ -233,14 +236,14 @@ def _masked_index(lmap):
 @example(light=np.array([1.0, 0.0, 0.0, 0.0, 0.34765625, 0.0, 0.0, 0.0, 0.0]), resolution=38)
 def test_lighting_map_matches_row_major_oracle(light, resolution):
     """Values agree within the bound; features differ only where pixels lie within it."""
-    lmap, masked = lighting_map(light, resolution), masked_values(light, resolution)
+    lmap, masked = lighting_map(light, resolution, 0.9), masked_values(light, resolution)
     oracle, tol = _row_major_oracle(light, resolution)
     assert np.abs(masked - oracle).max() <= tol
     assert lmap.peak == masked.max() and abs(lmap.peak - oracle.max()) <= tol
     assert _masked_index(lmap) == np.argmax(masked)  # the first maximum, as at 38 px
     assert oracle[_masked_index(lmap)] >= oracle.max() - 2.0 * tol
     threshold = 0.9 * oracle.max()
-    assert (np.count_nonzero(oracle >= threshold + 2.0 * tol) <= lmap.iso_area(0.9)
+    assert (np.count_nonzero(oracle >= threshold + 2.0 * tol) <= lmap.area
             <= np.count_nonzero(oracle >= threshold - 2.0 * tol))
 
 
@@ -262,29 +265,33 @@ def test_lighting_map_ties_match_row_major_oracle(light, exact, resolution):
 
     One-coefficient and ambient lights give the oracle's values bit for bit.
     """
-    lmap, masked = lighting_map(light, resolution), masked_values(light, resolution)
+    lmap, masked = lighting_map(light, resolution, 0.9), masked_values(light, resolution)
     oracle, tol = _row_major_oracle(light, resolution)
     if exact:
         assert np.array_equal(masked, oracle)
     assert np.abs(masked - oracle).max() <= tol
     assert _masked_index(lmap) == np.argmax(oracle)
     assert lmap.peak == masked.max() and abs(lmap.peak - oracle.max()) <= tol
-    assert lmap.iso_area(0.9) == np.count_nonzero(oracle >= 0.9 * oracle.max())
+    assert lmap.area == np.count_nonzero(oracle >= 0.9 * oracle.max())
 
 
 def test_lighting_map_is_its_declared_fields():
-    """Every value a map holds is a declared field."""
-    names = ["light", "resolution", "peak", "brightest", "iso_areas"]
+    """A map is its five plain, immutable fields: it keeps no light, no memo and no method."""
+    names = ["resolution", "tau", "peak", "brightest", "area"]
     mask = sphere_normals(16).mask
     light = pls_to_sh(PLSPose(1.0, 0.6, 2.0, 1.5))
-    lmap = lighting_map(list(light), 16)
-    assert [f.name for f in dataclasses.fields(lmap)] == names
-    assert lmap.light.tobytes() == light.tobytes() and not lmap.light.flags.writeable
-    lmap.iso_area(0.9)
-    assert sorted(vars(lmap)) == sorted(names) and list(lmap.iso_areas) == [0.9]
-    dense = np.where(mask, dense_values(lmap), -np.inf)
-    assert lmap.peak == dense.max() and lmap.brightest == divmod(int(np.argmax(dense)), 16)
-    assert dataclasses.replace(lmap).iso_areas == {}
+    lmap = lighting_map(list(light), 16, 0.8)
+    assert [f.name for f in dataclasses.fields(lmap)] == names and list(vars(lmap)) == names
+    assert [type(v) for v in vars(lmap).values()] == [int, float, float, tuple, int]
+    dense = np.where(mask, dense_values(light, 16), -np.inf)
+    expected = (16, 0.8, dense.max(), divmod(int(np.argmax(dense)), 16),
+                np.count_nonzero(dense >= 0.8 * dense.max()))
+    assert dataclasses.astuple(lmap) == expected and lmap == shading.LightingMap(*expected)
+    assert hash(dataclasses.replace(lmap)) == hash(lmap)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lmap.area = 0
+    assert not [name for name, value in vars(shading.LightingMap).items()
+                if callable(value) and not name.startswith("__")]
 
 
 def test_feedback_resolution_mismatch():
@@ -292,6 +299,24 @@ def test_feedback_resolution_mismatch():
     b = lighting_map(pls_to_sh(PLSPose(1.0, 0.6, 2.0, 1.5)), 128)
     with pytest.raises(ValueError):
         map_feedback(a, b)
+
+
+def test_feedback_refuses_maps_of_another_tau():
+    """Areas counted at different fractions of the peak have no meaningful ratio."""
+    light = pls_to_sh(PLSPose(1.0, 0.6, 2.0, 1.5))
+    with pytest.raises(ValueError, match="share a resolution and a tau"):
+        map_feedback(lighting_map(light, 64, 0.9), lighting_map(light, 64, 0.8))
+
+
+@pytest.mark.parametrize("tau", [1.5, 1.0 + 2**-52, math.inf, math.nan])
+def test_lighting_map_refuses_tau_above_1_or_nan(scene, tau):
+    """No pixel reaches more than the positive peak, so both areas would be 0 and their ratio
+    a ZeroDivisionError; the loop refuses such a tau before it builds a map."""
+    light = pls_to_sh(PLSPose(1.0, 0.6, 2.0, 1.5))
+    with pytest.raises(ValueError, match="tau must be a number no greater than 1"):
+        lighting_map(light, 64, tau)
+    with pytest.raises(ValueError, match="tau must be a number no greater than 1"):
+        recurrence_loop(light, PLSPose(1.0, 0.6, 2.0, 1.5), scene, tau=tau, map_resolution=64)
 
 
 def test_scene_photo_range(scene):

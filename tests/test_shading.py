@@ -130,13 +130,13 @@ def test_sphere_design_builds_without_the_dense_sphere(monkeypatch):
     outputs, peak = traced_peak(shading._sphere_design.__wrapped__, 512)
     held = sum(a.nbytes for a in (*outputs[:3], *outputs[3]))
     assert peak <= 1.8 * held
-    lighting_map(ambient_light(0.5), 41).iso_area(0.9)
+    lighting_map(ambient_light(0.5), 41)
     assert shading.full_render(ambient_light(0.5), 41)[0].size == shading._sphere_design(41)[1].size
 
     shading._sphere_design.cache_clear()
     tracemalloc.start()
     try:
-        lighting_map(np.linspace(-1.0, 1.0, 9), 300).iso_area(0.9)
+        lighting_map(np.linspace(-1.0, 1.0, 9), 300)
         render = shading.full_render(np.linspace(-1.0, 1.0, 9), 300)[0].nbytes
         kept = tracemalloc.get_traced_memory()[0]
     finally:
@@ -200,33 +200,35 @@ feature_lights = st.one_of(
 @example(light=_single(6, -0.5), resolution=71, taus=[1.0, 1e-9])
 @example(light=_single(2, 1.0), resolution=9, taus=[0.9])
 def test_lighting_map_features_equal_the_full_render(light, resolution, taus):
-    """``peak``, ``brightest`` and ``iso_area(tau)``, read from block bounds, are the full
-    render's (its first maximum in row-major order), and ``full_render`` is the full render, bit
-    for bit. A peak of zero may differ in sign only, which no feature reads."""
-    lmap = lighting_map(light, resolution)
+    """``peak``, ``brightest`` and ``area`` at each ``tau``, read from block bounds, are the
+    full render's (its first maximum in row-major order), and ``full_render`` is the full
+    render, bit for bit. A peak of zero may differ in sign only, which no feature reads."""
     full = oracle_render(light, resolution)
     first = int(np.argmax(full))
-    assert lmap.peak == full[first]
     assert masked_values(light, resolution).tobytes() == full.tobytes()
-    assert lmap.brightest == divmod(int(dense_design(resolution)[1][first]), resolution)
     for tau in taus:
-        assert lmap.iso_area(tau) == np.count_nonzero(full >= tau * full[first])
+        lmap = lighting_map(light, resolution, tau)
+        assert (lmap.resolution, lmap.tau, lmap.peak) == (resolution, tau, full[first])
+        assert lmap.brightest == divmod(int(dense_design(resolution)[1][first]), resolution)
+        assert lmap.area == np.count_nonzero(full >= tau * full[first])
 
 
 def test_lighting_map_ambient_constant():
     lmap = lighting_map(ambient_light(0.5), 32)
-    values, mask = dense_values(lmap), sphere_normals(32).mask
+    values, mask = dense_values(ambient_light(0.5), 32), sphere_normals(32).mask
     assert np.allclose(values[mask], 0.5, atol=1e-9)
     assert np.all(values[~mask] == 0.0)
+    assert lmap.peak == pytest.approx(0.5, abs=1e-9) and lmap.area == np.count_nonzero(mask)
 
 
 def test_lighting_map_brightest_at_source():
     from advrelight.phy_sim import PLSPose, pls_to_sh
 
-    lmap = lighting_map(pls_to_sh(PLSPose(0.0, 0.0, 1.0, 1.0)), 65)
+    light = pls_to_sh(PLSPose(0.0, 0.0, 1.0, 1.0))
     disk = sphere_normals(65).mask
-    row, col = divmod(int(np.argmax(np.where(disk, dense_values(lmap), -np.inf))), 65)
+    row, col = divmod(int(np.argmax(np.where(disk, dense_values(light, 65), -np.inf))), 65)
     assert abs(row - 32) <= 1 and abs(col - 32) <= 1
+    assert lighting_map(light, 65).brightest == (row, col)
 
 
 def test_lighting_map_directional_consistency():
@@ -238,9 +240,10 @@ def test_lighting_map_directional_consistency():
     for _ in range(12):
         pose = PLSPose(float(rng.uniform(0, 2 * np.pi)), float(rng.uniform(0, 1.4)),
                        10.0, 100.0)
-        lmap = lighting_map(pls_to_sh(pose), res)
+        light = pls_to_sh(pose)
         disk = sphere_normals(res).mask
-        row, col = divmod(int(np.argmax(np.where(disk, dense_values(lmap), -np.inf))), res)
+        row, col = divmod(int(np.argmax(np.where(disk, dense_values(light, res), -np.inf))), res)
+        assert lighting_map(light, res).brightest == (row, col)
         d = pose.direction()
         expected_col = (d[0] + 1.0) / 2.0 * res - 0.5
         expected_row = (1.0 - d[1]) / 2.0 * res - 0.5
@@ -357,6 +360,5 @@ def test_lighting_map_linearity():
     rng = np.random.default_rng(12)
     l1, l2 = rng.normal(size=9), rng.normal(size=9)
     a, b = rng.normal(size=2)
-    combined = lighting_map(a * l1 + b * l2, 48)
-    separate = a * dense_values(lighting_map(l1, 48)) + b * dense_values(lighting_map(l2, 48))
-    assert np.abs(dense_values(combined) - separate).max() < 1e-6
+    separate = a * dense_values(l1, 48) + b * dense_values(l2, 48)
+    assert np.abs(dense_values(a * l1 + b * l2, 48) - separate).max() < 1e-6

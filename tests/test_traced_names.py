@@ -11,13 +11,14 @@ deleted or renamed function would turn its check into a no-op.
 """
 
 import importlib.util
+import inspect
 import os
 import sys
 from pathlib import Path
 
 import pytest
 
-from advrelight import embedder, harness
+from advrelight import embedder, harness, shading
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -87,3 +88,11 @@ def test_traced_functions_resolve():
                if not callable(getattr(importlib.import_module(f"advrelight.{layer}"),
                                        fn_name, None))}
     assert missing == STALE_TRACED_FUNCTIONS
+
+
+def test_lighting_map_takes_light_then_resolution():
+    """``spans._lighting_map_info`` counts a map's pixels from its second argument, read by
+    position or by the name ``resolution``; a reordering would make it misread silently."""
+    light, resolution = list(inspect.signature(shading.lighting_map).parameters.values())[:2]
+    assert (light.name, resolution.name) == ("light", "resolution")
+    assert light.kind == resolution.kind == inspect.Parameter.POSITIONAL_OR_KEYWORD
